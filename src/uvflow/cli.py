@@ -252,6 +252,8 @@ def cmd_flow(args) -> int:
     lam0 = _setting(args, cfg, "lam0", 10.0)
     lam1 = _setting(args, cfg, "lam1", 1.0e4)
     points = _setting(args, cfg, "points", 41)
+    if not isinstance(points, int) or points < 2:
+        raise ConfigError(f"points must be an integer of at least 2, got {points!r}")
     beta_name = _setting(args, cfg, "beta", "closed")
     beta_method = {"closed": "closed-form", "numeric": "numeric"}.get(beta_name)
     if beta_method is None:
@@ -312,7 +314,10 @@ def cmd_kh_scan(args) -> int:
                                     _setting(args, cfg, "lam1", 1.0e6),
                                     _setting(args, cfg, "points", 5)))
     elif isinstance(lambdas, str):
-        lambdas = [float(tok) for tok in lambdas.split(",") if tok]
+        try:
+            lambdas = [float(tok) for tok in lambdas.split(",") if tok]
+        except ValueError as exc:
+            raise ConfigError(f"cutoff list {lambdas!r}: {exc}") from exc
     if any(l <= LAMBDA_FLOOR for l in lambdas):
         raise ConfigError(f"all cutoffs must exceed {LAMBDA_FLOOR}")
     small = kh.ground_energy_limits(eps, kh.FieldRegime.SMALL_FIELD)

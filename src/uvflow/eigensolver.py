@@ -6,8 +6,10 @@ Two deliberately independent routes:
   differences on a symmetric Dirichlet grid, solved as a symmetric
   tridiagonal eigenproblem (Sturm bisection plus inverse iteration via
   LAPACK) with Richardson extrapolation from the (n, 2n-1) grid pair;
-* ``shooting_ground_energy``                   Numerov integration with
-  bisection on the interior node count.
+* ``shooting_ground_energy``                   renormalized Numerov
+  integration: the interior node count isolates the lowest level, then
+  Brent's method converges on the mismatch between an outward and an
+  inward sweep.
 
 The tridiagonal solve passes an explicit absolute tolerance to LAPACK.
 The default (norm-relative) tolerance is useless for potentials with
@@ -24,6 +26,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.optimize import brentq
 
 from .errors import (DomainError, DomainTooSmallError, IterationLimitError,
                      SingularPointError)
@@ -171,59 +174,116 @@ def ground_state(spec: PotentialSpec, grid: Grid,
 
 
 # -- Numerov shooting (independent of the matrix route) ----------------------
+#
+# Renormalized Numerov (B. R. Johnson, J. Chem. Phys. 67, 4086 (1977)): with
+# c_i = 1 + (h^2/12) k^2_i and f_i = c_i psi_i the Numerov step reads
+# f_{i+1} - 2 f_i + f_{i-1} = w_i f_i, w_i = -h^2 k^2_i / c_i.  Only the
+# ratio f_{i+1}/f_i = 1 + rho_i is carried, through
+# rho_i = w_i + rho_{i-1} / (1 + rho_{i-1}), so nothing can overflow, and
+# carrying the excess rho rather than the ratio (which sits near 1 on a fine
+# mesh) keeps the O(h^2) information to full relative precision.  Where
+# c_i < 0 (w_i < -12: a wall deeply forbidden on this mesh) the recurrence
+# alternates sign spuriously, so node counts skip those points.
 
-def _numerov_nodes(spec: PotentialSpec, energy: float, x: np.ndarray,
-                   v: np.ndarray, parity: Optional[Parity]) -> int:
-    """Interior node count of the Numerov solution swept from the start.
+# rho standing in for an exact zero of f (rho = -1), keeping 1/(1 + rho) finite
+_BELOW_ZERO = -1.0 - 2.0 ** -52
+
+
+def _numerov_w(spec: PotentialSpec, energy: float, v: np.ndarray,
+               h: float) -> memoryview:
+    """w_i on the mesh; indexing the view yields Python floats, no copy."""
+    h2k2 = (h * h / spec.kappa) * (energy - v)
+    return memoryview(-h2k2 / (1.0 + h2k2 / 12.0))
+
+
+def _outward_start(w: memoryview,
+                   parity: Optional[Parity]) -> Tuple[float, int]:
+    """(rho_{i-1}, i) where the outward sweep begins.
+
+    The even start psi_{-1} = psi_1 gives f_1/f_0 = 1 + w_0/2; the odd
+    sector and the full-line sweep start on a node, f_0 = 0, so
+    f_2/f_1 = 2 + w_1.
+    """
+    if parity is Parity.EVEN:
+        return 0.5 * w[0], 1
+    return 1.0 + w[1], 2
+
+
+def _ratio_sweep(w: memoryview, rho: float, start: int, stop: int,
+                 step: int) -> Tuple[float, int, int]:
+    """Carry rho_i = f_{i+step}/f_i - 1 over i in range(start, stop, step).
+
+    On entry ``rho`` is f_start/f_{start-step} - 1.  Returns the final
+    f_stop/f_{stop-step} - 1, the sign of f_{stop-step} relative to
+    f_{start-step}, and the number of sign changes between neighbours
+    that both have c > 0.
+    """
+    sign, nodes = 1, 0
+    for i in range(start, stop, step):
+        if rho <= -1.0:
+            sign = -sign
+            if w[i - step] > -12.0 and w[i] > -12.0:
+                nodes += 1
+            if rho == -1.0:
+                rho = _BELOW_ZERO
+        rho = w[i] + rho / (1.0 + rho)
+    return rho, sign, nodes
+
+
+def _numerov_nodes(w: memoryview, parity: Optional[Parity]) -> int:
+    """Interior node count of the solution swept outward over the whole mesh.
 
     By Sturm oscillation the count equals the number of sector levels
-    below ``energy``, so the lowest level is where it steps from 0 to 1
+    below the energy, so the lowest level is where it steps from 0 to 1
     (a node entering through the far Dirichlet wall).
     """
-    h = x[1] - x[0]
-    k2 = (energy - v) / spec.kappa
-    c = 1.0 + (h * h / 12.0) * k2
-    if parity is Parity.EVEN:
-        psi_prev = 1.0
-        psi_cur = (1.0 - 5.0 * h * h * k2[0] / 12.0) / c[1]
-    else:
-        # odd sector or full-line sweep: node at the first point
-        psi_prev = 0.0
-        psi_cur = h
-    nodes = 1 if c[0] > 0.0 and c[1] > 0.0 and psi_cur <= 0.0 else 0
-    for i in range(1, len(x) - 1):
-        nxt = ((12.0 - 10.0 * c[i]) * psi_cur - c[i - 1] * psi_prev) / c[i + 1]
-        # the recursion alternates sign spuriously where c < 0 (a deeply
-        # forbidden region on this mesh); true nodes need local c > 0
-        if (c[i] > 0.0 and c[i + 1] > 0.0 and psi_cur != 0.0
-                and (nxt == 0.0 or (nxt < 0.0) != (psi_cur < 0.0))):
-            nodes += 1
-        psi_prev, psi_cur = psi_cur, nxt
-        if abs(psi_cur) > 1.0e250:
-            psi_prev *= 1.0e-250
-            psi_cur *= 1.0e-250
-    return nodes
+    rho, start = _outward_start(w, parity)
+    return _ratio_sweep(w, rho, start, len(w), 1)[2]
+
+
+def _numerov_mismatch(w: memoryview, parity: Optional[Parity],
+                      m: int) -> float:
+    """Sine of the angle between the outward and inward (f_m, f_{m+1}).
+
+    The outward solution starts at the first mesh point, the inward one at
+    the far Dirichlet wall.  Carrying the signs keeps both vectors, and so
+    the sine, continuous in the energy; it vanishes exactly where the two
+    solutions are proportional, i.e. at the discrete Numerov eigenvalues.
+    """
+    rho, start = _outward_start(w, parity)
+    rho, s_out, _ = _ratio_sweep(w, rho, start, m + 1, 1)
+    sigma, s_in, _ = _ratio_sweep(w, 1.0 + w[-2], len(w) - 3, m, -1)
+    # outward s_out (1, 1 + rho) against inward s_in (1 + sigma, 1)
+    return (-s_out * s_in * (rho + sigma + rho * sigma)
+            / math.hypot(1.0, 1.0 + rho) / math.hypot(1.0, 1.0 + sigma))
 
 
 def shooting_ground_energy(spec: PotentialSpec, half_width: float, n: int = 20001,
                            parity: Optional[Parity] = None,
                            bracket: Optional[Tuple[float, float]] = None,
                            tol: float = 1.0e-12) -> float:
-    """Ground level by Numerov integration and node-count bisection.
+    """Ground level by renormalized Numerov shooting.
 
     With a parity the sweep runs over [0, half_width] from a symmetric or
     antisymmetric start; without one it runs across the full box from the
     left wall.  No level of the sector lies below min(V), so the node
-    count there is zero, and the bracket grows until a node appears; the
-    0 -> 1 transition is the lowest level (robust against growth steps
-    that hop over several levels, unlike an edge-sign bisection).
+    count there is zero, and the bracket grows until a node appears (or an
+    explicit bracket is checked).  The bracket is then halved by node count
+    until exactly one level lies inside it, which is robust against growth
+    steps that hop over several levels.  Brent's method then converges on
+    the mismatch between the outward sweep and an inward sweep from the far
+    wall, matched at the outer classical turning point of the bracket's top
+    energy, so the inward solution has no node anywhere in the bracket.
     """
     if half_width <= 0.0 or n < 16:
         raise DomainError("shooting needs a positive box and a fine mesh")
+    if not tol > 0.0:
+        raise DomainError("shooting tolerance must be positive")
     if parity is None:
         x = np.linspace(-half_width, half_width, n)
     else:
         x = np.linspace(0.0, half_width, n)
+    h = x[1] - x[0]
     v = np.empty_like(x)
     if parity is not None and spec.family is Family.COULOMB:
         if parity is not Parity.ODD:
@@ -236,14 +296,15 @@ def shooting_ground_energy(spec: PotentialSpec, half_width: float, n: int = 2000
         v[:] = _potential_on(spec, x)
 
     def nodes(energy: float) -> int:
-        return _numerov_nodes(spec, energy, x, v, parity)
+        return _numerov_nodes(_numerov_w(spec, energy, v, h), parity)
 
     if bracket is None:
         lo = float(np.min(v)) + 1.0e-12
         step = 0.5 * max(1.0, abs(lo))
         hi = lo + step
         for _ in range(80):
-            if nodes(hi) >= 1:
+            k_hi = nodes(hi)
+            if k_hi >= 1:
                 break
             step *= 1.4
             lo = hi
@@ -254,14 +315,23 @@ def shooting_ground_energy(spec: PotentialSpec, half_width: float, n: int = 2000
                 "provide an energy bracket")
     else:
         lo, hi = float(bracket[0]), float(bracket[1])
-        if nodes(lo) != 0 or nodes(hi) < 1:
+        k_hi = nodes(hi) if nodes(lo) == 0 else 0
+        if k_hi < 1:
             raise DomainError("bracket does not straddle the lowest level")
-    for _ in range(200):
+    while k_hi > 1:
         mid = 0.5 * (lo + hi)
-        if nodes(mid) >= 1:
-            hi = mid
+        if hi - lo <= tol * max(1.0, abs(mid)):
+            return mid  # the two lowest levels are closer than tol
+        k_mid = nodes(mid)
+        if k_mid >= 1:
+            hi, k_hi = mid, k_mid
         else:
             lo = mid
-        if hi - lo <= tol * max(1.0, abs(mid)):
-            break
-    return 0.5 * (lo + hi)
+    m = min(max(int(np.flatnonzero(v <= hi)[-1]), 1), n - 3)
+    try:
+        return brentq(
+            lambda energy: _numerov_mismatch(_numerov_w(spec, energy, v, h),
+                                             parity, m),
+            lo, hi, xtol=tol * max(1.0, abs(lo), abs(hi)))
+    except RuntimeError as exc:
+        raise IterationLimitError(f"Brent search did not converge: {exc}") from exc

@@ -5,12 +5,20 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+import uvflow
+
 CLI = [sys.executable, "-m", "uvflow.cli"]
+# the child runs in tmp_path, where a relative PYTHONPATH entry points nowhere
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(uvflow.__file__)))
 
 
 def run_cli(args, cwd, env_extra=None):
     env = dict(os.environ)
     env.pop("UVFLOW_OUTPUT_DIR", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(CLI + args, cwd=cwd, env=env,
@@ -124,6 +132,17 @@ def test_kh_scan_rejects_low_cutoffs(tmp_path):
     res = run_cli(["kh-scan", "--lambdas", "1.5,100"], tmp_path)
     assert res.returncode == 2
     assert "config error" in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["flow", "quartic", "--points", "0"],
+    ["kh-scan", "--lambdas", "1e2,abc"],
+])
+def test_malformed_numbers_exit_2(tmp_path, args):
+    res = run_cli(args, tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "config error" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_oracle_morse(tmp_path):

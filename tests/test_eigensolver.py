@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import uvflow as uf
+from uvflow import eigensolver
 
 MORSE_EXACT = -4.0 + math.sqrt(2.0) - 0.125  # A=4, a=1, m=1
 QUARTIC_GROUND = 1.0603620904
+QUARTIC_HIOE_MONTROLL = 1.0603620904841829  # J. Math. Phys. 16, 1945 (1975)
 
 
 def half_oscillator():
@@ -135,6 +137,28 @@ def test_shooting_coulomb_odd():
     assert abs(e + 0.5) < 1e-5
 
 
+@pytest.mark.parametrize("spec, half_width, kwargs, exact", [
+    (uf.quartic(1.0), 6.0, {"parity": uf.Parity.EVEN}, QUARTIC_HIOE_MONTROLL),
+    (half_oscillator(), 12.0, {"parity": uf.Parity.ODD}, 1.5),
+    # spans four levels, so the node count must isolate the lowest first
+    (half_oscillator(), 12.0, {"bracket": (0.2, 4.0)}, 0.5),
+], ids=["quartic-even", "oscillator-odd", "oscillator-wide-bracket"])
+def test_shooting_matches_closed_form(spec, half_width, kwargs, exact):
+    e = uf.shooting_ground_energy(spec, half_width, **kwargs)
+    assert abs(e - exact) < 1e-9
+
+
+def test_shooting_sweep_count(monkeypatch):
+    sweeps = []
+    for name in ("_numerov_nodes", "_numerov_mismatch"):
+        def counted(*args, _sweep=getattr(eigensolver, name)):
+            sweeps.append(_sweep)
+            return _sweep(*args)
+        monkeypatch.setattr(eigensolver, name, counted)
+    uf.shooting_ground_energy(uf.quartic(1.0), 6.0, parity=uf.Parity.EVEN)
+    assert 0 < len(sweeps) <= 16
+
+
 def test_shooting_with_explicit_bracket():
     e = uf.shooting_ground_energy(half_oscillator(), 12.0, bracket=(0.2, 0.9))
     assert abs(e - 0.5) < 1e-9
@@ -154,3 +178,5 @@ def test_shooting_validation():
         uf.shooting_ground_energy(half_oscillator(), -1.0)
     with pytest.raises(uf.DomainError):
         uf.shooting_ground_energy(half_oscillator(), 12.0, n=8)
+    with pytest.raises(uf.DomainError):
+        uf.shooting_ground_energy(half_oscillator(), 12.0, tol=0.0)
