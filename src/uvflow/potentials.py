@@ -110,12 +110,7 @@ class PotentialSpec:
         v0 = float(self.profile(x0))
         if self.profile_d1 is not None and self.profile_d2 is not None:
             return v0, float(self.profile_d1(x0)), float(self.profile_d2(x0))
-        f = self.profile
-        h1 = max(abs(x0), 1.0) * _H1_SCALE
-        d1 = (f(x0 + h1) - f(x0 - h1)) / (2.0 * h1)
-        h2 = max(abs(x0), 1.0) * _H2_SCALE
-        d2 = (-f(x0 + 2 * h2) + 16 * f(x0 + h2) - 30 * v0 + 16 * f(x0 - h2) - f(x0 - 2 * h2)) / (12 * h2 * h2)
-        return v0, float(d1), float(d2)
+        return _stencil_derivatives(self.profile, x0, v0)
 
     def _kh_derivatives(self, z0: float):
         # The dressed integral carries a small adaptive-order error; for a
@@ -126,13 +121,8 @@ class PotentialSpec:
         lam = self.shape["lam"]
         scale = 1.0 / (math.pi * self.shape["eps_exp"])
         _, n = kh.dressed_integral_with_order(z0, lam)
-        h1 = max(abs(z0), 1.0) * _H1_SCALE
-        h2 = max(abs(z0), 1.0) * _H2_SCALE
         g = lambda z: kh.gauss_chebyshev_integral(z, lam, n) * scale
-        v0 = g(z0)
-        d1 = (g(z0 + h1) - g(z0 - h1)) / (2.0 * h1)
-        d2 = (-g(z0 + 2 * h2) + 16 * g(z0 + h2) - 30 * v0 + 16 * g(z0 - h2) - g(z0 - 2 * h2)) / (12 * h2 * h2)
-        return v0, d1, d2
+        return _stencil_derivatives(g, z0, g(z0))
 
     # -- full potential --------------------------------------------------
 
@@ -145,6 +135,16 @@ class PotentialSpec:
         v, d1, d2 = self.shape_derivatives(x0)
         g = self.coupling
         return g * v, g * d1, g * d2
+
+
+def _stencil_derivatives(f: Callable, x0: float, v0: float):
+    """(v0, f'(x0), f''(x0)) by a central difference and the 5-point
+    second-derivative stencil, with steps scaled by max(|x0|, 1)."""
+    h1 = max(abs(x0), 1.0) * _H1_SCALE
+    d1 = (f(x0 + h1) - f(x0 - h1)) / (2.0 * h1)
+    h2 = max(abs(x0), 1.0) * _H2_SCALE
+    d2 = (-f(x0 + 2 * h2) + 16 * f(x0 + h2) - 30 * v0 + 16 * f(x0 - h2) - f(x0 - 2 * h2)) / (12 * h2 * h2)
+    return v0, float(d1), float(d2)
 
 
 # -- family constructors ---------------------------------------------------
@@ -192,9 +192,7 @@ def kramers_henneberger(alpha: float, eps_exp: float, lam: float) -> PotentialSp
     scale = 1.0 / (math.pi * eps_exp)
 
     def profile(z, _lam=float(lam), _s=scale):
-        if np.ndim(z) == 0:
-            return kh.dressed_potential_integral(float(z), _lam) * _s
-        return np.array([kh.dressed_potential_integral(float(t), _lam) * _s for t in np.asarray(z).ravel()]).reshape(np.shape(z))
+        return kh.dressed_potential_integral(z, _lam) * _s
 
     return PotentialSpec(
         Family.KRAMERS_HENNEBERGER,

@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 
 import uvflow as uf
@@ -8,19 +10,6 @@ from uvflow import kh
 I_AT_ORIGIN_UNIT_CUTOFF = 2.6220575456  # independent adaptive quadrature
 STRONG_PLUS_AT_TENTH = 0.010355620527690141
 STRONG_MINUS_AT_TENTH = 0.002376774919661487
-
-
-def test_params_defaults_and_validation():
-    p = kh.KHParams(1.0, 1.0e4)
-    assert p.n_q == 16 and p.K == 1.0
-    with pytest.raises(uf.DomainError):
-        kh.KHParams(0.0, 1.0e4)
-    with pytest.raises(uf.DomainError):
-        kh.KHParams(1.0, 1.5)
-    with pytest.raises(uf.DomainError):
-        kh.KHParams(1.0, 1.0e4, n_q=17)
-    with pytest.raises(uf.DomainError):
-        kh.KHParams(1.0, 1.0e4, n_q=14)
 
 
 def test_fixed_order_quadrature_symmetry():
@@ -45,6 +34,83 @@ def test_quadrature_outside_the_source_interval():
 def test_dressed_integral_against_frozen_oracle():
     val = kh.dressed_potential_integral(0.0, 1.0)
     assert abs(val - I_AT_ORIGIN_UNIT_CUTOFF) < 1e-6 * val
+
+
+def reference_with_order(z, lam):
+    """One point at a time with exactly rounded sums: the quadrature and the
+    doubling rule written out independently of the batched code."""
+    delta = 1.0 / lam
+
+    def at_order(n):
+        theta = (2.0 * np.arange(1, n + 1) - 1.0) * (math.pi / (2.0 * n))
+        zp = np.cos(theta)
+        kernel = 1.0 / np.sqrt((z - zp) ** 2 + delta * delta)
+        if abs(z) >= 1.0:
+            return (math.pi / n) * math.fsum(kernel)
+        w0 = 1.0 / math.sqrt(1.0 - z * z)
+        w1 = z * w0 ** 3
+        s0 = math.asinh((1.0 - z) / delta) + math.asinh((1.0 + z) / delta)
+        s1 = (math.sqrt((1.0 - z) ** 2 + delta * delta)
+              - math.sqrt((1.0 + z) ** 2 + delta * delta))
+        remainder = kernel * (1.0 - (w0 + (zp - z) * w1) * np.sin(theta))
+        return w0 * s0 + w1 * s1 + (math.pi / n) * math.fsum(remainder)
+
+    prev, n = at_order(16), 32
+    while n <= 2 ** 16:
+        cur = at_order(n)
+        if abs(cur - prev) <= 1e-8 * abs(cur):
+            return cur, n
+        prev, n = cur, 2 * n
+    raise AssertionError(f"reference stalled at z={z}, lam={lam}")
+
+
+TABLE_Z = (0.0, 0.3, -0.3, 0.9, -0.9, 0.99, -0.99, 1.0, -1.0, 1.5, -2.0)
+
+
+@pytest.mark.parametrize("lam", [10.0, 1.0e2, 1.0e4, 1.0e6])
+def test_array_evaluation_matches_the_point_loop(lam):
+    values, orders = kh.dressed_integral_with_order(np.array(TABLE_Z), lam)
+    for z, value, order in zip(TABLE_Z, values, orders):
+        ref, ref_order = reference_with_order(z, lam)
+        assert order == ref_order, z
+        assert abs(value - ref) <= 1e-12 * abs(ref), z
+        assert kh.dressed_integral_with_order(z, lam) == (value, order)
+
+
+def test_array_larger_than_a_tile_equals_point_evaluation():
+    # 2,001 points span several tiles at the low orders (1,024 points at n=16)
+    z = np.concatenate([np.linspace(-0.9, 0.9, 401), np.linspace(1.0, 3.0, 800),
+                        np.linspace(-3.0, -1.0, 800)])
+    values, orders = kh.dressed_integral_with_order(z, 1.0e2)
+    loop = [kh.dressed_integral_with_order(float(t), 1.0e2) for t in z]
+    assert values.tolist() == [v for v, _ in loop]
+    assert orders.tolist() == [n for _, n in loop]
+
+
+def test_array_names_the_first_stalled_point():
+    z = np.array([0.0, 0.5, 0.997, -0.997])
+    with pytest.raises(uf.QuadratureError) as err:
+        kh.dressed_integral_with_order(z, 1.0e3)
+    found = re.search(r"z=0\.997, lam=1000\.0\); last two values (\S+) and (\S+)$",
+                      str(err.value))
+    # the values at 2^15 and 2^16 nodes, which differ by more than 1e-8
+    first, second = (float(v) for v in found.groups())
+    assert abs(first - second) > 1e-8 * abs(second)
+    with pytest.raises(uf.QuadratureError, match=r"z=0\.997"):
+        kh.dressed_potential_integral(z, 1.0e3)
+
+
+def test_scalar_and_array_types():
+    value, order = kh.dressed_integral_with_order(0.3, 1.0e3)
+    assert type(value) is float and type(order) is int
+    assert type(kh.dressed_potential_integral(np.float64(0.3), 1.0e3)) is float
+    assert type(kh.gauss_chebyshev_integral(1, 1.0e3, 64)) is float
+    z = np.array([[0.0, 0.3, -0.9], [1.0, 1.5, -2.0]])
+    values, orders = kh.dressed_integral_with_order(z, 1.0e3)
+    assert values.shape == orders.shape == (2, 3)
+    assert orders.dtype.kind == "i"
+    assert kh.gauss_chebyshev_integral(z, 1.0e3, 64).shape == (2, 3)
+    assert values[0, 1] == kh.dressed_potential_integral(0.3, 1.0e3)
 
 
 def test_dressed_integral_order_doubling_settles():
@@ -74,6 +140,13 @@ def test_log_divergence_fit_coefficients():
     assert 0.9 < c2_ratio < 1.1
     c0_slope = (fits[1].c0 - fits[0].c0) / math.log(1.0e2)
     assert abs(c0_slope - 2.0) < 0.02
+
+
+def test_log_divergence_fit_reports_the_order_reached():
+    z = np.linspace(-0.2, 0.2, 9)
+    for fit in kh.log_divergence_fit([1.0e2, 1.0e4]):
+        _, orders = kh.dressed_integral_with_order(z, fit.lam)
+        assert type(fit.order) is int and fit.order == orders.max()
 
 
 def test_log_divergence_fit_window_stability():
