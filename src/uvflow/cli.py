@@ -133,6 +133,26 @@ def _setting(args, cfg: dict, key: str, default=None):
     return default
 
 
+def _integer(name: str, value, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{name} must be an integer of at least {minimum}, "
+                          f"got {value!r}")
+    return value
+
+
+def _grid_size(value) -> int:
+    if _integer("n", value, 3) % 2 == 0:
+        raise ConfigError(f"n must be odd, got {value!r}")
+    return value
+
+
+def _half_width(value) -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0.0 < value < math.inf):
+        raise ConfigError(f"half-width must be a positive number, got {value!r}")
+    return float(value)
+
+
 def _params(args, cfg: dict) -> dict:
     params = dict(cfg.get("params", {}))
     for key in ("A", "a", "m", "g", "alpha", "lam", "eps_exp", "K"):
@@ -157,6 +177,15 @@ def build_spec(model: str, params: dict) -> PotentialSpec:
                                    params.get("eps_exp", 1.0),
                                    params.get("lam", 1.0e4))
     raise ConfigError(f"unknown model {model!r} (expected one of {MODELS})")
+
+
+def _sign_policy(name: Optional[str]) -> Optional[SignPolicy]:
+    if name is None:
+        return None
+    try:
+        return SignPolicy(name)
+    except ValueError as exc:
+        raise ConfigError(f"unknown sign policy {name!r}") from exc
 
 
 def _parity_from(name: Optional[str]) -> Optional[Parity]:
@@ -216,11 +245,17 @@ def cmd_analyze(args) -> int:
         models = [args.model]
     else:
         models = cfg.get("models", list(CASE_STUDIES))
-    policy_name = _setting(args, cfg, "sign-policy")
-    policy = SignPolicy(policy_name) if policy_name else None
+    if not isinstance(models, list) or any(m not in MODELS for m in models):
+        raise ConfigError(f"models must be a list drawn from {MODELS}, "
+                          f"got {models!r}")
+    policy = _sign_policy(_setting(args, cfg, "sign-policy"))
     params = _params(args, cfg)
     half_width = _setting(args, cfg, "half-width")
+    if half_width is not None:
+        half_width = _half_width(half_width)
     n = _setting(args, cfg, "n")
+    if n is not None:
+        n = _grid_size(n)
     fmt = _setting(args, cfg, "format", "csv")
     rows, failed = [], False
     for model in models:
@@ -251,9 +286,7 @@ def cmd_flow(args) -> int:
     fmt = _setting(args, cfg, "format", "csv")
     lam0 = _setting(args, cfg, "lam0", 10.0)
     lam1 = _setting(args, cfg, "lam1", 1.0e4)
-    points = _setting(args, cfg, "points", 41)
-    if not isinstance(points, int) or points < 2:
-        raise ConfigError(f"points must be an integer of at least 2, got {points!r}")
+    points = _integer("points", _setting(args, cfg, "points", 41), 2)
     beta_name = _setting(args, cfg, "beta", "closed")
     beta_method = {"closed": "closed-form", "numeric": "numeric"}.get(beta_name)
     if beta_method is None:
@@ -358,15 +391,15 @@ def cmd_oracle(args) -> int:
     params = _params(args, cfg)
     fmt = _setting(args, cfg, "format", "csv")
     dl, dn, dparity = _ORACLE_DEFAULTS.get(model, (12.0, 4001, None))
-    half_width = _setting(args, cfg, "half-width", dl)
-    n = _setting(args, cfg, "n", dn)
+    half_width = _half_width(_setting(args, cfg, "half-width", dl))
+    n = _grid_size(_setting(args, cfg, "n", dn))
     parity = _parity_from(_setting(args, cfg, "parity", dparity))
-    level = _setting(args, cfg, "level", 0)
+    level = _integer("level", _setting(args, cfg, "level", 0), 0)
     spec = build_spec(model, params)
     res = eigenvalue_by_index(spec, Grid(half_width, n), level, parity=parity)
-    row = {"model": model, "half_width": float(half_width), "n": int(n),
+    row = {"model": model, "half_width": half_width, "n": n,
            "parity": res.parity.value if res.parity else "none",
-           "level": int(level), "eigenvalue": res.eigenvalue,
+           "level": level, "eigenvalue": res.eigenvalue,
            "refinement_estimate": res.refinement_estimate,
            "convergence_ratio": res.convergence_ratio}
     path = _resolve_output(_setting(args, cfg, "output"), f"oracle_{model}.{fmt}")

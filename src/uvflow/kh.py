@@ -117,13 +117,16 @@ def _sampled_sums(z, dd, zp, sin_t=None, w0=None, w1=None) -> np.ndarray:
 def gauss_chebyshev_integral(z, lam: float, n: int):
     """I(z, lam) at one fixed quadrature order (no convergence control).
 
-    z is a scalar, giving a float, or an array, giving an array of its shape.
+    z is a scalar, giving a float, or an array, giving an array of its shape;
+    a NaN in z raises DomainError, and z = +-inf gives 0.
     """
     if lam <= 0.0:
         raise DomainError("the kernel needs a positive cutoff")
     if n < 2:
         raise DomainError("quadrature order must be at least 2")
     zs = np.asarray(z, dtype=float)
+    if np.isnan(zs).any():
+        raise DomainError("the kernel needs a number for z, got NaN")
     values = _fixed_order(zs.ravel(), lam, n).reshape(zs.shape)
     return float(values) if zs.ndim == 0 else values
 
@@ -135,7 +138,8 @@ def dressed_integral_with_order(z, lam: float, n_q: int = 16,
     z is a scalar, giving (float, int), or an array, giving a value array and
     an integer order array of its shape.  Each point doubles its order from
     n_q until two orders agree to rel_tol; the first point still unsettled at
-    2^16 nodes raises QuadratureError.
+    2^16 nodes raises QuadratureError.  A NaN in z raises DomainError before
+    any doubling.
     """
     if n_q < 16 or n_q % 2 != 0:
         raise DomainError("starting quadrature order must be even and >= 16")

@@ -145,6 +145,33 @@ def test_malformed_numbers_exit_2(tmp_path, args):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("args, config", [
+    (["oracle", "quartic", "--n", "4000"], None),
+    (["analyze", "--n", "4000"], None),
+    (["oracle", "quartic"], {"n": "4001"}),
+    (["analyze"], {"n": "4001"}),
+    (["oracle", "quartic", "--half-width", "0"], None),
+    (["analyze", "quartic", "--half-width", "-3"], None),
+    (["oracle", "quartic", "--level", "-1"], None),
+    (["oracle", "quartic"], {"level": -1}),
+    (["analyze"], {"sign-policy": "bogus"}),
+    (["analyze"], {"models": "quartic"}),
+], ids=["oracle-even-n", "analyze-even-n", "oracle-string-n",
+        "analyze-string-n", "oracle-zero-half-width",
+        "analyze-negative-half-width", "oracle-negative-level",
+        "oracle-negative-level-config", "analyze-bogus-sign-policy",
+        "analyze-models-string"])
+def test_bad_settings_exit_2(tmp_path, args, config):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        args = args + ["--config", "cfg.json"]
+    res = run_cli(args, tmp_path)
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert "config error" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not list(tmp_path.glob("*.csv"))  # rejected before any report
+
+
 def test_oracle_morse(tmp_path):
     out = tmp_path / "m.json"
     res = run_cli(["oracle", "morse", "--A", "9", "--format", "json",

@@ -100,6 +100,25 @@ def test_array_names_the_first_stalled_point():
         kh.dressed_potential_integral(z, 1.0e3)
 
 
+def test_nan_z_is_a_domain_error(monkeypatch):
+    # raised before any doubling: no quadrature order is ever sampled
+    sampled = []
+    monkeypatch.setattr(kh, "_fixed_order",
+                        lambda *args: sampled.append(args) or np.zeros(0))
+    for z in (math.nan, np.array([0.3, math.nan]), np.array([[math.nan]])):
+        with pytest.raises(uf.DomainError, match="NaN"):
+            kh.dressed_integral_with_order(z, 1.0e3)
+        with pytest.raises(uf.DomainError, match="NaN"):
+            kh.gauss_chebyshev_integral(z, 1.0e3, 64)
+    assert sampled == []
+
+
+def test_infinite_z_gives_zero():
+    assert kh.dressed_integral_with_order(math.inf, 1.0e3) == (0.0, 32)
+    values, _ = kh.dressed_integral_with_order(np.array([-math.inf, math.inf]), 1.0e3)
+    assert values.tolist() == [0.0, 0.0]
+
+
 def test_scalar_and_array_types():
     value, order = kh.dressed_integral_with_order(0.3, 1.0e3)
     assert type(value) is float and type(order) is int
