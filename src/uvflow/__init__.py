@@ -21,19 +21,18 @@ from .potentials import (Family, PotentialSpec, coulomb, custom,
 from .reduction import (EstimateSource, GaussianState, GroundStateEstimate,
                         QuadraticReduction, SignBranch, expand_at_cutoff,
                         ho_ground_energy, ho_ground_wavefunction)
-from .flow import (LAMBDA_FLOOR, BetaEvaluation, FixedPointTarget, LogFlow,
-                   PowerLawFlow, SignPolicy, TabulatedFlow, beta_closed_form,
-                   beta_numeric, default_sign_policy, evaluate_beta,
-                   integrate_flow, pipeline_ground_energy, solve_fixed_point,
-                   uv_energy_law, uv_limit_energy)
+from .flow import (LAMBDA_FLOOR, FixedPointTarget, LogFlow, PowerLawFlow,
+                   SignPolicy, TabulatedFlow, beta_closed_form, beta_numeric,
+                   default_sign_policy, integrate_flow,
+                   pipeline_ground_energy, solve_fixed_point, uv_energy_law,
+                   uv_limit_energy)
 from .eigensolver import (Grid, OracleResult, Parity, eigenvalue_by_index,
                           ground_state, shooting_ground_energy)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BetaEvaluation", "ConfigError", "DegenerateExpansionError",
-    "DomainError", "DomainTooSmallError", "EstimateSource", "Family",
+    "ConfigError", "DegenerateExpansionError", "DomainError", "DomainTooSmallError", "EstimateSource", "Family",
     "FitDegenerateError", "FixedPointTarget", "FlowUndefinedError",
     "GaussianState", "Grid", "GroundStateEstimate", "IntegrationAbortError",
     "IterationLimitError", "LAMBDA_FLOOR", "LogFlow", "NoBoundStateError",
@@ -41,7 +40,7 @@ __all__ = [
     "PotentialSpec", "PowerLawFlow", "QuadraticReduction", "QuadratureError",
     "SignBranch", "SignPolicy", "SingularPointError", "TabulatedFlow",
     "UVFlowError", "beta_closed_form", "beta_numeric", "coulomb", "custom",
-    "default_sign_policy", "eigenvalue_by_index", "evaluate_beta",
+    "default_sign_policy", "eigenvalue_by_index",
     "expand_at_cutoff", "ground_state", "ho_ground_energy",
     "ho_ground_wavefunction", "integrate_flow", "kramers_henneberger",
     "morse", "pipeline_ground_energy", "quartic", "shooting_ground_energy",

@@ -39,15 +39,26 @@ from .potentials import (PotentialSpec, coulomb, kramers_henneberger, morse,
                          quartic, soft_coulomb)
 
 CASE_STUDIES = ("morse", "quartic", "coulomb", "kh")
-MODELS = ("morse", "quartic", "coulomb", "soft-coulomb", "kh")
 
-# per-model oracle defaults: (half_width, n, parity)
-_ORACLE_DEFAULTS = {
-    "morse": (30.0, 4001, None),
-    "quartic": (6.0, 4001, None),
-    "coulomb": (30.0, 4001, "odd"),
-    "soft-coulomb": (30.0, 4001, "odd"),
+# model name -> (constructor, its parameters with their defaults,
+#                oracle defaults (half_width, n, parity))
+_MODELS = {
+    "morse": (morse, {"A": 4.0, "a": 1.0, "m": 1.0}, (30.0, 4001, None)),
+    "quartic": (quartic, {"g": 1.0}, (6.0, 4001, None)),
+    "coulomb": (coulomb, {"alpha": 1.0}, (30.0, 4001, Parity.ODD)),
+    "soft-coulomb": (soft_coulomb, {"alpha": 1.0, "lam": 1000.0},
+                     (30.0, 4001, Parity.ODD)),
+    "kh": (kramers_henneberger, {"alpha": 1.0, "eps_exp": 1.0, "lam": 1.0e4},
+           (12.0, 4001, None)),
 }
+
+# model parameters of analyze, flow and oracle: name -> flag help
+_PARAMS = {"A": "Morse well depth", "a": "Morse range parameter",
+           "m": "Morse mass", "g": "quartic coupling",
+           "alpha": "Coulomb-family coupling",
+           "lam": "shape cutoff (soft-coulomb, kh)",
+           "eps_exp": "drive-strength parameter",
+           "K": "log-flow integration constant"}
 
 ANALYZE_COLUMNS = ("model", "rg_energy", "oracle_energy", "rel_error",
                    "sign_branch", "flow_law", "notes")
@@ -68,17 +79,22 @@ def _fmt(value) -> str:
 
 
 def _round12(value):
-    if isinstance(value, float):
-        return float(f"{value:.12g}")
-    return value
+    return float(_fmt(value)) if isinstance(value, float) else value
 
 
-def _resolve_output(path: Optional[str], default_name: str) -> str:
-    path = path or default_name
+def _report_path(args, cfg: dict, stem: str):
+    """(path, format) of the report; the default path is <stem>.<format>,
+    and a relative path lands under UVFLOW_OUTPUT_DIR when that is set."""
+    fmt = _setting(args, cfg, "format", "csv")
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"format must be csv or json, got {fmt!r}")
+    path = _setting(args, cfg, "output") or f"{stem}.{fmt}"
+    if not isinstance(path, str):
+        raise ConfigError(f"output must be a path string, got {path!r}")
     root = os.environ.get("UVFLOW_OUTPUT_DIR")
     if root and not os.path.isabs(path):
         path = os.path.join(root, path)
-    return path
+    return path, fmt
 
 
 def _write_report(path: str, columns: Sequence[str], rows: list[dict],
@@ -146,16 +162,20 @@ def _grid_size(value) -> int:
     return value
 
 
-def _half_width(value) -> float:
+def _number(name: str, value, floor: float = 0.0) -> float:
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not 0.0 < value < math.inf):
-        raise ConfigError(f"half-width must be a positive number, got {value!r}")
+            or not floor < value < math.inf):
+        raise ConfigError(f"{name} must be a finite number above {floor:g}, "
+                          f"got {value!r}")
     return float(value)
 
 
 def _params(args, cfg: dict) -> dict:
-    params = dict(cfg.get("params", {}))
-    for key in ("A", "a", "m", "g", "alpha", "lam", "eps_exp", "K"):
+    params = cfg.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"params must be a JSON object, got {params!r}")
+    params = dict(params)
+    for key in _PARAMS:
         val = getattr(args, key, None)
         if val is not None:
             params[key] = val
@@ -163,38 +183,18 @@ def _params(args, cfg: dict) -> dict:
 
 
 def build_spec(model: str, params: dict) -> PotentialSpec:
-    if model == "morse":
-        return morse(params.get("A", 4.0), params.get("a", 1.0),
-                     params.get("m", 1.0))
-    if model == "quartic":
-        return quartic(params.get("g", 1.0))
-    if model == "coulomb":
-        return coulomb(params.get("alpha", 1.0))
-    if model == "soft-coulomb":
-        return soft_coulomb(params.get("alpha", 1.0), params.get("lam", 1000.0))
-    if model == "kh":
-        return kramers_henneberger(params.get("alpha", 1.0),
-                                   params.get("eps_exp", 1.0),
-                                   params.get("lam", 1.0e4))
-    raise ConfigError(f"unknown model {model!r} (expected one of {MODELS})")
+    make, defaults, _ = _MODELS[model]
+    return make(**{k: params.get(k, v) for k, v in defaults.items()})
 
 
-def _sign_policy(name: Optional[str]) -> Optional[SignPolicy]:
+def _member(cls, name, what: str):
+    """The member of the enum cls that a setting names; None when unset."""
     if name is None:
         return None
     try:
-        return SignPolicy(name)
+        return cls(name)
     except ValueError as exc:
-        raise ConfigError(f"unknown sign policy {name!r}") from exc
-
-
-def _parity_from(name: Optional[str]) -> Optional[Parity]:
-    if name is None or name == "none":
-        return None
-    try:
-        return Parity(name)
-    except ValueError as exc:
-        raise ConfigError(f"unknown parity {name!r}") from exc
+        raise ConfigError(f"unknown {what} {name!r}") from exc
 
 
 def _flow_label(flow) -> str:
@@ -213,8 +213,7 @@ def _analyze_row(model: str, params: dict, policy: Optional[SignPolicy],
         K = params.get("K", 1.0)
         eps = params.get("eps_exp", 1.0)
         rg = kh.scaled_energy_from_K(K, eps)
-        return {"model": model, "rg_energy": rg, "oracle_energy": None,
-                "rel_error": None, "sign_branch": "ambiguous",
+        return {"model": model, "rg_energy": rg, "sign_branch": "ambiguous",
                 "flow_law": f"g(lam) = {K * K:.12g} / ln(lam)",
                 "notes": "root sign absorbed into K**2; printed form has no "
                          "direct eigensolve target, see kh-scan"}
@@ -225,15 +224,13 @@ def _analyze_row(model: str, params: dict, policy: Optional[SignPolicy],
     else:
         flow = solve_fixed_point(spec)
     est = uv_limit_energy(spec, flow, policy=policy)
-    dl, dn, dparity = _ORACLE_DEFAULTS[model]
+    dl, dn, dparity = _MODELS[model][2]
     grid = Grid(half_width if half_width is not None else dl,
                 n if n is not None else dn)
-    oracle = eigenvalue_by_index(spec, grid, 0,
-                                 parity=_parity_from(dparity)).refinement_estimate
+    oracle = eigenvalue_by_index(spec, grid, 0, parity=dparity).refinement_estimate
     rel = abs(est.energy - oracle) / abs(oracle)
-    notes = ""
-    if model == "morse":
-        notes = f"oracle minus flow limit = {oracle - est.energy:.12g}"
+    notes = (f"oracle minus flow limit = {oracle - est.energy:.12g}"
+             if model == "morse" else "")
     return {"model": model, "rg_energy": est.energy, "oracle_energy": oracle,
             "rel_error": rel, "sign_branch": est.sign_branch.value,
             "flow_law": _flow_label(flow), "notes": notes}
@@ -241,38 +238,34 @@ def _analyze_row(model: str, params: dict, policy: Optional[SignPolicy],
 
 def cmd_analyze(args) -> int:
     cfg = _load_config(args.config)
-    if args.model is not None:
-        models = [args.model]
-    else:
-        models = cfg.get("models", list(CASE_STUDIES))
-    if not isinstance(models, list) or any(m not in MODELS for m in models):
-        raise ConfigError(f"models must be a list drawn from {MODELS}, "
+    models = ([args.model] if args.model is not None
+              else cfg.get("models", list(CASE_STUDIES)))
+    if (not isinstance(models, list)
+            or any(m not in tuple(_MODELS) for m in models)):
+        raise ConfigError(f"models must be a list drawn from {tuple(_MODELS)}, "
                           f"got {models!r}")
-    policy = _sign_policy(_setting(args, cfg, "sign-policy"))
+    policy = _member(SignPolicy, _setting(args, cfg, "sign-policy"), "sign policy")
     params = _params(args, cfg)
     half_width = _setting(args, cfg, "half-width")
     if half_width is not None:
-        half_width = _half_width(half_width)
+        half_width = _number("half-width", half_width)
     n = _setting(args, cfg, "n")
     if n is not None:
         n = _grid_size(n)
-    fmt = _setting(args, cfg, "format", "csv")
+    path, fmt = _report_path(args, cfg, "analyze")
     rows, failed = [], False
     for model in models:
         try:
             rows.append(_analyze_row(model, params, policy, half_width, n))
         except UVFlowError as exc:
             failed = True
-            rows.append({"model": model, "rg_energy": None,
-                         "oracle_energy": None, "rel_error": None,
-                         "sign_branch": "", "flow_law": "",
+            rows.append({"model": model, "sign_branch": "", "flow_law": "",
                          "notes": f"analyze/{model}: {type(exc).__name__}: {exc}"})
-    path = _resolve_output(_setting(args, cfg, "output"), f"analyze.{fmt}")
     _write_report(path, ANALYZE_COLUMNS, rows, fmt)
     for r in rows:
-        print(f"{r['model']:12s} rg={_fmt(r['rg_energy']):>18s} "
-              f"oracle={_fmt(r['oracle_energy']):>18s} "
-              f"rel={_fmt(r['rel_error'])} {r['notes']}")
+        print(f"{r['model']:12s} rg={_fmt(r.get('rg_energy')):>18s} "
+              f"oracle={_fmt(r.get('oracle_energy')):>18s} "
+              f"rel={_fmt(r.get('rel_error'))} {r['notes']}")
     print(f"wrote {path}")
     return 1 if failed else 0
 
@@ -283,16 +276,17 @@ def cmd_flow(args) -> int:
     cfg = _load_config(args.config)
     model = args.model
     params = _params(args, cfg)
-    fmt = _setting(args, cfg, "format", "csv")
-    lam0 = _setting(args, cfg, "lam0", 10.0)
-    lam1 = _setting(args, cfg, "lam1", 1.0e4)
+    path, fmt = _report_path(args, cfg, f"flow_{model}")
+    lam0 = _number("lam0", _setting(args, cfg, "lam0", 10.0), LAMBDA_FLOOR)
+    lam1 = _number("lam1", _setting(args, cfg, "lam1", 1.0e4), LAMBDA_FLOOR)
+    if lam0 == lam1:
+        raise ConfigError(f"lam0 and lam1 must differ, both are {lam0!r}")
     points = _integer("points", _setting(args, cfg, "points", 41), 2)
     beta_name = _setting(args, cfg, "beta", "closed")
-    beta_method = {"closed": "closed-form", "numeric": "numeric"}.get(beta_name)
-    if beta_method is None:
+    beta = {"closed": beta_closed_form, "numeric": beta_numeric}.get(beta_name)
+    if beta is None:
         raise ConfigError(f"unknown beta choice {beta_name!r}")
-    path = _resolve_output(_setting(args, cfg, "output"), f"flow_{model}.{fmt}")
-    rows = []
+    rows, aborted = [], None
     if model == "kh":
         K = params.get("K", 1.0)
         eps = params.get("eps_exp", 1.0)
@@ -302,28 +296,23 @@ def cmd_flow(args) -> int:
             rows.append({"lambda": float(lam), "coupling": alpha,
                          "beta": flow.derivative_wrt_log(lam),
                          "energy": kh.scaled_ground_energy(alpha, lam, eps)})
-        _write_report(path, FLOW_COLUMNS, rows, fmt)
-        print(f"wrote {path}")
-        return 0
-    spec = build_spec(model, params)
-    if args.start_on_fixed_point:
-        g0 = solve_fixed_point(spec)(lam0)
     else:
-        g0 = _setting(args, cfg, "g0", spec.coupling)
-    try:
-        traj = integrate_flow(spec, g0, lam0, lam1, beta=beta_method,
-                              n_points=points)
-        lams, gs = traj.lams, traj.couplings
-        aborted = None
-    except IntegrationAbortError as exc:
-        lams, gs = exc.partial if exc.partial is not None else ([], [])
-        aborted = exc
-    for lam, g in zip(lams, gs):
-        rows.append({"lambda": float(lam), "coupling": float(g),
-                     "beta": (beta_closed_form(spec, g, lam)
-                              if beta_method == "closed-form"
-                              else beta_numeric(spec, g, lam)),
-                     "energy": pipeline_ground_energy(spec, g, lam)})
+        spec = build_spec(model, params)
+        if args.start_on_fixed_point:
+            g0 = solve_fixed_point(spec)(lam0)
+        else:
+            g0 = _setting(args, cfg, "g0", spec.coupling)
+        try:
+            traj = integrate_flow(spec, g0, lam0, lam1, n_points=points,
+                                  beta=lambda g, lam: beta(spec, g, lam))
+            lams, gs = traj.lams, traj.couplings
+        except IntegrationAbortError as exc:
+            lams, gs = exc.partial if exc.partial is not None else ([], [])
+            aborted = exc
+        for lam, g in zip(lams, gs):
+            rows.append({"lambda": float(lam), "coupling": float(g),
+                         "beta": beta(spec, g, lam),
+                         "energy": pipeline_ground_energy(spec, g, lam)})
     _write_report(path, FLOW_COLUMNS, rows, fmt)
     if aborted is not None:
         print(f"flow/{model}: IntegrationAbortError: {aborted}", file=sys.stderr)
@@ -337,22 +326,27 @@ def cmd_flow(args) -> int:
 
 def cmd_kh_scan(args) -> int:
     cfg = _load_config(args.config)
-    fmt = _setting(args, cfg, "format", "csv")
-    eps = _setting(args, cfg, "eps_exp", 1.0)
-    z_window = _setting(args, cfg, "z-window", 0.2)
-    n_fit = _setting(args, cfg, "n-fit", 9)
+    path, fmt = _report_path(args, cfg, "kh_scan")
+    eps = _number("eps-exp", _setting(args, cfg, "eps_exp", 1.0))
+    z_window = _number("z-window", _setting(args, cfg, "z-window", 0.2))
+    if z_window > 0.3:
+        raise ConfigError(f"z-window must be at most 0.3, got {z_window!r}")
+    n_fit = _integer("n-fit", _setting(args, cfg, "n-fit", 9), 5)
     lambdas = _setting(args, cfg, "lambdas")
     if lambdas is None:
-        lambdas = list(np.geomspace(_setting(args, cfg, "lam0", 1.0e2),
-                                    _setting(args, cfg, "lam1", 1.0e6),
-                                    _setting(args, cfg, "points", 5)))
+        lambdas = list(np.geomspace(
+            _number("lam0", _setting(args, cfg, "lam0", 1.0e2), LAMBDA_FLOOR),
+            _number("lam1", _setting(args, cfg, "lam1", 1.0e6), LAMBDA_FLOOR),
+            _integer("points", _setting(args, cfg, "points", 5), 1)))
     elif isinstance(lambdas, str):
         try:
             lambdas = [float(tok) for tok in lambdas.split(",") if tok]
         except ValueError as exc:
             raise ConfigError(f"cutoff list {lambdas!r}: {exc}") from exc
-    if any(l <= LAMBDA_FLOOR for l in lambdas):
-        raise ConfigError(f"all cutoffs must exceed {LAMBDA_FLOOR}")
+    if not isinstance(lambdas, list) or not lambdas:
+        raise ConfigError(f"lambdas must be a non-empty list of cutoffs, "
+                          f"got {lambdas!r}")
+    lambdas = [_number("lambdas", lam, LAMBDA_FLOOR) for lam in lambdas]
     small = kh.ground_energy_limits(eps, kh.FieldRegime.SMALL_FIELD)
     strong = kh.ground_energy_limits(eps, kh.FieldRegime.STRONG_FIELD)
     rows = []
@@ -363,7 +357,7 @@ def cmd_kh_scan(args) -> int:
                      "small_field_energy": small.energy,
                      "strong_field_energy": strong.energy})
     extra = {"limits": {
-        "eps_exp": _round12(float(eps)),
+        "eps_exp": _round12(eps),
         "small_field": {"energy": _round12(small.energy),
                         "K": _round12(small.constant)},
         "strong_field": {"energy": _round12(strong.energy),
@@ -371,12 +365,11 @@ def cmd_kh_scan(args) -> int:
                          "branches": [_round12(b) for b in strong.branches]},
     }}
     comments = (
-        f"small-field(eps_exp={_fmt(float(eps))}): energy={_fmt(small.energy)} "
+        f"small-field(eps_exp={_fmt(eps)}): energy={_fmt(small.energy)} "
         f"K={_fmt(small.constant)}",
-        f"strong-field(eps_exp={_fmt(float(eps))}): energy={_fmt(strong.energy)} "
+        f"strong-field(eps_exp={_fmt(eps)}): energy={_fmt(strong.energy)} "
         f"branches={_fmt(strong.branches[0])},{_fmt(strong.branches[1])}",
     )
-    path = _resolve_output(_setting(args, cfg, "output"), f"kh_scan.{fmt}")
     _write_report(path, KH_SCAN_COLUMNS, rows, fmt, extra=extra,
                   comments=comments)
     print(f"wrote {path}")
@@ -389,11 +382,12 @@ def cmd_oracle(args) -> int:
     cfg = _load_config(args.config)
     model = args.model
     params = _params(args, cfg)
-    fmt = _setting(args, cfg, "format", "csv")
-    dl, dn, dparity = _ORACLE_DEFAULTS.get(model, (12.0, 4001, None))
-    half_width = _half_width(_setting(args, cfg, "half-width", dl))
+    path, fmt = _report_path(args, cfg, f"oracle_{model}")
+    dl, dn, dparity = _MODELS[model][2]
+    half_width = _number("half-width", _setting(args, cfg, "half-width", dl))
     n = _grid_size(_setting(args, cfg, "n", dn))
-    parity = _parity_from(_setting(args, cfg, "parity", dparity))
+    parity = _setting(args, cfg, "parity", dparity)
+    parity = _member(Parity, None if parity == "none" else parity, "parity")
     level = _integer("level", _setting(args, cfg, "level", 0), 0)
     spec = build_spec(model, params)
     res = eigenvalue_by_index(spec, Grid(half_width, n), level, parity=parity)
@@ -402,7 +396,6 @@ def cmd_oracle(args) -> int:
            "level": level, "eigenvalue": res.eigenvalue,
            "refinement_estimate": res.refinement_estimate,
            "convergence_ratio": res.convergence_ratio}
-    path = _resolve_output(_setting(args, cfg, "output"), f"oracle_{model}.{fmt}")
     _write_report(path, ORACLE_COLUMNS, [row], fmt)
     print(f"{model}: level {level} = {_fmt(res.refinement_estimate)} "
           f"(raw {_fmt(res.eigenvalue)}, ratio {_fmt(res.convergence_ratio)})")
@@ -430,15 +423,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--A", type=float, help="Morse well depth")
-    p.add_argument("--a", type=float, help="Morse range parameter")
-    p.add_argument("--m", type=float, help="Morse mass")
-    p.add_argument("--g", type=float, help="quartic coupling")
-    p.add_argument("--alpha", type=float, help="Coulomb-family coupling")
-    p.add_argument("--lam", type=float, help="shape cutoff (soft-coulomb, kh)")
-    p.add_argument("--eps-exp", dest="eps_exp", type=float,
-                   help="drive-strength parameter")
-    p.add_argument("--K", type=float, help="log-flow integration constant")
+    for key, text in _PARAMS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=float, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -449,19 +435,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="flow prediction vs oracle per model")
-    p.add_argument("model", nargs="?", choices=MODELS,
+    p.add_argument("model", nargs="?", choices=_MODELS,
                    help="single model (default: the four case studies)")
     _add_common(p)
     _add_params(p)
-    p.add_argument("--sign-policy", dest="sign_policy",
-                   choices=[s.value for s in SignPolicy])
-    p.add_argument("--half-width", dest="half_width", type=float,
-                   help="oracle box half width")
+    p.add_argument("--sign-policy", choices=[s.value for s in SignPolicy])
+    p.add_argument("--half-width", type=float, help="oracle box half width")
     p.add_argument("--n", type=int, help="oracle grid points (odd)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("flow", help="write a running-coupling trajectory")
-    p.add_argument("model", choices=MODELS)
+    p.add_argument("model", choices=_MODELS)
     _add_common(p)
     _add_params(p)
     p.add_argument("--g0", type=float, help="starting coupling at lam0")
@@ -480,19 +464,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam0", type=float, help="scan start (default 1e2)")
     p.add_argument("--lam1", type=float, help="scan end (default 1e6)")
     p.add_argument("--points", type=int, help="scan points (default 5)")
-    p.add_argument("--z-window", dest="z_window", type=float,
-                   help="fit half-width (default 0.2)")
-    p.add_argument("--n-fit", dest="n_fit", type=int,
-                   help="fit samples (default 9)")
-    p.add_argument("--eps-exp", dest="eps_exp", type=float,
+    p.add_argument("--z-window", type=float, help="fit half-width (default 0.2)")
+    p.add_argument("--n-fit", type=int, help="fit samples (default 9)")
+    p.add_argument("--eps-exp", type=float,
                    help="drive-strength parameter (default 1)")
     p.set_defaults(func=cmd_kh_scan)
 
     p = sub.add_parser("oracle", help="solve one model on a grid")
-    p.add_argument("model", choices=MODELS)
+    p.add_argument("model", choices=_MODELS)
     _add_common(p)
     _add_params(p)
-    p.add_argument("--half-width", dest="half_width", type=float)
+    p.add_argument("--half-width", type=float)
     p.add_argument("--n", type=int)
     p.add_argument("--parity", choices=("even", "odd", "none"))
     p.add_argument("--level", type=int, help="eigenvalue index (default 0)")

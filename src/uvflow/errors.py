@@ -35,15 +35,14 @@ class NoFixedPointError(UVFlowError):
 
 
 class IntegrationAbortError(UVFlowError):
-    """Flow integration aborted; carries the last good sampled state.
+    """Flow integration aborted; carries what was sampled before the abort.
 
     ``partial`` holds the (lams, couplings) arrays sampled before the
     abort, when any were reached, so callers can still write a report.
     """
 
-    def __init__(self, message, last_state=None, partial=None):
+    def __init__(self, message, partial=None):
         super().__init__(message)
-        self.last_state = last_state
         self.partial = partial
 
 

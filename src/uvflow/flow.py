@@ -17,6 +17,13 @@ rounding) with the exact completed-square pipeline; for the Morse family it
 is the leading large-Lambda form, which the exact expansion only approaches
 as Lambda grows (see ``pipeline_ground_energy`` to evaluate the exact
 route).
+
+The laws, the closed-form betas, the fixed-point power laws and the
+attractive flag behind ``default_sign_policy`` are defined once per family,
+in ``potentials.FAMILIES``; this module reads that entry and never branches
+on the family.  Custom shapes have no entry: their law is the exact
+reduction, they have no closed-form beta, their fixed point is tabulated
+and their default policy prefers the positive root.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,7 +40,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import (DomainError, FlowUndefinedError, IntegrationAbortError,
                      NoFixedPointError, NoUVLimitError)
-from .potentials import Family, PotentialSpec, with_coupling_and_cutoff
+from .potentials import FAMILIES, PotentialSpec, with_coupling_and_cutoff
 from .reduction import (EstimateSource, GroundStateEstimate, SignBranch,
                         expand_at_cutoff, ho_ground_energy)
 
@@ -126,19 +134,12 @@ class SignPolicy(Enum):
     REPORT_BOTH = "report-both"
 
 
-_DEFAULT_POLICY = {
-    Family.MORSE: SignPolicy.PREFER_POSITIVE,
-    Family.QUARTIC: SignPolicy.PREFER_POSITIVE,
-    Family.COULOMB: SignPolicy.PREFER_NEGATIVE,
-    Family.SOFT_COULOMB: SignPolicy.PREFER_NEGATIVE,
-    Family.KRAMERS_HENNEBERGER: SignPolicy.PREFER_NEGATIVE,
-    Family.CUSTOM: SignPolicy.PREFER_POSITIVE,
-}
-
-
 def default_sign_policy(spec: PotentialSpec) -> SignPolicy:
     """Attractive families resolve the root downward, confining ones upward."""
-    return _DEFAULT_POLICY[spec.family]
+    fam = FAMILIES.get(spec.family)
+    if fam is not None and fam.attractive:
+        return SignPolicy.PREFER_NEGATIVE
+    return SignPolicy.PREFER_POSITIVE
 
 
 # -- energy laws ------------------------------------------------------------
@@ -158,47 +159,11 @@ def uv_energy_law(spec: PotentialSpec) -> Callable[[float, float], float]:
     form (the regularized-Coulomb one keeps the printed bracket constant,
     which differs from the generic completed square; see README).
     """
-    fam = spec.family
-    if fam is Family.MORSE:
-        a = spec.shape["a"]
-        m = spec.shape["m"]
-
-        def law(A, lam):
-            if A < 0:
-                raise FlowUndefinedError("Morse energy law needs A >= 0")
-            return a * math.sqrt(A / (2.0 * m)) - A - a * a * A / lam ** 2
-        return law
-    if fam is Family.QUARTIC:
-        def law(g, lam):
-            if g < 0:
-                raise FlowUndefinedError("quartic energy law needs g >= 0")
-            return math.sqrt(6.0 * g) / lam + g / (3.0 * lam ** 4)
-        return law
-    if fam is Family.COULOMB:
-        def law(alpha, lam):
-            if alpha > 0:
-                raise FlowUndefinedError("Coulomb energy law needs alpha <= 0")
-            return 0.5 * math.sqrt(-2.0 * alpha * lam ** 3) - 0.75 * alpha * lam
-        return law
-    if fam is Family.SOFT_COULOMB:
-        def law(alpha, lam):
-            if alpha > 0:
-                raise FlowUndefinedError("softened Coulomb energy law needs alpha <= 0")
-            return (0.5 * math.sqrt(-(math.sqrt(2.0) / 8.0) * alpha * lam ** 3)
-                    - (math.sqrt(2.0) / 2.0) * alpha * lam)
-        return law
-    if fam is Family.KRAMERS_HENNEBERGER:
-        eps = spec.shape["eps_exp"]
-
-        def law(alpha, lam):
-            s = math.log(lam)
-            x = (2.0 / math.pi) * (alpha / eps) * s
-            if x < 0:
-                raise FlowUndefinedError("dressed energy law needs alpha >= 0")
-            return 0.5 * math.sqrt(x) + x
-        return law
-    # no printed law for custom shapes; fall back to the exact reduction
-    return lambda g, lam: pipeline_ground_energy(spec, g, lam)
+    fam = FAMILIES.get(spec.family)
+    if fam is None:
+        # no printed law for custom shapes; fall back to the exact reduction
+        return lambda g, lam: pipeline_ground_energy(spec, g, lam)
+    return partial(fam.energy_law, spec.shape)
 
 
 # -- beta functions ---------------------------------------------------------
@@ -206,34 +171,10 @@ def uv_energy_law(spec: PotentialSpec) -> Callable[[float, float], float]:
 def beta_closed_form(spec: PotentialSpec, g: float, lam: float) -> float:
     """Hand-derived beta = dg/dln(Lambda) for the builtin families."""
     lam = _check_lam(lam)
-    fam = spec.family
-    if fam is Family.MORSE:
-        a = spec.shape["a"]
-        m = spec.shape["m"]
-        if g <= 0:
-            raise FlowUndefinedError("Morse beta needs A > 0")
-        den = lam ** 2 + a * a - a * lam ** 2 / math.sqrt(8.0 * m * g)
-        if den == 0.0:
-            raise FlowUndefinedError("Morse beta denominator vanished")
-        return 2.0 * a * a * g / den
-    if fam is Family.QUARTIC:
-        if g < 0:
-            raise FlowUndefinedError("quartic beta needs g >= 0")
-        u = math.sqrt(6.0 * g) / lam
-        return 2.0 * g * (9.0 * lam ** 2 + 2.0 * u) / (9.0 * lam ** 2 + u)
-    if fam is Family.COULOMB:
-        if g > 0:
-            raise FlowUndefinedError("Coulomb beta needs alpha <= 0")
-        t = math.sqrt(-2.0 * g * lam)
-        return -3.0 * g * (2.0 * lam + t) / (2.0 * lam + 3.0 * t)
-    if fam is Family.SOFT_COULOMB:
-        if g > 0:
-            raise FlowUndefinedError("softened Coulomb beta needs alpha <= 0")
-        t = math.sqrt(-2.0 * math.sqrt(2.0) * g * lam)
-        return -g * (3.0 * lam + 4.0 * t) / (lam + 4.0 * t)
-    if fam is Family.KRAMERS_HENNEBERGER:
-        return -g / math.log(lam)
-    raise FlowUndefinedError(f"no closed-form beta for family {fam.value}")
+    fam = FAMILIES.get(spec.family)
+    if fam is None:
+        raise FlowUndefinedError(f"no closed-form beta for family {spec.family.value}")
+    return fam.beta(spec.shape, g, lam)
 
 
 def beta_numeric(spec: PotentialSpec, g: float, lam: float,
@@ -255,25 +196,6 @@ def beta_numeric(spec: PotentialSpec, g: float, lam: float,
         raise FlowUndefinedError(
             f"cutoff independence is degenerate at (g={g}, lam={lam})")
     return -lam * de_dl / de_dg
-
-
-@dataclass(frozen=True)
-class BetaEvaluation:
-    coupling: float
-    cutoff: float
-    value: float
-    method: str  # "closed-form" or "numeric"
-
-
-def evaluate_beta(spec: PotentialSpec, g: float, lam: float,
-                  method: str = "closed-form") -> BetaEvaluation:
-    if method == "closed-form":
-        val = beta_closed_form(spec, g, lam)
-    elif method == "numeric":
-        val = beta_numeric(spec, g, lam)
-    else:
-        raise DomainError(f"unknown beta method {method!r}")
-    return BetaEvaluation(float(g), float(lam), val, method)
 
 
 # -- fixed points -----------------------------------------------------------
@@ -317,16 +239,9 @@ def solve_fixed_point(spec: PotentialSpec,
             f"family kinetic normalization {spec.kappa} cannot reach the "
             f"target form (needs kappa = {target.kappa})")
     tc = target.stiffness
-    fam = spec.family
-    if fam is Family.QUARTIC:
-        return PowerLawFlow(tc / 6.0, 2.0)
-    if fam is Family.COULOMB:
-        return PowerLawFlow(-tc, -3.0)
-    if fam is Family.SOFT_COULOMB:
-        return PowerLawFlow(-8.0 * math.sqrt(2.0) * tc, -3.0)
-    if fam is Family.KRAMERS_HENNEBERGER:
-        raise NoFixedPointError(
-            "the dressed family runs logarithmically; use kh.cs_solution")
+    fam = FAMILIES.get(spec.family)
+    if fam is not None and fam.fixed_point is not None:
+        return PowerLawFlow(*fam.fixed_point(tc))
 
     def pointwise(lam: float) -> float:
         moved = with_coupling_and_cutoff(spec, 1.0, lam)
@@ -385,9 +300,8 @@ def integrate_flow(spec: PotentialSpec, g0: float, lam0: float, lam1: float,
     if not sol.success or not good.all():
         lams_ok = np.exp(sol.t[good])
         gs_ok = sol.y[0][good]
-        last = (float(lams_ok[-1]), float(gs_ok[-1])) if len(gs_ok) else None
         raise IntegrationAbortError(
-            f"flow integration aborted: {sol.message}", last_state=last,
+            f"flow integration aborted: {sol.message}",
             partial=(lams_ok, gs_ok) if len(gs_ok) else None)
     lams = np.exp(sol.t)
     gs = sol.y[0]

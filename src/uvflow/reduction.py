@@ -57,7 +57,6 @@ class SignBranch(Enum):
 class EstimateSource(Enum):
     CUTOFF_REDUCTION = "cutoff-reduction"
     UV_LIMIT = "uv-limit"
-    GRID = "grid"
 
 
 @dataclass(frozen=True)

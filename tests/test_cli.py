@@ -156,11 +156,27 @@ def test_malformed_numbers_exit_2(tmp_path, args):
     (["oracle", "quartic"], {"level": -1}),
     (["analyze"], {"sign-policy": "bogus"}),
     (["analyze"], {"models": "quartic"}),
+    (["oracle", "quartic"], {"format": "xml"}),
+    (["oracle", "quartic"], {"output": 5}),
+    (["oracle", "quartic"], {"params": [1]}),
+    (["flow", "quartic", "--lam0", "1"], None),
+    (["flow", "quartic", "--lam1", "1"], None),
+    (["flow", "quartic", "--lam0", "100", "--lam1", "100"], None),
+    (["kh-scan", "--points", "0"], None),
+    (["kh-scan", "--lambdas", ",,"], None),
+    (["kh-scan", "--n-fit", "3"], None),
+    (["kh-scan", "--z-window", "0.5"], None),
+    (["kh-scan", "--eps-exp", "0"], None),
+    (["kh-scan"], {"z-window": "0.2"}),
 ], ids=["oracle-even-n", "analyze-even-n", "oracle-string-n",
         "analyze-string-n", "oracle-zero-half-width",
         "analyze-negative-half-width", "oracle-negative-level",
         "oracle-negative-level-config", "analyze-bogus-sign-policy",
-        "analyze-models-string"])
+        "analyze-models-string", "oracle-format-xml", "oracle-output-number",
+        "oracle-params-list", "flow-lam0-at-floor", "flow-lam1-at-floor",
+        "flow-equal-cutoffs", "kh-scan-zero-points", "kh-scan-empty-lambdas",
+        "kh-scan-few-fit-samples", "kh-scan-wide-z-window",
+        "kh-scan-zero-eps-exp", "kh-scan-string-z-window"])
 def test_bad_settings_exit_2(tmp_path, args, config):
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -170,6 +186,7 @@ def test_bad_settings_exit_2(tmp_path, args, config):
     assert "config error" in res.stderr
     assert "Traceback" not in res.stderr
     assert not list(tmp_path.glob("*.csv"))  # rejected before any report
+    assert not list(tmp_path.glob("*.xml"))
 
 
 def test_oracle_morse(tmp_path):

@@ -101,6 +101,9 @@ def test_law_domain_guards():
         uf.uv_energy_law(uf.quartic(1.0))(-1.0, 100.0)
     with pytest.raises(uf.FlowUndefinedError):
         uf.uv_energy_law(uf.coulomb(1.0))(0.5, 100.0)
+    # the dressed law is kh.scaled_ground_energy, which guards its own domain
+    with pytest.raises(uf.DomainError):
+        uf.uv_energy_law(kh_spec())(-0.5, 100.0)
 
 
 # -- beta functions -----------------------------------------------------------
@@ -168,19 +171,6 @@ def test_beta_numeric_scale_invariant_shape_is_flat():
     spec = uf.custom(lambda x: 0.5 * x * x, kappa=0.5,
                      d1=lambda x: x, d2=lambda x: 1.0 + 0.0 * x)
     assert abs(uf.beta_numeric(spec, 1.0, 1.0e3)) < 1e-10
-
-
-def test_evaluate_beta_routing():
-    q = uf.quartic(1.0)
-    ev = uf.evaluate_beta(q, 2.0, 100.0)
-    assert ev.method == "closed-form"
-    assert ev.value == uf.beta_closed_form(q, 2.0, 100.0)
-    assert ev.coupling == 2.0 and ev.cutoff == 100.0
-    ev2 = uf.evaluate_beta(q, 2.0, 100.0, method="numeric")
-    assert ev2.method == "numeric"
-    assert abs(ev2.value - ev.value) < 1e-4 * abs(ev.value)
-    with pytest.raises(uf.DomainError):
-        uf.evaluate_beta(q, 2.0, 100.0, method="exact")
 
 
 # -- fixed points --------------------------------------------------------------

@@ -5,6 +5,12 @@ import numpy as np
 import pytest
 
 import uvflow as uf
+from uvflow.potentials import FAMILIES
+
+# one member of each builtin family, keyed by family name
+EXAMPLES = {spec.family.value: spec for spec in (
+    uf.morse(4.0, 1.3, 0.7), uf.quartic(0.8), uf.coulomb(1.2),
+    uf.soft_coulomb(1.1, 7.0), uf.kramers_henneberger(0.9, 2.0, 1.0e3))}
 
 
 def test_morse_value_at_origin():
@@ -96,6 +102,22 @@ def test_kh_derivatives_finite_and_even():
     v0, v1, v2 = spec.derivatives(0.0)
     assert math.isfinite(v0) and math.isfinite(v2)
     assert abs(v1) < 1e-8 * max(1.0, abs(v0))
+
+
+@pytest.mark.parametrize("family", list(uf.Family), ids=lambda f: f.value)
+def test_family_table_entry(family):
+    """Every builtin family has one table entry, and its value agrees with
+    the first of its derivatives; custom shapes carry their own profile."""
+    if family.value == "custom":
+        assert family not in FAMILIES
+        return
+    spec = EXAMPLES[family.value]
+    assert spec.family in FAMILIES
+    # |z| < 0.99 keeps the dressed-kernel quadrature clear of its stall
+    for x0 in (-0.7, 0.05, 0.3, 0.9):
+        v = float(spec.shape_value(x0))
+        v0 = spec.shape_derivatives(x0)[0]
+        assert abs(v - v0) <= 1e-14 * abs(v0)
 
 
 def test_with_coupling_and_cutoff():
