@@ -13,8 +13,8 @@ from .errors import (ConfigError, DegenerateExpansionError, DomainError,
                      DomainTooSmallError, FitDegenerateError,
                      FlowUndefinedError, IntegrationAbortError,
                      IterationLimitError, NoBoundStateError,
-                     NoFixedPointError, NoUVLimitError, QuadratureError,
-                     SingularPointError, UVFlowError)
+                     NoFixedPointError, NoUVLimitError, SingularPointError,
+                     UVFlowError)
 from .potentials import (Family, PotentialSpec, coulomb, custom,
                          kramers_henneberger, morse, quartic, soft_coulomb,
                          with_coupling_and_cutoff)
@@ -37,9 +37,9 @@ __all__ = [
     "GaussianState", "Grid", "GroundStateEstimate", "IntegrationAbortError",
     "IterationLimitError", "LAMBDA_FLOOR", "LogFlow", "NoBoundStateError",
     "NoFixedPointError", "NoUVLimitError", "OracleResult", "Parity",
-    "PotentialSpec", "PowerLawFlow", "QuadraticReduction", "QuadratureError",
-    "SignBranch", "SignPolicy", "SingularPointError", "TabulatedFlow",
-    "UVFlowError", "beta_closed_form", "beta_numeric", "coulomb", "custom",
+    "PotentialSpec", "PowerLawFlow", "QuadraticReduction", "SignBranch",
+    "SignPolicy", "SingularPointError", "TabulatedFlow", "UVFlowError",
+    "beta_closed_form", "beta_numeric", "coulomb", "custom",
     "default_sign_policy", "eigenvalue_by_index",
     "expand_at_cutoff", "ground_state", "ho_ground_energy",
     "ho_ground_wavefunction", "integrate_flow", "kramers_henneberger",

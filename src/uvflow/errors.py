@@ -66,9 +66,5 @@ class FitDegenerateError(UVFlowError):
     """A least-squares fit had no usable spread in the sample points."""
 
 
-class QuadratureError(UVFlowError):
-    """Order doubling of the dressed-potential quadrature did not converge."""
-
-
 class ConfigError(UVFlowError):
     """Bad run configuration (CLI exit code 2)."""

@@ -14,30 +14,23 @@ cutoff-independence condition integrates in closed form to
 
     alpha(Lambda) = K^2 / ln(Lambda).
 
-This module provides the quadrature for I, the quadratic fit that measures
-its logarithmic growth, the closed-form flow, the scaled oscillator level
-along it, and the two printed limiting energies (weak and strong drive).
+This module evaluates I in closed form, fits its logarithmic growth,
+and provides the closed-form flow, the scaled oscillator level along it,
+and the two printed limiting energies (weak and strong drive).
 
-Quadrature note: Gauss-Chebyshev absorbs the endpoint weight
-(1 - z'^2)^(-1/2) exactly, but the kernel factor varies on scale 1/Lambda
-near z' = z and plain Chebyshev sampling would need order ~Lambda nodes.
-The first-order local expansion of the endpoint weight around z' = z is
-therefore integrated against the kernel in closed form and only the smooth
-remainder is sampled; order doubling then converges for cutoffs up to 1e6
-well inside the 2^16-node cap.
+Closed form: with z' = cos(theta), I = integral over theta in [0, pi] of
+[(z - cos theta)^2 + delta^2]^(-1/2), delta = 1/Lambda, a complete elliptic
+integral.  Carlson's reduction of the complete quartic integral gives
 
-Both quadrature entry points take a scalar z or an array of z.  A call
-builds the order-n node table once and samples all points against it in
-tiles of at most 2^14 (point, node) pairs, so the work arrays stay small at
-every order; each point's samples are added by numpy's pairwise sum.  Order
-doubling keeps a per-point convergence mask, so every point stops at the
-order it would reach on its own.
+    I = 2 R_F(0, u, conj(u)) = pi / AGM(Re sqrt(u), |u|^(1/2)),
+    u = (z - 1)(z + 1) + delta^2 - 2i delta
 
-Two limits remain.  Two low orders can agree to 1e-8 by accident, because
-the sampled remainder has a kink at z' = z and converges only algebraically;
-such an early stop has been seen 5.5e-5 off an adaptive reference (z = -0.757,
-Lambda = 2e5, 64 nodes).  And for 0.996 <= |z| < 1 at cutoffs from about 3e2
-to 1e4, doubling stalls at the cap and raises QuadratureError.
+(B. C. Carlson, Numer. Math. 33, 1 (1979); DLMF 19.8 and 19.29(ii)).  The
+arithmetic-geometric mean converges quadratically, in at most 7 steps for
+cutoffs up to 1e6, and carries the first two z-derivatives along, so the
+curvature of the dressed potential is analytic too.  Writing z^2 - 1 as
+(z - 1)(z + 1) keeps the digits at z = +-1, and Re sqrt(u) is taken as
+delta / |Im sqrt(u)| where the direct form would cancel.
 """
 
 from __future__ import annotations
@@ -49,140 +42,91 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, FitDegenerateError, QuadratureError
+from .errors import DomainError, FitDegenerateError
 from .flow import LAMBDA_FLOOR, LogFlow
 from .potentials import PotentialSpec, custom
 
-_REL_TOL = 1.0e-8
-_N_MAX = 2 ** 16
-_TILE = 2 ** 14          # (point, node) pairs in one work array
+_AGM_TOL = 2.0 ** -26    # one step past this relative gap leaves rounding only
+_FAR = 1.0e9             # beyond |z| = _FAR, I = pi/|z| to double precision
 
 
-def _fixed_order(z: np.ndarray, lam: float, n: int) -> np.ndarray:
-    """I at order n for a 1-D float array z; lam > 0 and n >= 2 are checked
-    by the callers."""
-    # theta_k = (2k - 1) pi / (2n), built in place; sin(theta) then takes
-    # over its buffer, so the table is two arrays of n
-    theta = np.arange(1, n + 1, dtype=float)
-    theta *= 2.0
-    theta -= 1.0
-    theta *= math.pi / (2.0 * n)
-    zp = np.cos(theta)
-    sin_t = np.sin(theta, out=theta)
+def _sqrt_derivatives(x, dx, d2x):
+    """sqrt(x) and its first two derivatives from those of x."""
+    s = np.sqrt(x)
+    ds = dx / (2.0 * s)
+    return s, ds, (d2x - 2.0 * ds * ds) / (2.0 * s)
+
+
+def _closed_form(z: np.ndarray, lam: float):
+    """(I, I', I'') for a float array z without NaN; lam is checked by the
+    caller."""
+    far = np.abs(z) >= _FAR
+    w = 1.0 / np.maximum(np.abs(z), _FAR)
+    tail = (math.pi * w, -math.pi * np.sign(z) * w * w, 2.0 * math.pi * w ** 3)
+    z = np.where(far, 0.0, z)
     delta = 1.0 / lam
-    dd = delta * delta
-    out = np.empty(z.shape)
-    # kernel is smooth on the whole interval outside; plain Chebyshev suffices
-    outside = np.abs(z) >= 1.0
-    out[outside] = (math.pi / n) * _sampled_sums(z[outside], dd, zp)
-    inside = ~outside
-    zi = z[inside]
-    w0 = 1.0 / np.sqrt(1.0 - zi * zi)
-    w1 = zi * w0 ** 3
-    s0 = np.arcsinh((1.0 - zi) / delta) + np.arcsinh((1.0 + zi) / delta)
-    s1 = np.sqrt((1.0 - zi) ** 2 + dd) - np.sqrt((1.0 + zi) ** 2 + dd)
-    out[inside] = (w0 * s0 + w1 * s1
-                   + (math.pi / n) * _sampled_sums(zi, dd, zp, sin_t, w0, w1))
-    return out
+    r = (z - 1.0) * (z + 1.0) + delta * delta      # Re u
+    b = np.hypot(r, 2.0 * delta)                    # |u|
+    big = np.sqrt(0.5 * (b + np.abs(r)))            # the larger of |Re|, |Im| sqrt(u)
+    a0 = np.where(r >= 0.0, big, delta / big)       # Re sqrt(u) = delta / |Im sqrt(u)|
+    # z-derivatives of a0^2 = (|u| + Re u)/2 and of |u|, in forms free of
+    # the cancellation in |u| + Re u; |Im sqrt(u)| = delta / a0
+    a2 = (a0 * (1.0 - z * z / b) + (2.0 * z / b) ** 2 * delta * (delta / a0)) / b
+    a = np.stack([a0, z * a0 / b, a2])
+    g = np.stack(_sqrt_derivatives(b, 2.0 * z * r / b,
+                                   (2.0 * r + (4.0 * z * delta / b) ** 2) / b))
+    # a point's a stops one step past its own gap test and g is not read
+    # after that, so an array gives every point its scalar result bit for bit
+    live = np.ones(z.shape, dtype=bool)
+    while live.any():
+        last = np.abs(a[0] - g[0]) <= _AGM_TOL * a[0]
+        mean = 0.5 * (a + g)
+        g = np.stack(_sqrt_derivatives(a[0] * g[0], a[1] * g[0] + a[0] * g[1],
+                                       a[2] * g[0] + 2.0 * a[1] * g[1] + a[0] * g[2]))
+        a = np.where(live, mean, a)
+        live &= ~last
+    value = math.pi / a[0]
+    m1, m2 = a[1] / a[0], a[2] / a[0]
+    near = (value, -value * m1, value * (2.0 * m1 * m1 - m2))
+    return tuple(np.where(far, t, v) for t, v in zip(tail, near))
 
 
-def _sampled_sums(z, dd, zp, sin_t=None, w0=None, w1=None) -> np.ndarray:
-    """Per-point sums over the nodes zp of the kernel, or of the kernel times
-    the peak-subtracted weight 1 - (w0 + (z' - z) w1) sin(theta) when sin_t
-    is given.  Work arrays hold at most _TILE elements: a tile is a block of
-    points at low order and a block of nodes of one point above 2^14."""
-    n = zp.size
-    rows, cols = max(1, _TILE // n), min(n, _TILE)
-    sums = np.zeros(z.size)
-    for r in range(0, z.size, rows):
-        zr = z[r:r + rows, None]
-        for c in range(0, n, cols):
-            nodes = zp[c:c + cols]
-            kernel = np.subtract(zr, nodes)
-            np.square(kernel, out=kernel)
-            kernel += dd
-            np.sqrt(kernel, out=kernel)
-            np.divide(1.0, kernel, out=kernel)
-            if sin_t is not None:
-                weight = np.subtract(nodes, zr)
-                weight *= w1[r:r + rows, None]
-                weight += w0[r:r + rows, None]
-                weight *= sin_t[c:c + cols]
-                np.subtract(1.0, weight, out=weight)
-                kernel *= weight
-            sums[r:r + rows] += kernel.sum(axis=1)
-    return sums
+def dressed_integral_derivatives(z, lam: float):
+    """(I, dI/dz, d2I/dz2) at z.
 
-
-def gauss_chebyshev_integral(z, lam: float, n: int):
-    """I(z, lam) at one fixed quadrature order (no convergence control).
-
-    z is a scalar, giving a float, or an array, giving an array of its shape;
-    a NaN in z raises DomainError, and z = +-inf gives 0.
+    z is a scalar, giving floats, or an array, giving arrays of its shape;
+    a NaN in z raises DomainError, and z = +-inf gives zeros.
     """
-    if lam <= 0.0:
-        raise DomainError("the kernel needs a positive cutoff")
-    if n < 2:
-        raise DomainError("quadrature order must be at least 2")
+    if not 0.0 < lam < math.inf:
+        raise DomainError("the kernel needs a positive finite cutoff")
     zs = np.asarray(z, dtype=float)
     if np.isnan(zs).any():
         raise DomainError("the kernel needs a number for z, got NaN")
-    values = _fixed_order(zs.ravel(), lam, n).reshape(zs.shape)
-    return float(values) if zs.ndim == 0 else values
+    parts = _closed_form(zs, lam)
+    return tuple(float(p) for p in parts) if zs.ndim == 0 else parts
 
 
-def dressed_integral_with_order(z, lam: float, n_q: int = 16,
-                                rel_tol: float = _REL_TOL):
-    """Converged I(z, lam) plus the quadrature order that achieved it.
+def dressed_potential_integral(z, lam: float):
+    """I(z, lam); scalar or array z as in dressed_integral_derivatives."""
+    return dressed_integral_derivatives(z, lam)[0]
 
-    z is a scalar, giving (float, int), or an array, giving a value array and
-    an integer order array of its shape.  Each point doubles its order from
-    n_q until two orders agree to rel_tol; the first point still unsettled at
-    2^16 nodes raises QuadratureError.  A NaN in z raises DomainError before
-    any doubling.
+
+def dressed_integral_with_order(z, lam: float):
+    """I(z, lam) and the number of quadrature nodes sampled, always 0.
+
+    The closed form samples no nodes; this pair remains only because the
+    benchmark's kh-kernel job times this name and counts the nodes.
     """
-    if n_q < 16 or n_q % 2 != 0:
-        raise DomainError("starting quadrature order must be even and >= 16")
-    zs = np.asarray(z, dtype=float)
-    flat = zs.ravel()
-    values = np.empty(flat.shape)
-    orders = np.zeros(flat.shape, dtype=int)
-    active = np.arange(flat.size)
-    prev = last = gauss_chebyshev_integral(flat, lam, n_q)
-    n = 2 * n_q
-    while active.size and n <= _N_MAX:
-        cur = _fixed_order(flat[active], lam, n)
-        done = np.abs(cur - prev) <= rel_tol * np.abs(cur)
-        values[active[done]] = cur[done]
-        orders[active[done]] = n
-        active, prev, last = active[~done], cur[~done], prev[~done]
-        n *= 2
-    if active.size:
-        raise QuadratureError(
-            f"order doubling stalled at n={_N_MAX} for (z={float(flat[active[0]])}, "
-            f"lam={lam}); last two values {float(last[0])!r} and "
-            f"{float(prev[0])!r}")
-    if zs.ndim == 0:
-        return float(values[0]), int(orders[0])
-    return values.reshape(zs.shape), orders.reshape(zs.shape)
-
-
-def dressed_potential_integral(z, lam: float, n_q: int = 16):
-    """I(z, lam) with order doubling to relative agreement 1e-8; scalar or
-    array z as in dressed_integral_with_order."""
-    value, _ = dressed_integral_with_order(z, lam, n_q)
-    return value
+    return dressed_potential_integral(z, lam), 0
 
 
 @dataclass(frozen=True)
 class FitCoefficients:
-    """Quadratic growth coefficients of the kernel at one cutoff, with the
-    highest quadrature order any of the fit's samples needed."""
+    """Quadratic growth coefficients of the kernel at one cutoff."""
 
     lam: float
     c0: float
     c2: float
-    order: int
 
 
 def log_divergence_fit(lams: Sequence[float], z_window: float = 0.2,
@@ -198,10 +142,9 @@ def log_divergence_fit(lams: Sequence[float], z_window: float = 0.2,
         raise FitDegenerateError("fit samples have no spread in z^2")
     out = []
     for lam in lams:
-        y, orders = dressed_integral_with_order(z, lam)
+        y = dressed_potential_integral(z, lam)
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        out.append(FitCoefficients(float(lam), float(coef[0]), float(coef[1]),
-                                   int(orders.max())))
+        out.append(FitCoefficients(float(lam), float(coef[0]), float(coef[1])))
     return out
 
 

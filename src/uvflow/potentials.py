@@ -76,18 +76,24 @@ class PotentialSpec:
     def shape_derivatives(self, x0: float):
         """(v, v', v'') at a scalar point x0.
 
-        Analytic for the builtin families; the Kramers-Henneberger profile
-        and custom profiles without registered derivatives fall back to
-        central finite differences.
+        Analytic for the builtin families; custom profiles without
+        registered derivatives fall back to a central difference and the
+        5-point second-derivative stencil, with steps scaled by
+        max(|x0|, 1).
         """
         x0 = float(x0)
         fam = FAMILIES.get(self.family)
         if fam is not None:
             return fam.derivatives(self.shape, x0)
-        v0 = float(self.profile(x0))
+        f = self.profile
+        v0 = float(f(x0))
         if self.profile_d1 is not None and self.profile_d2 is not None:
             return v0, float(self.profile_d1(x0)), float(self.profile_d2(x0))
-        return _stencil_derivatives(self.profile, x0, v0)
+        h1 = max(abs(x0), 1.0) * _H1_SCALE
+        d1 = (f(x0 + h1) - f(x0 - h1)) / (2.0 * h1)
+        h2 = max(abs(x0), 1.0) * _H2_SCALE
+        d2 = (-f(x0 + 2 * h2) + 16 * f(x0 + h2) - 30 * v0 + 16 * f(x0 - h2) - f(x0 - 2 * h2)) / (12 * h2 * h2)
+        return v0, float(d1), float(d2)
 
     # -- full potential --------------------------------------------------
 
@@ -100,16 +106,6 @@ class PotentialSpec:
         v, d1, d2 = self.shape_derivatives(x0)
         g = self.coupling
         return g * v, g * d1, g * d2
-
-
-def _stencil_derivatives(f: Callable, x0: float, v0: float):
-    """(v0, f'(x0), f''(x0)) by a central difference and the 5-point
-    second-derivative stencil, with steps scaled by max(|x0|, 1)."""
-    h1 = max(abs(x0), 1.0) * _H1_SCALE
-    d1 = (f(x0 + h1) - f(x0 - h1)) / (2.0 * h1)
-    h2 = max(abs(x0), 1.0) * _H2_SCALE
-    d2 = (-f(x0 + 2 * h2) + 16 * f(x0 + h2) - 30 * v0 + 16 * f(x0 - h2) - f(x0 - 2 * h2)) / (12 * h2 * h2)
-    return v0, float(d1), float(d2)
 
 
 # -- the builtin families --------------------------------------------------
@@ -246,16 +242,10 @@ def _kh_value(s, z):
 
 
 def _kh_derivatives(s, z0):
-    # The dressed integral carries a small adaptive-order error; for a
-    # usable stencil the order must be frozen across the five points,
-    # so the (smooth) quadrature error cancels in the differences.
     from . import kh
 
-    lam = s["lam"]
     scale = 1.0 / (math.pi * s["eps_exp"])
-    _, n = kh.dressed_integral_with_order(z0, lam)
-    g = lambda z: kh.gauss_chebyshev_integral(z, lam, n) * scale
-    return _stencil_derivatives(g, z0, g(z0))
+    return tuple(d * scale for d in kh.dressed_integral_derivatives(z0, s["lam"]))
 
 
 def _kh_law(s, alpha, lam):
@@ -326,7 +316,7 @@ def kramers_henneberger(alpha: float, eps_exp: float, lam: float) -> PotentialSp
     """Cycle-averaged (dressed) Coulomb potential in laser units.
 
     V(z) = alpha * I(z, lam) / (pi * eps_exp) with I the dressed-potential
-    integral; evaluation delegates to the quadrature in uvflow.kh.
+    integral; evaluation delegates to the closed form in uvflow.kh.
     """
     if eps_exp <= 0:
         raise DomainError("kramers_henneberger requires eps_exp > 0")
