@@ -18,11 +18,11 @@ from .errors import (ConfigError, DegenerateExpansionError, DomainError,
 from .potentials import (Family, PotentialSpec, coulomb, custom,
                          kramers_henneberger, morse, quartic, soft_coulomb,
                          with_coupling_and_cutoff)
-from .reduction import (EstimateSource, GaussianState, GroundStateEstimate,
+from .reduction import (GaussianState, GroundStateEstimate,
                         QuadraticReduction, SignBranch, expand_at_cutoff,
                         ho_ground_energy, ho_ground_wavefunction)
-from .flow import (LAMBDA_FLOOR, FixedPointTarget, LogFlow, PowerLawFlow,
-                   SignPolicy, TabulatedFlow, beta_closed_form, beta_numeric,
+from .flow import (LAMBDA_FLOOR, LogFlow, PowerLawFlow, SignPolicy,
+                   TabulatedFlow, beta_closed_form, beta_numeric,
                    default_sign_policy, integrate_flow,
                    pipeline_ground_energy, solve_fixed_point, uv_energy_law,
                    uv_limit_energy)
@@ -32,8 +32,8 @@ from .eigensolver import (Grid, OracleResult, Parity, eigenvalue_by_index,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "DegenerateExpansionError", "DomainError", "DomainTooSmallError", "EstimateSource", "Family",
-    "FitDegenerateError", "FixedPointTarget", "FlowUndefinedError",
+    "ConfigError", "DegenerateExpansionError", "DomainError",
+    "DomainTooSmallError", "Family", "FitDegenerateError", "FlowUndefinedError",
     "GaussianState", "Grid", "GroundStateEstimate", "IntegrationAbortError",
     "IterationLimitError", "LAMBDA_FLOOR", "LogFlow", "NoBoundStateError",
     "NoFixedPointError", "NoUVLimitError", "OracleResult", "Parity",

@@ -31,10 +31,9 @@ import numpy as np
 from . import kh, suite
 from .eigensolver import Grid, Parity, eigenvalue_by_index
 from .errors import ConfigError, IntegrationAbortError, UVFlowError
-from .flow import (LAMBDA_FLOOR, LogFlow, PowerLawFlow, SignPolicy,
-                   beta_closed_form, beta_numeric, integrate_flow,
-                   pipeline_ground_energy, solve_fixed_point,
-                   uv_limit_energy)
+from .flow import (LAMBDA_FLOOR, PowerLawFlow, SignPolicy, beta_closed_form,
+                   beta_numeric, integrate_flow, pipeline_ground_energy,
+                   solve_fixed_point, uv_limit_energy)
 from .potentials import (PotentialSpec, coulomb, kramers_henneberger, morse,
                          quartic, soft_coulomb)
 
@@ -179,6 +178,8 @@ def _params(args, cfg: dict) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             params[key] = val
+        if key in params:
+            params[key] = _number(key, params[key], -math.inf)
     return params
 
 
@@ -195,14 +196,6 @@ def _member(cls, name, what: str):
         return cls(name)
     except ValueError as exc:
         raise ConfigError(f"unknown {what} {name!r}") from exc
-
-
-def _flow_label(flow) -> str:
-    if isinstance(flow, PowerLawFlow):
-        return f"g(lam) = {flow.coefficient:.12g} lam^{flow.exponent:g}"
-    if isinstance(flow, LogFlow):
-        return f"g(lam) = {flow.K ** 2:.12g} / ln(lam)"
-    return f"tabulated on [{flow.lam_min:.12g}, {flow.lam_max:.12g}]"
 
 
 # -- analyze -----------------------------------------------------------------
@@ -233,7 +226,8 @@ def _analyze_row(model: str, params: dict, policy: Optional[SignPolicy],
              if model == "morse" else "")
     return {"model": model, "rg_energy": est.energy, "oracle_energy": oracle,
             "rel_error": rel, "sign_branch": est.sign_branch.value,
-            "flow_law": _flow_label(flow), "notes": notes}
+            "flow_law": f"g(lam) = {flow.coefficient:.12g} lam^{flow.exponent:g}",
+            "notes": notes}
 
 
 def cmd_analyze(args) -> int:
@@ -283,7 +277,7 @@ def cmd_flow(args) -> int:
         raise ConfigError(f"lam0 and lam1 must differ, both are {lam0!r}")
     points = _integer("points", _setting(args, cfg, "points", 41), 2)
     beta_name = _setting(args, cfg, "beta", "closed")
-    beta = {"closed": beta_closed_form, "numeric": beta_numeric}.get(beta_name)
+    beta = {"closed": beta_closed_form, "numeric": beta_numeric}.get(str(beta_name))
     if beta is None:
         raise ConfigError(f"unknown beta choice {beta_name!r}")
     rows, aborted = [], None
@@ -301,7 +295,7 @@ def cmd_flow(args) -> int:
         if args.start_on_fixed_point:
             g0 = solve_fixed_point(spec)(lam0)
         else:
-            g0 = _setting(args, cfg, "g0", spec.coupling)
+            g0 = _number("g0", _setting(args, cfg, "g0", spec.coupling), -math.inf)
         try:
             traj = integrate_flow(spec, g0, lam0, lam1, n_points=points,
                                   beta=lambda g, lam: beta(spec, g, lam))

@@ -309,6 +309,8 @@ def ground_state(spec: PotentialSpec, grid: Grid,
 
 # rho standing in for an exact zero of f (rho = -1), keeping 1/(1 + rho) finite
 _BELOW_ZERO = -1.0 - 2.0 ** -52
+_SHOOT_N = 20001         # mesh points of a shooting sweep
+_SHOOT_TOL = 1.0e-12     # relative energy tolerance of a shooting solve
 
 
 def _numerov_w(spec: PotentialSpec, energy: float, v: np.ndarray,
@@ -380,31 +382,27 @@ def _numerov_mismatch(w: memoryview, parity: Optional[Parity],
             / math.hypot(1.0, 1.0 + rho) / math.hypot(1.0, 1.0 + sigma))
 
 
-def shooting_ground_energy(spec: PotentialSpec, half_width: float, n: int = 20001,
-                           parity: Optional[Parity] = None,
-                           bracket: Optional[Tuple[float, float]] = None,
-                           tol: float = 1.0e-12) -> float:
-    """Ground level by renormalized Numerov shooting.
+def shooting_ground_energy(spec: PotentialSpec, half_width: float,
+                           parity: Optional[Parity] = None) -> float:
+    """Ground level by renormalized Numerov shooting on _SHOOT_N points.
 
     With a parity the sweep runs over [0, half_width] from a symmetric or
     antisymmetric start; without one it runs across the full box from the
     left wall.  No level of the sector lies below min(V), so the node
-    count there is zero, and the bracket grows until a node appears (or an
-    explicit bracket is checked).  The bracket is then halved by node count
-    until exactly one level lies inside it, which is robust against growth
-    steps that hop over several levels.  Brent's method then converges on
-    the mismatch between the outward sweep and an inward sweep from the far
-    wall, matched at the outer classical turning point of the bracket's top
+    count there is zero, and the bracket grows from there until a node
+    appears.  A growth step can hop over several levels, so the bracket is
+    then halved by node count until exactly one level lies inside it.
+    Brent's method then converges, to _SHOOT_TOL relative, on the mismatch
+    between the outward sweep and an inward sweep from the far wall,
+    matched at the outer classical turning point of the bracket's top
     energy, so the inward solution has no node anywhere in the bracket.
     """
-    if half_width <= 0.0 or n < 16:
-        raise DomainError("shooting needs a positive box and a fine mesh")
-    if not tol > 0.0:
-        raise DomainError("shooting tolerance must be positive")
+    if not 0.0 < half_width < math.inf:
+        raise DomainError("shooting needs a positive, finite box")
     if parity is None:
-        x = np.linspace(-half_width, half_width, n)
+        x = np.linspace(-half_width, half_width, _SHOOT_N)
     else:
-        x = np.linspace(0.0, half_width, n)
+        x = np.linspace(0.0, half_width, _SHOOT_N)
     h = x[1] - x[0]
     v = np.empty_like(x)
     if parity is not None and _singular_at_origin(spec):
@@ -420,40 +418,32 @@ def shooting_ground_energy(spec: PotentialSpec, half_width: float, n: int = 2000
     def nodes(energy: float) -> int:
         return _numerov_nodes(_numerov_w(spec, energy, v, h), parity)
 
-    if bracket is None:
-        lo = float(np.min(v)) + 1.0e-12
-        step = 0.5 * max(1.0, abs(lo))
-        hi = lo + step
-        for _ in range(80):
-            k_hi = nodes(hi)
-            if k_hi >= 1:
-                break
-            step *= 1.4
-            lo = hi
-            hi += step
-        else:
-            raise IterationLimitError(
-                "no node appeared while growing the bracket; "
-                "provide an energy bracket")
+    lo = float(np.min(v)) + 1.0e-12
+    step = 0.5 * max(1.0, abs(lo))
+    hi = lo + step
+    for _ in range(80):
+        k_hi = nodes(hi)
+        if k_hi >= 1:
+            break
+        step *= 1.4
+        lo = hi
+        hi += step
     else:
-        lo, hi = float(bracket[0]), float(bracket[1])
-        k_hi = nodes(hi) if nodes(lo) == 0 else 0
-        if k_hi < 1:
-            raise DomainError("bracket does not straddle the lowest level")
+        raise IterationLimitError("no node appeared while growing the bracket")
     while k_hi > 1:
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol * max(1.0, abs(mid)):
-            return mid  # the two lowest levels are closer than tol
+        if hi - lo <= _SHOOT_TOL * max(1.0, abs(mid)):
+            return mid  # the two lowest levels are closer than _SHOOT_TOL
         k_mid = nodes(mid)
         if k_mid >= 1:
             hi, k_hi = mid, k_mid
         else:
             lo = mid
-    m = min(max(int(np.flatnonzero(v <= hi)[-1]), 1), n - 3)
+    m = min(max(int(np.flatnonzero(v <= hi)[-1]), 1), _SHOOT_N - 3)
     try:
         return brentq(
             lambda energy: _numerov_mismatch(_numerov_w(spec, energy, v, h),
                                              parity, m),
-            lo, hi, xtol=tol * max(1.0, abs(lo), abs(hi)))
+            lo, hi, xtol=_SHOOT_TOL * max(1.0, abs(lo), abs(hi)))
     except RuntimeError as exc:
         raise IterationLimitError(f"Brent search did not converge: {exc}") from exc

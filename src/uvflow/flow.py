@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -41,8 +41,8 @@ from scipy.interpolate import PchipInterpolator
 from .errors import (DomainError, FlowUndefinedError, IntegrationAbortError,
                      NoFixedPointError, NoUVLimitError)
 from .potentials import FAMILIES, PotentialSpec, with_coupling_and_cutoff
-from .reduction import (EstimateSource, GroundStateEstimate, SignBranch,
-                        expand_at_cutoff, ho_ground_energy)
+from .reduction import (GroundStateEstimate, SignBranch, expand_at_cutoff,
+                        ho_ground_energy)
 
 LAMBDA_FLOOR = 2.0
 
@@ -65,13 +65,10 @@ class PowerLawFlow:
 
     coefficient: float
     exponent: float
-    lam_min: float = LAMBDA_FLOOR
-    lam_max: float = math.inf
 
     def __call__(self, lam: float) -> float:
-        if not (self.lam_min <= lam <= self.lam_max):
-            raise DomainError(f"cutoff {lam} outside validity range "
-                              f"[{self.lam_min}, {self.lam_max}]")
+        if not lam >= LAMBDA_FLOOR:
+            raise DomainError(f"cutoff {lam} is below the floor {LAMBDA_FLOOR}")
         return self.coefficient * lam ** self.exponent
 
 
@@ -80,13 +77,10 @@ class LogFlow:
     """g(Lambda) = K**2 / ln(Lambda), the logarithmic running solution."""
 
     K: float
-    lam_min: float = LAMBDA_FLOOR
-    lam_max: float = math.inf
 
     def __call__(self, lam: float) -> float:
-        if not (self.lam_min <= lam <= self.lam_max):
-            raise DomainError(f"cutoff {lam} outside validity range "
-                              f"[{self.lam_min}, {self.lam_max}]")
+        if not lam >= LAMBDA_FLOOR:
+            raise DomainError(f"cutoff {lam} is below the floor {LAMBDA_FLOOR}")
         return self.K ** 2 / math.log(lam)
 
     def derivative_wrt_log(self, lam: float) -> float:
@@ -131,7 +125,6 @@ CouplingFlow = PowerLawFlow | LogFlow | TabulatedFlow
 class SignPolicy(Enum):
     PREFER_NEGATIVE = "prefer-negative"
     PREFER_POSITIVE = "prefer-positive"
-    REPORT_BOTH = "report-both"
 
 
 def default_sign_policy(spec: PotentialSpec) -> SignPolicy:
@@ -177,17 +170,11 @@ def beta_closed_form(spec: PotentialSpec, g: float, lam: float) -> float:
     return fam.beta(spec.shape, g, lam)
 
 
-def beta_numeric(spec: PotentialSpec, g: float, lam: float,
-                 energy: Optional[Callable[[float, float], float]] = None) -> float:
-    """beta = -Lambda (dE0/dLambda)/(dE0/dg) by central finite differences.
-
-    ``energy`` defaults to the family's energy law (see uv_energy_law);
-    pass ``pipeline_ground_energy`` partials to differentiate the exact
-    completed-square route instead.
-    """
+def beta_numeric(spec: PotentialSpec, g: float, lam: float) -> float:
+    """beta = -Lambda (dE0/dLambda)/(dE0/dg) by central finite differences
+    of the family's energy law (see uv_energy_law)."""
     lam = _check_lam(lam)
-    if energy is None:
-        energy = uv_energy_law(spec)
+    energy = uv_energy_law(spec)
     hg = (abs(g) if g != 0.0 else 1.0) * _FD_STEP
     hl = lam * _FD_STEP
     de_dg = (energy(g + hg, lam) - energy(g - hg, lam)) / (2.0 * hg)
@@ -200,69 +187,33 @@ def beta_numeric(spec: PotentialSpec, g: float, lam: float,
 
 # -- fixed points -----------------------------------------------------------
 
-class FixedPointTarget(Enum):
-    """Canonical reduced forms the stiffness can be matched to."""
+def solve_fixed_point(spec: PotentialSpec) -> CouplingFlow:
+    """Coupling law g(Lambda) that holds the reduced oscillator canonical.
 
-    UNIT_OSCILLATOR = (1.0, 1.0)   # p^2 + x^2
-    HALF_OSCILLATOR = (0.5, 0.5)   # (p^2 + x^2)/2
-
-    @property
-    def stiffness(self) -> float:
-        return self.value[0]
-
-    @property
-    def kappa(self) -> float:
-        return self.value[1]
-
-
-def _default_target(spec: PotentialSpec) -> FixedPointTarget:
-    for target in FixedPointTarget:
-        if spec.kappa == target.kappa:
-            return target
-    raise NoFixedPointError(
-        f"no canonical oscillator with kinetic normalization {spec.kappa}")
-
-
-def solve_fixed_point(spec: PotentialSpec,
-                      target: Optional[FixedPointTarget] = None,
-                      lam_max: float = 1.0e8) -> CouplingFlow:
-    """Coupling law g(Lambda) that pins the reduced stiffness to the target.
-
-    Pointwise, g(Lambda) = c_target / (v''(1/Lambda)/2).  For shapes with
-    power-law curvature this is an exact power law; otherwise the pointwise
-    solution is returned as a tabulated trajectory.
+    The canonical forms p^2 + x^2 (kappa = 1) and (p^2 + x^2)/2
+    (kappa = 1/2) both have stiffness kappa, so pointwise
+    g(Lambda) = kappa / (v''(1/Lambda)/2).  A builtin family with a
+    closed fixed point returns that power law; any other shape gets the
+    pointwise solution tabulated from LAMBDA_FLOOR to 1e8.
     """
-    if target is None:
-        target = _default_target(spec)
-    if spec.kappa != target.kappa:
+    if spec.kappa not in (0.5, 1.0):
         raise NoFixedPointError(
-            f"family kinetic normalization {spec.kappa} cannot reach the "
-            f"target form (needs kappa = {target.kappa})")
-    tc = target.stiffness
+            f"no canonical oscillator with kinetic normalization {spec.kappa}")
     fam = FAMILIES.get(spec.family)
     if fam is not None and fam.fixed_point is not None:
-        return PowerLawFlow(*fam.fixed_point(tc))
+        return PowerLawFlow(*fam.fixed_point(spec.kappa))
 
     def pointwise(lam: float) -> float:
         moved = with_coupling_and_cutoff(spec, 1.0, lam)
         _, _, v2 = moved.shape_derivatives(1.0 / lam)
         if v2 == 0.0:
             raise NoFixedPointError(f"flat shape curvature at cutoff {lam}")
-        return tc / (0.5 * v2)
+        return spec.kappa / (0.5 * v2)
 
-    lams = np.geomspace(LAMBDA_FLOOR, lam_max, 25 * 8 + 1)
+    lams = np.geomspace(LAMBDA_FLOOR, 1.0e8, 25 * 8 + 1)
     vals = np.array([pointwise(l) for l in lams])
     if np.any(~np.isfinite(vals)):
         raise NoFixedPointError("pointwise stiffness match is not finite")
-    # exact-power-law detection on interior probes
-    probes = lams[10:-10:40]
-    pvals = vals[10:-10:40]
-    if np.all(pvals > 0) or np.all(pvals < 0):
-        k = np.diff(np.log(np.abs(pvals))) / np.diff(np.log(probes))
-        k0 = float(np.round(np.mean(k)))
-        coef = pvals / probes ** k0
-        if abs(np.mean(k) - k0) < 1e-9 and np.ptp(coef) <= 1e-10 * abs(np.mean(coef)):
-            return PowerLawFlow(float(np.mean(coef)), k0)
     return TabulatedFlow(lams, vals)
 
 
@@ -270,7 +221,7 @@ def solve_fixed_point(spec: PotentialSpec,
 
 def integrate_flow(spec: PotentialSpec, g0: float, lam0: float, lam1: float,
                    beta: str | Callable[[float, float], float] = "closed-form",
-                   rtol: float = 1.0e-8, n_points: int = 129) -> TabulatedFlow:
+                   n_points: int = 129) -> TabulatedFlow:
     """Integrate dg/ds = beta(g, e^s) in s = ln(Lambda) from lam0 to lam1."""
     lam0 = _check_lam(lam0)
     lam1 = _check_lam(lam1)
@@ -292,7 +243,7 @@ def integrate_flow(spec: PotentialSpec, g0: float, lam0: float, lam1: float,
     s_eval = np.linspace(s0, s1, n_points)
     try:
         sol = solve_ivp(rhs, (s0, s1), [float(g0)], t_eval=s_eval,
-                        rtol=rtol, atol=abs(g0) * rtol * 1e-3 + 1e-300,
+                        rtol=1.0e-8, atol=abs(g0) * 1.0e-8 * 1e-3 + 1e-300,
                         method="RK45")
     except (FlowUndefinedError, DomainError, ValueError, OverflowError) as exc:
         raise IntegrationAbortError(f"beta evaluation failed mid-flow: {exc}") from exc
@@ -335,24 +286,21 @@ def _aitken(e1: float, e2: float, e3: float) -> Tuple[float, float]:
 
 
 def uv_limit_energy(spec: PotentialSpec, flow: CouplingFlow,
-                    policy: Optional[SignPolicy] = None,
-                    samples: Sequence[float] = UV_SAMPLE_CUTOFFS,
-                    rel_tol: float = 1.0e-6) -> GroundStateEstimate:
+                    policy: Optional[SignPolicy] = None) -> GroundStateEstimate:
     """Ground level in the infinite-cutoff limit along a coupling flow.
 
-    E0(Lambda) is sampled through the exact reduction at the given cutoffs,
-    required to settle (last two samples within rel_tol), and accelerated
-    with one Aitken step.  When the flow has left the binding coupling
-    regime the frequency root is sign-ambiguous and ``policy`` picks the
-    branch (REPORT_BOTH keeps both; ``energy`` then carries the positive
-    branch).
+    E0(Lambda) is sampled through the exact reduction at UV_SAMPLE_CUTOFFS
+    and accelerated with one Aitken step, whose remaining-error estimate
+    must be at most 1e-6 max(1, |E0|).  When
+    the coupling is negative or the reduced stiffness inverted at a sample,
+    the frequency root is sign-ambiguous: both branches are settled and
+    carried in ``branches``, and ``policy`` picks the one ``energy``
+    quotes.
     """
     if policy is None:
         policy = default_sign_policy(spec)
-    if len(samples) != 3 or not all(s2 > s1 for s1, s2 in zip(samples, samples[1:])):
-        raise DomainError("need three increasing sample cutoffs")
     roots, offsets, flipped = [], [], False
-    for lam in samples:
+    for lam in UV_SAMPLE_CUTOFFS:
         try:
             g = flow(lam)
         except DomainError as exc:
@@ -360,26 +308,21 @@ def uv_limit_energy(spec: PotentialSpec, flow: CouplingFlow,
         red = expand_at_cutoff(with_coupling_and_cutoff(spec, g, lam), lam)
         roots.append(math.sqrt(red.kappa * abs(red.stiffness)))
         offsets.append(red.offset)
-        if red.stiffness < 0.0 or g * spec.binding_sign < 0.0:
+        if red.stiffness < 0.0 or g < 0.0:
             flipped = True
     plus = [c + r for c, r in zip(offsets, roots)]
     minus = [c - r for c, r in zip(offsets, roots)]
 
     def settle(series):
         est, err = _aitken(*series)
-        if err > rel_tol * max(1.0, abs(est)):
+        if err > 1.0e-6 * max(1.0, abs(est)):
             raise NoUVLimitError(
                 "reduced level is still drifting at the largest cutoffs",
-                trend=list(zip(samples, series)))
+                trend=list(zip(UV_SAMPLE_CUTOFFS, series)))
         return est
 
     if not flipped:
-        return GroundStateEstimate(settle(plus), SignBranch.POSITIVE,
-                                   EstimateSource.UV_LIMIT)
+        return GroundStateEstimate(settle(plus), SignBranch.POSITIVE)
     both = (settle(plus), settle(minus))
-    if policy is SignPolicy.PREFER_NEGATIVE:
-        energy = both[1]
-    else:  # PREFER_POSITIVE and REPORT_BOTH carry the positive branch
-        energy = both[0]
-    return GroundStateEstimate(energy, SignBranch.AMBIGUOUS,
-                               EstimateSource.UV_LIMIT, branches=both)
+    energy = both[1] if policy is SignPolicy.PREFER_NEGATIVE else both[0]
+    return GroundStateEstimate(energy, SignBranch.AMBIGUOUS, branches=both)

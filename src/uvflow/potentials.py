@@ -51,10 +51,11 @@ class Family(Enum):
 class PotentialSpec:
     """A potential family member: shape, coupling and kinetic normalization.
 
-    ``binding_sign`` records which sign of the coupling produces a binding
-    (or confining) potential; flows that drive the coupling to the opposite
-    sign describe formally unstable Hamiltonians and their ground-state
-    energy inherits a sign ambiguity (resolved downstream by a SignPolicy).
+    A builtin family reads its shape from ``FAMILIES`` with the parameters
+    in ``shape``; a custom one carries ``profile`` and, optionally, its
+    first two derivatives.  The flow treats a negative coupling as outside
+    the binding regime: there the reduced ground level is sign-ambiguous,
+    and a SignPolicy resolves it downstream.
     """
 
     family: Family
@@ -64,7 +65,6 @@ class PotentialSpec:
     profile: Optional[Callable] = None
     profile_d1: Optional[Callable] = None
     profile_d2: Optional[Callable] = None
-    binding_sign: float = 1.0
 
     # -- shape function -------------------------------------------------
 
@@ -327,8 +327,8 @@ def kramers_henneberger(alpha: float, eps_exp: float, lam: float) -> PotentialSp
 
 
 def custom(profile: Callable, coupling: float = 1.0, kappa: float = 1.0,
-           d1: Optional[Callable] = None, d2: Optional[Callable] = None,
-           binding_sign: float = 1.0) -> PotentialSpec:
+           d1: Optional[Callable] = None,
+           d2: Optional[Callable] = None) -> PotentialSpec:
     """Wrap a user shape function v(x) as a family member.
 
     ``profile`` should accept numpy arrays if the resulting spec is meant
@@ -338,8 +338,7 @@ def custom(profile: Callable, coupling: float = 1.0, kappa: float = 1.0,
     if kappa <= 0:
         raise DomainError("custom requires kappa > 0")
     return PotentialSpec(Family.CUSTOM, float(coupling), float(kappa),
-                         profile=profile, profile_d1=d1, profile_d2=d2,
-                         binding_sign=float(binding_sign))
+                         profile=profile, profile_d1=d1, profile_d2=d2)
 
 
 def with_coupling_and_cutoff(spec: PotentialSpec, coupling: float, lam: float) -> PotentialSpec:

@@ -54,16 +54,10 @@ class SignBranch(Enum):
     AMBIGUOUS = "ambiguous"
 
 
-class EstimateSource(Enum):
-    CUTOFF_REDUCTION = "cutoff-reduction"
-    UV_LIMIT = "uv-limit"
-
-
 @dataclass(frozen=True)
 class GroundStateEstimate:
     energy: float
     sign_branch: SignBranch
-    source: EstimateSource
     branches: Optional[Tuple[float, float]] = None  # (+root, -root) when ambiguous
 
 
@@ -92,10 +86,8 @@ def ho_ground_energy(red: QuadraticReduction) -> GroundStateEstimate:
     c, C = red.stiffness, red.offset
     root = math.sqrt(red.kappa * abs(c))
     if c > 0.0:
-        return GroundStateEstimate(C + root, SignBranch.POSITIVE,
-                                   EstimateSource.CUTOFF_REDUCTION)
+        return GroundStateEstimate(C + root, SignBranch.POSITIVE)
     return GroundStateEstimate(C + root, SignBranch.AMBIGUOUS,
-                               EstimateSource.CUTOFF_REDUCTION,
                                branches=(C + root, C - root))
 
 

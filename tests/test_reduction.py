@@ -64,7 +64,6 @@ def test_ho_ground_energy_quartic():
     law = math.sqrt(6.0 * g) / lam + g / (3.0 * lam ** 4)
     assert abs(est.energy - law) < 1e-12 * law
     assert est.sign_branch is uf.SignBranch.POSITIVE
-    assert est.source is uf.EstimateSource.CUTOFF_REDUCTION
     assert est.branches is None
 
 
