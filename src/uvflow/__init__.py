@@ -15,7 +15,7 @@ from .errors import (ConfigError, DegenerateExpansionError, DomainError,
                      IterationLimitError, NoBoundStateError,
                      NoFixedPointError, NoUVLimitError, SingularPointError,
                      UVFlowError)
-from .potentials import (Family, PotentialSpec, coulomb, custom,
+from .potentials import (PotentialSpec, coulomb, custom,
                          kramers_henneberger, morse, quartic, soft_coulomb,
                          with_coupling_and_cutoff)
 from .reduction import (GaussianState, GroundStateEstimate,
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "DegenerateExpansionError", "DomainError",
-    "DomainTooSmallError", "Family", "FitDegenerateError", "FlowUndefinedError",
+    "DomainTooSmallError", "FitDegenerateError", "FlowUndefinedError",
     "GaussianState", "Grid", "GroundStateEstimate", "IntegrationAbortError",
     "IterationLimitError", "LAMBDA_FLOOR", "LogFlow", "NoBoundStateError",
     "NoFixedPointError", "NoUVLimitError", "OracleResult", "Parity",

@@ -7,8 +7,9 @@ Subcommands:
     oracle       solve one model on a grid
     paper-suite  run the acceptance checks, print one PASS/FAIL line each
 
-Configuration is a JSON file (--config) holding the same keys as the flags;
-flags win over the file.  Reports are deterministic: floats are written
+Configuration is a JSON file (--config) whose keys are the subcommand's
+long options, written with - or _; flags win over the file, and any other
+key is a config error.  Reports are deterministic: floats are written
 with 12 significant digits, row and column order is fixed, and no
 timestamps are emitted, so identical configs give byte-identical files.
 If UVFLOW_OUTPUT_DIR is set, relative output paths land under it.
@@ -81,13 +82,13 @@ def _round12(value):
     return float(_fmt(value)) if isinstance(value, float) else value
 
 
-def _report_path(args, cfg: dict, stem: str):
+def _report_path(args, stem: str):
     """(path, format) of the report; the default path is <stem>.<format>,
     and a relative path lands under UVFLOW_OUTPUT_DIR when that is set."""
-    fmt = _setting(args, cfg, "format", "csv")
+    fmt = "csv" if args.format is None else args.format
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    path = _setting(args, cfg, "output") or f"{stem}.{fmt}"
+    path = args.output or f"{stem}.{fmt}"
     if not isinstance(path, str):
         raise ConfigError(f"output must be a path string, got {path!r}")
     root = os.environ.get("UVFLOW_OUTPUT_DIR")
@@ -123,9 +124,16 @@ def _write_report(path: str, columns: Sequence[str], rows: list[dict],
             fh.write(f"# {line}\n")
 
 
-def _load_config(path: Optional[str]) -> dict:
+def _load_config(args) -> None:
+    """Fill the options left off the command line from the --config file.
+
+    A key names one of the subcommand's long options, written with - or _
+    (analyze also reads ``models``); any other key, and a null value, is a
+    config error.
+    """
+    path = getattr(args, "config", None)
     if path is None:
-        return {}
+        return
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -135,17 +143,15 @@ def _load_config(path: Optional[str]) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    return cfg
-
-
-def _setting(args, cfg: dict, key: str, default=None):
-    """Flag value if given, else config-file value, else default."""
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if key in cfg:
-        return cfg[key]
-    return default
+    options = set(vars(args)) - {"command", "func", "config", "model"}
+    for key, value in cfg.items():
+        dest = key.replace("-", "_")
+        if dest not in options:
+            raise ConfigError(f"unknown config key {key!r}")
+        if value is None:
+            raise ConfigError(f"config key {key!r} is null")
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
 
 
 def _integer(name: str, value, minimum: int) -> int:
@@ -169,18 +175,10 @@ def _number(name: str, value, floor: float = 0.0) -> float:
     return float(value)
 
 
-def _params(args, cfg: dict) -> dict:
-    params = cfg.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"params must be a JSON object, got {params!r}")
-    params = dict(params)
-    for key in _PARAMS:
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-        if key in params:
-            params[key] = _number(key, params[key], -math.inf)
-    return params
+def _params(args) -> dict:
+    """The model parameters that are set, each a finite number."""
+    return {key: _number(key, getattr(args, key), -math.inf)
+            for key in _PARAMS if getattr(args, key) is not None}
 
 
 def build_spec(model: str, params: dict) -> PotentialSpec:
@@ -231,22 +229,19 @@ def _analyze_row(model: str, params: dict, policy: Optional[SignPolicy],
 
 
 def cmd_analyze(args) -> int:
-    cfg = _load_config(args.config)
-    models = ([args.model] if args.model is not None
-              else cfg.get("models", list(CASE_STUDIES)))
+    models = [args.model] if args.model is not None else args.models
+    if models is None:
+        models = list(CASE_STUDIES)
     if (not isinstance(models, list)
             or any(m not in tuple(_MODELS) for m in models)):
         raise ConfigError(f"models must be a list drawn from {tuple(_MODELS)}, "
                           f"got {models!r}")
-    policy = _member(SignPolicy, _setting(args, cfg, "sign-policy"), "sign policy")
-    params = _params(args, cfg)
-    half_width = _setting(args, cfg, "half-width")
-    if half_width is not None:
-        half_width = _number("half-width", half_width)
-    n = _setting(args, cfg, "n")
-    if n is not None:
-        n = _grid_size(n)
-    path, fmt = _report_path(args, cfg, "analyze")
+    policy = _member(SignPolicy, args.sign_policy, "sign policy")
+    params = _params(args)
+    half_width = (None if args.half_width is None
+                  else _number("half-width", args.half_width))
+    n = None if args.n is None else _grid_size(args.n)
+    path, fmt = _report_path(args, "analyze")
     rows, failed = [], False
     for model in models:
         try:
@@ -267,19 +262,22 @@ def cmd_analyze(args) -> int:
 # -- flow --------------------------------------------------------------------
 
 def cmd_flow(args) -> int:
-    cfg = _load_config(args.config)
     model = args.model
-    params = _params(args, cfg)
-    path, fmt = _report_path(args, cfg, f"flow_{model}")
-    lam0 = _number("lam0", _setting(args, cfg, "lam0", 10.0), LAMBDA_FLOOR)
-    lam1 = _number("lam1", _setting(args, cfg, "lam1", 1.0e4), LAMBDA_FLOOR)
+    params = _params(args)
+    path, fmt = _report_path(args, f"flow_{model}")
+    lam0 = _number("lam0", 10.0 if args.lam0 is None else args.lam0, LAMBDA_FLOOR)
+    lam1 = _number("lam1", 1.0e4 if args.lam1 is None else args.lam1, LAMBDA_FLOOR)
     if lam0 == lam1:
         raise ConfigError(f"lam0 and lam1 must differ, both are {lam0!r}")
-    points = _integer("points", _setting(args, cfg, "points", 41), 2)
-    beta_name = _setting(args, cfg, "beta", "closed")
+    points = _integer("points", 41 if args.points is None else args.points, 2)
+    beta_name = "closed" if args.beta is None else args.beta
     beta = {"closed": beta_closed_form, "numeric": beta_numeric}.get(str(beta_name))
     if beta is None:
         raise ConfigError(f"unknown beta choice {beta_name!r}")
+    on_fixed_point = args.start_on_fixed_point
+    if on_fixed_point is not None and not isinstance(on_fixed_point, bool):
+        raise ConfigError("start-on-fixed-point must be true or false, "
+                          f"got {on_fixed_point!r}")
     rows, aborted = [], None
     if model == "kh":
         K = params.get("K", 1.0)
@@ -292,10 +290,11 @@ def cmd_flow(args) -> int:
                          "energy": kh.scaled_ground_energy(alpha, lam, eps)})
     else:
         spec = build_spec(model, params)
-        if args.start_on_fixed_point:
+        if on_fixed_point:
             g0 = solve_fixed_point(spec)(lam0)
         else:
-            g0 = _number("g0", _setting(args, cfg, "g0", spec.coupling), -math.inf)
+            g0 = _number("g0", spec.coupling if args.g0 is None else args.g0,
+                         -math.inf)
         try:
             traj = integrate_flow(spec, g0, lam0, lam1, n_points=points,
                                   beta=lambda g, lam: beta(spec, g, lam))
@@ -319,19 +318,18 @@ def cmd_flow(args) -> int:
 # -- kh-scan -----------------------------------------------------------------
 
 def cmd_kh_scan(args) -> int:
-    cfg = _load_config(args.config)
-    path, fmt = _report_path(args, cfg, "kh_scan")
-    eps = _number("eps-exp", _setting(args, cfg, "eps_exp", 1.0))
-    z_window = _number("z-window", _setting(args, cfg, "z-window", 0.2))
+    path, fmt = _report_path(args, "kh_scan")
+    eps = _number("eps-exp", 1.0 if args.eps_exp is None else args.eps_exp)
+    z_window = _number("z-window", 0.2 if args.z_window is None else args.z_window)
     if z_window > 0.3:
         raise ConfigError(f"z-window must be at most 0.3, got {z_window!r}")
-    n_fit = _integer("n-fit", _setting(args, cfg, "n-fit", 9), 5)
-    lambdas = _setting(args, cfg, "lambdas")
+    n_fit = _integer("n-fit", 9 if args.n_fit is None else args.n_fit, 5)
+    lambdas = args.lambdas
     if lambdas is None:
         lambdas = list(np.geomspace(
-            _number("lam0", _setting(args, cfg, "lam0", 1.0e2), LAMBDA_FLOOR),
-            _number("lam1", _setting(args, cfg, "lam1", 1.0e6), LAMBDA_FLOOR),
-            _integer("points", _setting(args, cfg, "points", 5), 1)))
+            _number("lam0", 1.0e2 if args.lam0 is None else args.lam0, LAMBDA_FLOOR),
+            _number("lam1", 1.0e6 if args.lam1 is None else args.lam1, LAMBDA_FLOOR),
+            _integer("points", 5 if args.points is None else args.points, 1)))
     elif isinstance(lambdas, str):
         try:
             lambdas = [float(tok) for tok in lambdas.split(",") if tok]
@@ -373,16 +371,15 @@ def cmd_kh_scan(args) -> int:
 # -- oracle ------------------------------------------------------------------
 
 def cmd_oracle(args) -> int:
-    cfg = _load_config(args.config)
     model = args.model
-    params = _params(args, cfg)
-    path, fmt = _report_path(args, cfg, f"oracle_{model}")
+    params = _params(args)
+    path, fmt = _report_path(args, f"oracle_{model}")
     dl, dn, dparity = _MODELS[model][2]
-    half_width = _number("half-width", _setting(args, cfg, "half-width", dl))
-    n = _grid_size(_setting(args, cfg, "n", dn))
-    parity = _setting(args, cfg, "parity", dparity)
+    half_width = _number("half-width", dl if args.half_width is None else args.half_width)
+    n = _grid_size(dn if args.n is None else args.n)
+    parity = dparity if args.parity is None else args.parity
     parity = _member(Parity, None if parity == "none" else parity, "parity")
-    level = _integer("level", _setting(args, cfg, "level", 0), 0)
+    level = _integer("level", 0 if args.level is None else args.level, 0)
     spec = build_spec(model, params)
     res = eigenvalue_by_index(spec, Grid(half_width, n), level, parity=parity)
     row = {"model": model, "half_width": half_width, "n": n,
@@ -436,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sign-policy", choices=[s.value for s in SignPolicy])
     p.add_argument("--half-width", type=float, help="oracle box half width")
     p.add_argument("--n", type=int, help="oracle grid points (odd)")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=cmd_analyze, models=None)
 
     p = sub.add_parser("flow", help="write a running-coupling trajectory")
     p.add_argument("model", choices=_MODELS)
@@ -448,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, help="rows in the trajectory")
     p.add_argument("--beta", choices=("closed", "numeric"),
                    help="beta evaluation route (default closed)")
-    p.add_argument("--start-on-fixed-point", action="store_true",
+    p.add_argument("--start-on-fixed-point", action="store_true", default=None,
                    help="set g0 from the canonical-oscillator matching")
     p.set_defaults(func=cmd_flow)
 
@@ -482,6 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _load_config(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"uvflow {args.command}: config error: {exc}", file=sys.stderr)

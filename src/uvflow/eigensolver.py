@@ -43,7 +43,7 @@ from scipy.optimize import brentq
 
 from .errors import (DomainError, DomainTooSmallError, IterationLimitError,
                      SingularPointError)
-from .potentials import FAMILIES, PotentialSpec
+from .potentials import PotentialSpec
 
 _BOUNDARY_LEAK = 1.0e-10
 _EIG_TOL = 1.0e-13
@@ -96,11 +96,6 @@ class OracleResult:
 
 def _potential_on(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
     return np.asarray(spec(x), dtype=float)
-
-
-def _singular_at_origin(spec: PotentialSpec) -> bool:
-    fam = FAMILIES.get(spec.family)
-    return fam is not None and fam.singular_at_origin
 
 
 def _coarser(grid: Grid) -> Grid:
@@ -257,9 +252,9 @@ def eigenvalue_by_index(spec: PotentialSpec, grid: Grid, k: int,
     """Level k (within the parity sector if one is given), grid route."""
     if k < 0:
         raise DomainError("level index must be nonnegative")
-    if parity is not Parity.ODD and _singular_at_origin(spec):
+    if parity is not Parity.ODD and spec.family.singular_at_origin:
         raise SingularPointError(
-            f"the {spec.family.value} shape is singular at the center node; "
+            f"the {spec.family.name} shape is singular at the center node; "
             "solve the odd sector")
     seed = _coarse_level(spec, grid, k, parity)
     raw, psi = _solve_sector(spec, grid, k, parity, seed=seed)
@@ -405,10 +400,10 @@ def shooting_ground_energy(spec: PotentialSpec, half_width: float,
         x = np.linspace(0.0, half_width, _SHOOT_N)
     h = x[1] - x[0]
     v = np.empty_like(x)
-    if parity is not None and _singular_at_origin(spec):
+    if parity is not None and spec.family.singular_at_origin:
         if parity is not Parity.ODD:
             raise SingularPointError(
-                f"the {spec.family.value} shape is singular at x = 0; "
+                f"the {spec.family.name} shape is singular at x = 0; "
                 "shoot in the odd sector")
         v[1:] = _potential_on(spec, x[1:])
         v[0] = 0.0  # multiplies the exact node psi(0) = 0

@@ -20,10 +20,10 @@ route).
 
 The laws, the closed-form betas, the fixed-point power laws and the
 attractive flag behind ``default_sign_policy`` are defined once per family,
-in ``potentials.FAMILIES``; this module reads that entry and never branches
-on the family.  Custom shapes have no entry: their law is the exact
-reduction, they have no closed-form beta, their fixed point is tabulated
-and their default policy prefers the positive root.
+in the ``potentials.FamilyDef`` that each spec carries; this module reads
+that entry and never branches on the family.  A family with no law (every
+custom shape) uses the exact reduction, one with no closed-form beta has
+none, and one with no fixed-point power law has its fixed point tabulated.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import (DomainError, FlowUndefinedError, IntegrationAbortError,
                      NoFixedPointError, NoUVLimitError)
-from .potentials import FAMILIES, PotentialSpec, with_coupling_and_cutoff
+from .potentials import PotentialSpec, with_coupling_and_cutoff
 from .reduction import (GroundStateEstimate, SignBranch, expand_at_cutoff,
                         ho_ground_energy)
 
@@ -129,8 +129,7 @@ class SignPolicy(Enum):
 
 def default_sign_policy(spec: PotentialSpec) -> SignPolicy:
     """Attractive families resolve the root downward, confining ones upward."""
-    fam = FAMILIES.get(spec.family)
-    if fam is not None and fam.attractive:
+    if spec.family.attractive:
         return SignPolicy.PREFER_NEGATIVE
     return SignPolicy.PREFER_POSITIVE
 
@@ -152,11 +151,11 @@ def uv_energy_law(spec: PotentialSpec) -> Callable[[float, float], float]:
     form (the regularized-Coulomb one keeps the printed bracket constant,
     which differs from the generic completed square; see README).
     """
-    fam = FAMILIES.get(spec.family)
-    if fam is None:
-        # no printed law for custom shapes; fall back to the exact reduction
+    law = spec.family.energy_law
+    if law is None:
+        # no printed law (custom shapes); fall back to the exact reduction
         return lambda g, lam: pipeline_ground_energy(spec, g, lam)
-    return partial(fam.energy_law, spec.shape)
+    return partial(law, spec.shape)
 
 
 # -- beta functions ---------------------------------------------------------
@@ -164,10 +163,10 @@ def uv_energy_law(spec: PotentialSpec) -> Callable[[float, float], float]:
 def beta_closed_form(spec: PotentialSpec, g: float, lam: float) -> float:
     """Hand-derived beta = dg/dln(Lambda) for the builtin families."""
     lam = _check_lam(lam)
-    fam = FAMILIES.get(spec.family)
-    if fam is None:
-        raise FlowUndefinedError(f"no closed-form beta for family {spec.family.value}")
-    return fam.beta(spec.shape, g, lam)
+    beta = spec.family.beta
+    if beta is None:
+        raise FlowUndefinedError(f"no closed-form beta for family {spec.family.name}")
+    return beta(spec.shape, g, lam)
 
 
 def beta_numeric(spec: PotentialSpec, g: float, lam: float) -> float:
@@ -192,16 +191,15 @@ def solve_fixed_point(spec: PotentialSpec) -> CouplingFlow:
 
     The canonical forms p^2 + x^2 (kappa = 1) and (p^2 + x^2)/2
     (kappa = 1/2) both have stiffness kappa, so pointwise
-    g(Lambda) = kappa / (v''(1/Lambda)/2).  A builtin family with a
-    closed fixed point returns that power law; any other shape gets the
-    pointwise solution tabulated from LAMBDA_FLOOR to 1e8.
+    g(Lambda) = kappa / (v''(1/Lambda)/2).  A family with a closed fixed
+    point returns that power law; any other shape gets the pointwise
+    solution tabulated from LAMBDA_FLOOR to 1e8.
     """
     if spec.kappa not in (0.5, 1.0):
         raise NoFixedPointError(
             f"no canonical oscillator with kinetic normalization {spec.kappa}")
-    fam = FAMILIES.get(spec.family)
-    if fam is not None and fam.fixed_point is not None:
-        return PowerLawFlow(*fam.fixed_point(spec.kappa))
+    if spec.family.fixed_point is not None:
+        return PowerLawFlow(*spec.family.fixed_point(spec.kappa))
 
     def pointwise(lam: float) -> float:
         moved = with_coupling_and_cutoff(spec, 1.0, lam)

@@ -10,19 +10,19 @@ the single running coupling and ``v`` is a fixed shape function.  Keeping
 the coupling factored out of the shape is what lets the flow machinery
 treat all families uniformly.
 
-Each builtin family is defined once, as a ``FamilyDef`` in ``FAMILIES``:
-its shape and derivatives, printed energy law, closed-form beta, fixed-point
-power law and the two flags that set its default sign policy and its parity
-guard.  ``PotentialSpec``, ``flow`` and ``eigensolver`` read that entry and
-never branch on the family.  Custom shapes have no entry; they carry their
-own profile callables.
+Each family is defined once, as a ``FamilyDef``: its name, shape and
+derivatives, printed energy law, closed-form beta, fixed-point power law
+and the two flags that set its default sign policy and its parity guard.
+A ``PotentialSpec`` carries its family's entry, so ``flow`` and
+``eigensolver`` read it directly and never branch on the family.  The
+builtin entries are in ``FAMILIES``, keyed by name; ``custom`` builds one
+for a user shape, with no energy law, beta or fixed-point power law.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -38,62 +38,58 @@ _H1_SCALE = _EPS ** (1.0 / 3.0)
 _H2_SCALE = _EPS ** 0.25
 
 
-class Family(Enum):
-    MORSE = "morse"
-    QUARTIC = "quartic"
-    COULOMB = "coulomb"
-    SOFT_COULOMB = "soft-coulomb"
-    KRAMERS_HENNEBERGER = "kramers-henneberger"
-    CUSTOM = "custom"
+@dataclass(frozen=True)
+class FamilyDef:
+    """Everything the pipeline knows about one family.
+
+    ``name`` labels the family in messages.  ``value``, ``derivatives``,
+    ``energy_law`` and ``beta`` take the spec's ``shape`` dict first.
+    ``energy_law`` is the printed large-cutoff level E0(g, Lambda) and
+    ``beta`` the closed-form dg/dln(Lambda), its implicit derivative.
+    ``fixed_point`` maps a target stiffness to the (coefficient, exponent)
+    of the power law g(Lambda) that holds the reduced stiffness there.
+    None for any of the three means no closed form: the law is the exact
+    reduction, there is no closed-form beta, and the fixed point is
+    tabulated.  An ``attractive`` family resolves an ambiguous frequency
+    root downward by default, the others upward.  A shape that is
+    ``singular_at_origin`` has no value at x = 0, so the oracles solve only
+    its odd sector.
+    """
+
+    name: str
+    value: Callable
+    derivatives: Callable
+    energy_law: Optional[Callable] = None
+    beta: Optional[Callable] = None
+    fixed_point: Optional[Callable[[float], Tuple[float, float]]] = None
+    attractive: bool = False
+    singular_at_origin: bool = False
 
 
 @dataclass(frozen=True)
 class PotentialSpec:
     """A potential family member: shape, coupling and kinetic normalization.
 
-    A builtin family reads its shape from ``FAMILIES`` with the parameters
-    in ``shape``; a custom one carries ``profile`` and, optionally, its
-    first two derivatives.  The flow treats a negative coupling as outside
+    The shape is ``family.value`` and ``family.derivatives`` with the
+    parameters in ``shape``.  The flow treats a negative coupling as outside
     the binding regime: there the reduced ground level is sign-ambiguous,
     and a SignPolicy resolves it downstream.
     """
 
-    family: Family
+    family: FamilyDef
     coupling: float
     kappa: float
     shape: dict = field(default_factory=dict)
-    profile: Optional[Callable] = None
-    profile_d1: Optional[Callable] = None
-    profile_d2: Optional[Callable] = None
 
     # -- shape function -------------------------------------------------
 
     def shape_value(self, x):
         """v(x) for scalar or ndarray argument."""
-        fam = FAMILIES.get(self.family)
-        return self.profile(x) if fam is None else fam.value(self.shape, x)
+        return self.family.value(self.shape, x)
 
     def shape_derivatives(self, x0: float):
-        """(v, v', v'') at a scalar point x0.
-
-        Analytic for the builtin families; custom profiles without
-        registered derivatives fall back to a central difference and the
-        5-point second-derivative stencil, with steps scaled by
-        max(|x0|, 1).
-        """
-        x0 = float(x0)
-        fam = FAMILIES.get(self.family)
-        if fam is not None:
-            return fam.derivatives(self.shape, x0)
-        f = self.profile
-        v0 = float(f(x0))
-        if self.profile_d1 is not None and self.profile_d2 is not None:
-            return v0, float(self.profile_d1(x0)), float(self.profile_d2(x0))
-        h1 = max(abs(x0), 1.0) * _H1_SCALE
-        d1 = (f(x0 + h1) - f(x0 - h1)) / (2.0 * h1)
-        h2 = max(abs(x0), 1.0) * _H2_SCALE
-        d2 = (-f(x0 + 2 * h2) + 16 * f(x0 + h2) - 30 * v0 + 16 * f(x0 - h2) - f(x0 - 2 * h2)) / (12 * h2 * h2)
-        return v0, float(d1), float(d2)
+        """(v, v', v'') at a scalar point x0."""
+        return self.family.derivatives(self.shape, float(x0))
 
     # -- full potential --------------------------------------------------
 
@@ -109,31 +105,6 @@ class PotentialSpec:
 
 
 # -- the builtin families --------------------------------------------------
-
-@dataclass(frozen=True)
-class FamilyDef:
-    """Everything the pipeline knows about one builtin family.
-
-    ``value``, ``derivatives``, ``energy_law`` and ``beta`` take the spec's
-    ``shape`` dict first.  ``energy_law`` is the printed large-cutoff level
-    E0(g, Lambda) and ``beta`` the closed-form dg/dln(Lambda), its implicit
-    derivative.  ``fixed_point`` maps a target stiffness to the
-    (coefficient, exponent) of the power law g(Lambda) that holds the
-    reduced stiffness there; None means no closed form, and the fixed point
-    is tabulated.  An ``attractive`` family resolves an ambiguous frequency
-    root downward by default, the others upward.  A shape that is
-    ``singular_at_origin`` has no value at x = 0, so the oracles solve only
-    its odd sector.
-    """
-
-    value: Callable
-    derivatives: Callable
-    energy_law: Callable
-    beta: Callable
-    fixed_point: Optional[Callable[[float], Tuple[float, float]]]
-    attractive: bool
-    singular_at_origin: bool = False
-
 
 def _morse_value(s, x):
     a = s["a"]
@@ -259,27 +230,24 @@ def _kh_fixed_point(stiffness):
         "the dressed family runs logarithmically; use kh.cs_solution")
 
 
-FAMILIES = {
-    Family.MORSE: FamilyDef(
-        _morse_value, _morse_derivatives, _morse_law, _morse_beta,
-        fixed_point=None, attractive=False),
-    Family.QUARTIC: FamilyDef(
-        _quartic_value, lambda s, x0: (x0 ** 4, 4.0 * x0 ** 3, 12.0 * x0 ** 2),
-        _quartic_law, _quartic_beta,
-        fixed_point=lambda tc: (tc / 6.0, 2.0), attractive=False),
-    Family.COULOMB: FamilyDef(
-        _coulomb_value, _coulomb_derivatives, _coulomb_law, _coulomb_beta,
-        fixed_point=lambda tc: (-tc, -3.0), attractive=True,
-        singular_at_origin=True),
-    Family.SOFT_COULOMB: FamilyDef(
-        _soft_coulomb_value, _soft_coulomb_derivatives, _soft_coulomb_law,
-        _soft_coulomb_beta,
-        fixed_point=lambda tc: (-8.0 * math.sqrt(2.0) * tc, -3.0),
-        attractive=True),
-    Family.KRAMERS_HENNEBERGER: FamilyDef(
-        _kh_value, _kh_derivatives, _kh_law, lambda s, g, lam: -g / math.log(lam),
-        fixed_point=_kh_fixed_point, attractive=True),
-}
+FAMILIES = {fam.name: fam for fam in (
+    FamilyDef("morse", _morse_value, _morse_derivatives, _morse_law,
+              _morse_beta),
+    FamilyDef("quartic", _quartic_value,
+              lambda s, x0: (x0 ** 4, 4.0 * x0 ** 3, 12.0 * x0 ** 2),
+              _quartic_law, _quartic_beta,
+              fixed_point=lambda tc: (tc / 6.0, 2.0)),
+    FamilyDef("coulomb", _coulomb_value, _coulomb_derivatives, _coulomb_law,
+              _coulomb_beta, fixed_point=lambda tc: (-tc, -3.0),
+              attractive=True, singular_at_origin=True),
+    FamilyDef("soft-coulomb", _soft_coulomb_value, _soft_coulomb_derivatives,
+              _soft_coulomb_law, _soft_coulomb_beta,
+              fixed_point=lambda tc: (-8.0 * math.sqrt(2.0) * tc, -3.0),
+              attractive=True),
+    FamilyDef("kramers-henneberger", _kh_value, _kh_derivatives, _kh_law,
+              lambda s, g, lam: -g / math.log(lam),
+              fixed_point=_kh_fixed_point, attractive=True),
+)}
 
 
 # -- family constructors ---------------------------------------------------
@@ -288,17 +256,17 @@ def morse(A: float, a: float = 1.0, m: float = 1.0) -> PotentialSpec:
     """Morse well A*(exp(-2ax) - 2exp(-ax)) with H = p^2/(2m) + V."""
     if a <= 0 or m <= 0:
         raise DomainError("Morse requires a > 0 and m > 0")
-    return PotentialSpec(Family.MORSE, float(A), 0.5 / m, {"a": float(a), "m": float(m)})
+    return PotentialSpec(FAMILIES["morse"], float(A), 0.5 / m, {"a": float(a), "m": float(m)})
 
 
 def quartic(g: float) -> PotentialSpec:
     """Quartic oscillator H = p^2 + g x^4."""
-    return PotentialSpec(Family.QUARTIC, float(g), 1.0)
+    return PotentialSpec(FAMILIES["quartic"], float(g), 1.0)
 
 
 def coulomb(alpha: float) -> PotentialSpec:
     """One-dimensional Coulomb H = p^2/2 - alpha/|x|."""
-    return PotentialSpec(Family.COULOMB, float(alpha), 0.5)
+    return PotentialSpec(FAMILIES["coulomb"], float(alpha), 0.5)
 
 
 def soft_coulomb(alpha: float, lam: float) -> PotentialSpec:
@@ -309,7 +277,7 @@ def soft_coulomb(alpha: float, lam: float) -> PotentialSpec:
     """
     if lam <= 0:
         raise DomainError("soft_coulomb requires lam > 0")
-    return PotentialSpec(Family.SOFT_COULOMB, float(alpha), 0.5, {"lam": float(lam)})
+    return PotentialSpec(FAMILIES["soft-coulomb"], float(alpha), 0.5, {"lam": float(lam)})
 
 
 def kramers_henneberger(alpha: float, eps_exp: float, lam: float) -> PotentialSpec:
@@ -322,7 +290,7 @@ def kramers_henneberger(alpha: float, eps_exp: float, lam: float) -> PotentialSp
         raise DomainError("kramers_henneberger requires eps_exp > 0")
     if lam <= 0:
         raise DomainError("kramers_henneberger requires lam > 0")
-    return PotentialSpec(Family.KRAMERS_HENNEBERGER, float(alpha), 0.5,
+    return PotentialSpec(FAMILIES["kramers-henneberger"], float(alpha), 0.5,
                          {"eps_exp": float(eps_exp), "lam": float(lam)})
 
 
@@ -332,13 +300,27 @@ def custom(profile: Callable, coupling: float = 1.0, kappa: float = 1.0,
     """Wrap a user shape function v(x) as a family member.
 
     ``profile`` should accept numpy arrays if the resulting spec is meant
-    for the grid eigensolver.  Without d1/d2 the expansion machinery uses the
-    central finite-difference fallback.
+    for the grid eigensolver.  Without both d1 and d2 the derivatives fall
+    back to a central difference and the 5-point second-derivative
+    stencil, with steps scaled by max(|x0|, 1).  Each call builds its own
+    family entry, with no energy law, beta or fixed-point power law.
     """
     if kappa <= 0:
         raise DomainError("custom requires kappa > 0")
-    return PotentialSpec(Family.CUSTOM, float(coupling), float(kappa),
-                         profile=profile, profile_d1=d1, profile_d2=d2)
+
+    def derivatives(s, x0):
+        v0 = float(profile(x0))
+        if d1 is not None and d2 is not None:
+            return v0, float(d1(x0)), float(d2(x0))
+        h1 = max(abs(x0), 1.0) * _H1_SCALE
+        fd1 = (profile(x0 + h1) - profile(x0 - h1)) / (2.0 * h1)
+        h2 = max(abs(x0), 1.0) * _H2_SCALE
+        fd2 = (-profile(x0 + 2 * h2) + 16 * profile(x0 + h2) - 30 * v0
+               + 16 * profile(x0 - h2) - profile(x0 - 2 * h2)) / (12 * h2 * h2)
+        return v0, float(fd1), float(fd2)
+
+    family = FamilyDef("custom", lambda s, x: profile(x), derivatives)
+    return PotentialSpec(family, float(coupling), float(kappa))
 
 
 def with_coupling_and_cutoff(spec: PotentialSpec, coupling: float, lam: float) -> PotentialSpec:
@@ -347,5 +329,5 @@ def with_coupling_and_cutoff(spec: PotentialSpec, coupling: float, lam: float) -
     if "lam" not in spec.shape:
         return replace(spec, coupling=float(coupling))
     if lam <= 0:
-        raise DomainError(f"{spec.family.value} requires lam > 0")
+        raise DomainError(f"{spec.family.name} requires lam > 0")
     return replace(spec, coupling=float(coupling), shape={**spec.shape, "lam": float(lam)})

@@ -96,7 +96,7 @@ def criterion_4() -> CriterionResult:
                 bn = beta_numeric(spec, g, lam)
                 rel = abs(bn - bc) / abs(bc)
                 if rel > worst:
-                    worst, where = rel, f"{spec.family.value}(g={g}, lam={lam})"
+                    worst, where = rel, f"{spec.family.name}(g={g}, lam={lam})"
     passed = worst <= 1.0e-4
     return CriterionResult(4, "beta-cross-validation", passed,
                            f"worst rel diff {worst:.3g} at {where}")

@@ -192,8 +192,8 @@ def test_malformed_numbers_exit_2(tmp_path, args):
     (["kh-scan", "--eps-exp", "0"], None),
     (["kh-scan"], {"z-window": "0.2"}),
     (["flow", "quartic"], {"g0": "1"}),
-    (["oracle", "quartic"], {"params": {"g": "x"}}),
-    (["oracle", "quartic"], {"params": {"g": None}}),
+    (["oracle", "quartic"], {"g": "x"}),
+    (["oracle", "quartic"], {"g": None}),
     (["flow", "quartic"], {"beta": ["closed"]}),
 ], ids=["oracle-even-n", "analyze-even-n", "oracle-string-n",
         "analyze-string-n", "oracle-zero-half-width",
@@ -216,6 +216,45 @@ def test_bad_settings_exit_2(tmp_path, args, config):
     assert "Traceback" not in res.stderr
     assert not list(tmp_path.glob("*.csv"))  # rejected before any report
     assert not list(tmp_path.glob("*.xml"))
+
+
+def _long_options():
+    """(subcommand, option, bad value) for every long option a config file
+    may set; the value has the wrong JSON type for that option."""
+    parser = cli.build_parser()
+    commands = next(a.choices for a in parser._actions
+                    if isinstance(a.choices, dict))
+    return [pytest.param(name, opt[2:], "yes" if action.nargs == 0 else True,
+                         id=name + opt[1:])
+            for name, sub in commands.items() for action in sub._actions
+            for opt in action.option_strings
+            if opt.startswith("--") and opt not in ("--help", "--config")]
+
+
+@pytest.mark.parametrize("command, key, value", _long_options())
+def test_config_sets_every_long_option(tmp_path, command, key, value):
+    """A config key named like a long option reaches that option: a value
+    of the wrong type is a config error, never ignored."""
+    (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+    args = [command] + (["quartic"] if command in ("flow", "oracle") else [])
+    res = run_cli(args + ["--config", "cfg.json"], tmp_path)
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert "config error" in res.stderr
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_config_keys_match_flags(tmp_path):
+    """Config keys, with - or _, give the same report as the flags."""
+    (tmp_path / "cfg.json").write_text(json.dumps({"g": 8, "half_width": 5}))
+    res = run_cli(["oracle", "quartic", "--config", "cfg.json",
+                   "--output", "config.csv"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    res = run_cli(["oracle", "quartic", "--g", "8", "--half-width", "5",
+                   "--output", "flags.csv"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    config = (tmp_path / "config.csv").read_text()
+    assert config == (tmp_path / "flags.csv").read_text()
+    assert read_csv_rows(tmp_path / "config.csv")[0]["half_width"] == "5"
 
 
 def test_oracle_morse(tmp_path):

@@ -7,10 +7,11 @@ import pytest
 import uvflow as uf
 from uvflow.potentials import FAMILIES
 
-# one member of each builtin family, keyed by family name
-EXAMPLES = {spec.family.value: spec for spec in (
+# one member of each builtin family and one custom shape, keyed by family name
+EXAMPLES = {spec.family.name: spec for spec in (
     uf.morse(4.0, 1.3, 0.7), uf.quartic(0.8), uf.coulomb(1.2),
-    uf.soft_coulomb(1.1, 7.0), uf.kramers_henneberger(0.9, 2.0, 1.0e3))}
+    uf.soft_coulomb(1.1, 7.0), uf.kramers_henneberger(0.9, 2.0, 1.0e3),
+    uf.custom(np.cosh, d1=np.sinh, d2=np.cosh))}
 
 
 def test_morse_value_at_origin():
@@ -104,15 +105,19 @@ def test_kh_derivatives_finite_and_even():
     assert abs(v1) < 1e-8 * max(1.0, abs(v0))
 
 
-@pytest.mark.parametrize("family", list(uf.Family), ids=lambda f: f.value)
-def test_family_table_entry(family):
+@pytest.mark.parametrize("name", [*FAMILIES, "custom"])
+def test_family_table_entry(name):
     """Every builtin family has one table entry, and its value agrees with
-    the first of its derivatives; custom shapes carry their own profile."""
-    if family.value == "custom":
-        assert family not in FAMILIES
-        return
-    spec = EXAMPLES[family.value]
-    assert spec.family in FAMILIES
+    the first of its derivatives; a custom shape carries its own entry,
+    outside the table and with no closed forms."""
+    spec = EXAMPLES[name]
+    if name == "custom":
+        fam = spec.family
+        assert name not in FAMILIES
+        assert fam.energy_law is fam.beta is fam.fixed_point is None
+        assert not fam.attractive and not fam.singular_at_origin
+    else:
+        assert spec.family is FAMILIES[name]
     for x0 in (-0.7, 0.05, 0.3, 0.9, 0.999, 1.5):
         v = float(spec.shape_value(x0))
         v0 = spec.shape_derivatives(x0)[0]
@@ -121,7 +126,7 @@ def test_family_table_entry(family):
 
 def test_with_coupling_and_cutoff():
     q = uf.with_coupling_and_cutoff(uf.quartic(1.0), 3.0, 50.0)
-    assert q.coupling == 3.0 and q.family is uf.Family.QUARTIC
+    assert q.coupling == 3.0 and q.family is FAMILIES["quartic"]
     s = uf.with_coupling_and_cutoff(uf.soft_coulomb(1.0, 5.0), 2.0, 40.0)
     assert s.coupling == 2.0 and s.shape["lam"] == 40.0
     k = uf.with_coupling_and_cutoff(uf.kramers_henneberger(1.0, 2.0, 100.0), 0.5, 300.0)
