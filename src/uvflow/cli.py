@@ -274,10 +274,9 @@ def cmd_flow(args) -> int:
     beta = {"closed": beta_closed_form, "numeric": beta_numeric}.get(str(beta_name))
     if beta is None:
         raise ConfigError(f"unknown beta choice {beta_name!r}")
-    on_fixed_point = args.start_on_fixed_point
-    if on_fixed_point is not None and not isinstance(on_fixed_point, bool):
+    if not isinstance(args.start_on_fixed_point, (bool, type(None))):
         raise ConfigError("start-on-fixed-point must be true or false, "
-                          f"got {on_fixed_point!r}")
+                          f"got {args.start_on_fixed_point!r}")
     rows, aborted = [], None
     if model == "kh":
         K = params.get("K", 1.0)
@@ -290,7 +289,7 @@ def cmd_flow(args) -> int:
                          "energy": kh.scaled_ground_energy(alpha, lam, eps)})
     else:
         spec = build_spec(model, params)
-        if on_fixed_point:
+        if args.start_on_fixed_point:
             g0 = solve_fixed_point(spec)(lam0)
         else:
             g0 = _number("g0", spec.coupling if args.g0 is None else args.g0,

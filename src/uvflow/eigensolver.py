@@ -74,6 +74,8 @@ class Grid:
             raise DomainError("grid half_width must be positive and finite")
         if self.n < 3 or self.n % 2 == 0:
             raise DomainError("grid size must be odd and at least 3")
+        if not 0.0 < self.spacing * self.spacing < math.inf:
+            raise DomainError(f"grid spacing {self.spacing!r} squares to 0 or inf")
 
     @property
     def spacing(self) -> float:
@@ -138,7 +140,8 @@ def _sturm_window(d: np.ndarray, e: np.ndarray, k: int,
     it.  The window [seed - w, seed + w] widens geometrically, one edge at a
     time, until the counts straddle k; a window that then holds more levels
     than k (a seed far off) is halved by counts until it holds only k, or
-    shrinks to _EIG_TOL around a cluster.  A count is LAPACK dstebz over
+    until its ends are adjacent floats around a cluster, so that a midpoint
+    would round onto an end.  A count is LAPACK dstebz over
     (floor, x] with an infinite tolerance: two Sturm sweeps at the ends and
     one midpoint sweep, no bisection; 'B' ordering skips its sort.
     """
@@ -167,13 +170,14 @@ def _sturm_window(d: np.ndarray, e: np.ndarray, k: int,
             lo, n_lo = hi, n_hi
             hi = seed + w
             n_hi = count(hi)
-    while n_hi - n_lo > 1 and hi - lo > _EIG_TOL:
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while n_hi - n_lo > 1 and lo < mid < hi:
         n_mid = count(mid)
         if n_mid > k:
             hi, n_hi = mid, n_mid
         else:
             lo, n_lo = mid, n_mid
+        mid = 0.5 * (lo + hi)
     return lo, hi, n_lo, n_hi
 
 

@@ -151,11 +151,10 @@ def uv_energy_law(spec: PotentialSpec) -> Callable[[float, float], float]:
     form (the regularized-Coulomb one keeps the printed bracket constant,
     which differs from the generic completed square; see README).
     """
-    law = spec.family.energy_law
-    if law is None:
+    if spec.family.energy_law is None:
         # no printed law (custom shapes); fall back to the exact reduction
         return lambda g, lam: pipeline_ground_energy(spec, g, lam)
-    return partial(law, spec.shape)
+    return partial(spec.family.energy_law, spec.shape)
 
 
 # -- beta functions ---------------------------------------------------------
@@ -163,10 +162,9 @@ def uv_energy_law(spec: PotentialSpec) -> Callable[[float, float], float]:
 def beta_closed_form(spec: PotentialSpec, g: float, lam: float) -> float:
     """Hand-derived beta = dg/dln(Lambda) for the builtin families."""
     lam = _check_lam(lam)
-    beta = spec.family.beta
-    if beta is None:
+    if spec.family.beta is None:
         raise FlowUndefinedError(f"no closed-form beta for family {spec.family.name}")
-    return beta(spec.shape, g, lam)
+    return spec.family.beta(spec.shape, g, lam)
 
 
 def beta_numeric(spec: PotentialSpec, g: float, lam: float) -> float:
@@ -235,7 +233,10 @@ def integrate_flow(spec: PotentialSpec, g0: float, lam0: float, lam1: float,
         raise DomainError(f"unknown beta method {beta!r}")
 
     def rhs(s, y):
-        return [rhs_beta(y[0], math.exp(s))]
+        b = rhs_beta(float(y[0]), math.exp(s))
+        if not math.isfinite(b):
+            raise FlowUndefinedError(f"beta is {b} at (g={y[0]}, lam={math.exp(s)})")
+        return [b]
 
     s0, s1 = math.log(lam0), math.log(lam1)
     s_eval = np.linspace(s0, s1, n_points)

@@ -203,20 +203,27 @@ def ground_energy_limits(eps_exp: float, regime: FieldRegime) -> EnergyLimit:
     printed, including the strong-drive root ambiguity (both branches come
     out positive and proportional to eps_exp^2).  The regime labels follow
     the source convention even though the small-field label is paired with
-    large eps_exp; see README.
+    large eps_exp; see README.  An eps_exp at which a limit is not a finite
+    float is a DomainError.
     """
     if eps_exp <= 0.0:
         raise DomainError("eps_exp must be positive")
-    if regime is FieldRegime.SMALL_FIELD:
-        K = -math.sqrt(2.0 / (math.pi * eps_exp ** 3))
-        energy = -0.5 + 1.0 / eps_exp ** 2
-        return EnergyLimit(regime, energy, K,
-                           note="single branch; tends to -1/2 as eps_exp grows")
-    half_root = 0.5 * math.sqrt(2.0 / math.pi) * eps_exp ** 2
-    base = (2.0 / math.pi) * eps_exp ** 2
-    plus, minus = base + half_root, base - half_root
-    return EnergyLimit(regime, plus, eps_exp, branches=(plus, minus),
-                       note="both branches positive, proportional to eps_exp^2")
+    try:
+        if regime is FieldRegime.SMALL_FIELD:
+            K = -math.sqrt(2.0 / (math.pi * eps_exp ** 3))
+            limit = EnergyLimit(regime, -0.5 + 1.0 / eps_exp ** 2, K,
+                                note="single branch; tends to -1/2 as eps_exp grows")
+        else:
+            half_root = 0.5 * math.sqrt(2.0 / math.pi) * eps_exp ** 2
+            base = (2.0 / math.pi) * eps_exp ** 2
+            plus, minus = base + half_root, base - half_root
+            limit = EnergyLimit(regime, plus, eps_exp, branches=(plus, minus),
+                                note="both branches positive, proportional to eps_exp^2")
+        if math.isfinite(limit.energy) and math.isfinite(limit.constant):
+            return limit
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise DomainError(f"the {regime.value} limit is not finite at eps_exp = {eps_exp!r}")
 
 
 def reduced_quadratic_spec(c0: float, c2: float, alpha: float,

@@ -231,8 +231,7 @@ def _kh_fixed_point(stiffness):
 
 
 FAMILIES = {fam.name: fam for fam in (
-    FamilyDef("morse", _morse_value, _morse_derivatives, _morse_law,
-              _morse_beta),
+    FamilyDef("morse", _morse_value, _morse_derivatives, _morse_law, _morse_beta),
     FamilyDef("quartic", _quartic_value,
               lambda s, x0: (x0 ** 4, 4.0 * x0 ** 3, 12.0 * x0 ** 2),
               _quartic_law, _quartic_beta,

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -216,6 +217,26 @@ def test_bad_settings_exit_2(tmp_path, args, config):
     assert "Traceback" not in res.stderr
     assert not list(tmp_path.glob("*.csv"))  # rejected before any report
     assert not list(tmp_path.glob("*.xml"))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args", [
+    ["kh-scan", "--eps-exp", "1e-120"],
+    ["kh-scan", "--eps-exp", "1e160"],
+    ["oracle", "quartic", "--half-width", "1e-160"],
+    ["oracle", "quartic", "--half-width", "1e160"],
+    ["flow", "quartic", "--g0", "1e300"],
+    ["oracle", "quartic", "--g", "-1"],
+], ids=["kh-scan-tiny-eps-exp", "kh-scan-huge-eps-exp",
+        "oracle-tiny-half-width", "oracle-huge-half-width", "flow-huge-g0",
+        "oracle-inverted-quartic"])
+def test_extreme_numbers_exit_1(tmp_path, args):
+    """Finite inputs whose numbers leave the float range end in one
+    UVFlowError line and exit 1: no traceback, no RuntimeWarning, no hang."""
+    res = run_cli(args, tmp_path)
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert re.search(r": \w+Error: ", res.stderr.splitlines()[0])
+    assert "Traceback" not in res.stderr
 
 
 def _long_options():

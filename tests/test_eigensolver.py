@@ -301,6 +301,15 @@ def test_window_solve_ignores_a_bad_seed(sector):
             assert_same_level(spec, grid, parity, k, seed)
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_window_stops_at_adjacent_floats(k):
+    """Levels closer than one ulp of their size: halving stops once the
+    midpoint would round onto an end, with both levels in the window."""
+    window = eigensolver._sturm_window(np.array([1000.0, 1000.0]),
+                                       np.array([1.0e-14]), k, 1000.0)
+    assert window == (999.9999999999999, 1000.0, 0, 2)
+
+
 def test_only_base_size_grids_are_solved_by_index(monkeypatch):
     calls = []
 
