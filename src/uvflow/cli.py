@@ -128,8 +128,8 @@ def _load_config(args) -> None:
     """Fill the options left off the command line from the --config file.
 
     A key names one of the subcommand's long options, written with - or _
-    (analyze also reads ``models``); any other key, and a null value, is a
-    config error.
+    (analyze also reads ``models``); any other key, a key given in both
+    spellings, and a null value are config errors.
     """
     path = getattr(args, "config", None)
     if path is None:
@@ -143,6 +143,8 @@ def _load_config(args) -> None:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
+    if len({key.replace("-", "_") for key in cfg}) < len(cfg):
+        raise ConfigError(f"config {path} sets an option under both spellings")
     options = set(vars(args)) - {"command", "func", "config", "model"}
     for key, value in cfg.items():
         dest = key.replace("-", "_")
@@ -238,8 +240,7 @@ def cmd_analyze(args) -> int:
                           f"got {models!r}")
     policy = _member(SignPolicy, args.sign_policy, "sign policy")
     params = _params(args)
-    half_width = (None if args.half_width is None
-                  else _number("half-width", args.half_width))
+    half_width = None if args.half_width is None else _number("half-width", args.half_width)
     n = None if args.n is None else _grid_size(args.n)
     path, fmt = _report_path(args, "analyze")
     rows, failed = [], False
@@ -292,8 +293,7 @@ def cmd_flow(args) -> int:
         if args.start_on_fixed_point:
             g0 = solve_fixed_point(spec)(lam0)
         else:
-            g0 = _number("g0", spec.coupling if args.g0 is None else args.g0,
-                         -math.inf)
+            g0 = _number("g0", spec.coupling if args.g0 is None else args.g0, -math.inf)
         try:
             traj = integrate_flow(spec, g0, lam0, lam1, n_points=points,
                                   beta=lambda g, lam: beta(spec, g, lam))

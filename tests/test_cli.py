@@ -196,6 +196,7 @@ def test_malformed_numbers_exit_2(tmp_path, args):
     (["oracle", "quartic"], {"g": "x"}),
     (["oracle", "quartic"], {"g": None}),
     (["flow", "quartic"], {"beta": ["closed"]}),
+    (["kh-scan"], {"eps-exp": 2, "eps_exp": 3}),
 ], ids=["oracle-even-n", "analyze-even-n", "oracle-string-n",
         "analyze-string-n", "oracle-zero-half-width",
         "analyze-negative-half-width", "oracle-negative-level",
@@ -206,7 +207,7 @@ def test_malformed_numbers_exit_2(tmp_path, args):
         "kh-scan-few-fit-samples", "kh-scan-wide-z-window",
         "kh-scan-zero-eps-exp", "kh-scan-string-z-window",
         "flow-string-g0", "oracle-string-param", "oracle-null-param",
-        "flow-list-beta"])
+        "flow-list-beta", "kh-scan-both-spellings"])
 def test_bad_settings_exit_2(tmp_path, args, config):
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
