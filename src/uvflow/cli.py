@@ -262,8 +262,18 @@ def cmd_analyze(args) -> int:
 
 # -- flow --------------------------------------------------------------------
 
+# settings of flow that the fixed K**2/ln(lam) trajectory of kh does not read
+_KH_FLOW_IGNORES = ("g0", "beta", "start_on_fixed_point") + tuple(
+    key for key in _PARAMS if key not in ("K", "eps_exp"))
+
+
 def cmd_flow(args) -> int:
     model = args.model
+    if model == "kh":
+        ignored = [key for key in _KH_FLOW_IGNORES if getattr(args, key) is not None]
+        if ignored:
+            raise ConfigError("flow kh follows g = K**2/ln(lam) and takes no "
+                              + ", ".join(k.replace("_", "-") for k in ignored))
     params = _params(args)
     path, fmt = _report_path(args, f"flow_{model}")
     lam0 = _number("lam0", 10.0 if args.lam0 is None else args.lam0, LAMBDA_FLOOR)

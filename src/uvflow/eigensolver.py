@@ -11,6 +11,9 @@ Two deliberately independent routes:
   Brent's method converges on the mismatch between an outward and an
   inward sweep.
 
+Brent's method is a port of scipy's ``brentq``, so that importing uvflow
+loads no ``scipy.optimize``.
+
 A grid level is found in a narrow energy window seeded by the same level
 on the next-coarser grid ((n + 1)/2 points, made odd), recursively down to
 a base grid of at most 1025 points, where LAPACK bisects for the level by
@@ -35,14 +38,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal, get_lapack_funcs
-from scipy.optimize import brentq
 
 from .errors import (DomainError, DomainTooSmallError, IterationLimitError,
-                     SingularPointError)
+                     NoBoundStateError, SingularPointError)
 from .potentials import PotentialSpec
 
 _BOUNDARY_LEAK = 1.0e-10
@@ -250,10 +252,24 @@ def _classify_parity(psi: np.ndarray) -> Optional[Parity]:
     return None
 
 
+def _lowest_at_wall(spec: PotentialSpec, grid: Grid,
+                    parity: Optional[Parity]) -> bool:
+    """Whether V, over the nodes of the sector, is lowest at x = +-half_width."""
+    x = grid.nodes
+    if parity is not None:
+        x = x[grid.n // 2 + (parity is Parity.ODD):]
+    return abs(x[np.argmin(_potential_on(spec, x))]) == grid.half_width
+
+
 def eigenvalue_by_index(spec: PotentialSpec, grid: Grid, k: int,
                         parity: Optional[Parity] = None,
                         refine: bool = True) -> OracleResult:
-    """Level k (within the parity sector if one is given), grid route."""
+    """Level k (within the parity sector if one is given), grid route.
+
+    A level that has not decayed at the box edge is a DomainTooSmallError,
+    or a NoBoundStateError when V is lowest at the wall, where no larger
+    box would confine it.
+    """
     if k < 0:
         raise DomainError("level index must be nonnegative")
     if parity is not Parity.ODD and spec.family.singular_at_origin:
@@ -264,6 +280,10 @@ def eigenvalue_by_index(spec: PotentialSpec, grid: Grid, k: int,
     raw, psi = _solve_sector(spec, grid, k, parity, seed=seed)
     peak = float(np.max(np.abs(psi)))
     if max(abs(psi[1]), abs(psi[-2])) > _BOUNDARY_LEAK * peak:
+        if _lowest_at_wall(spec, grid, parity):
+            raise NoBoundStateError(
+                f"level {k} sits against the box wall, where the potential "
+                "is lowest: no box confines it")
         raise DomainTooSmallError(
             "eigenfunction has not decayed at the box edge; enlarge half_width")
     psi = psi / math.sqrt(float(np.sum(psi ** 2)) * grid.spacing)
@@ -310,6 +330,8 @@ def ground_state(spec: PotentialSpec, grid: Grid,
 _BELOW_ZERO = -1.0 - 2.0 ** -52
 _SHOOT_N = 20001         # mesh points of a shooting sweep
 _SHOOT_TOL = 1.0e-12     # relative energy tolerance of a shooting solve
+_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
+_BRENT_ITER = 100
 
 
 def _numerov_w(spec: PotentialSpec, energy: float, v: np.ndarray,
@@ -381,6 +403,66 @@ def _numerov_mismatch(w: memoryview, parity: Optional[Parity],
             / math.hypot(1.0, 1.0 + rho) / math.hypot(1.0, 1.0 + sigma))
 
 
+def _brentq(f: Callable[[float], float], xa: float, xb: float,
+            xtol: float) -> float:
+    """Root of f in [xa, xb] by Brent's method (R. P. Brent, Algorithms for
+    Minimization without Derivatives (1973), ch. 4), line for line as
+    scipy's C ``brentq``.
+
+    Stops when the bracket is below xtol + _BRENT_RTOL |x|; a bracket
+    without a sign change, a NaN value or _BRENT_ITER iterations without
+    convergence raise IterationLimitError.
+    """
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise IterationLimitError(f"Brent search met a NaN at {x!r}")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise IterationLimitError(
+            f"Brent search needs a sign change over [{xa!r}, {xb!r}]")
+    for _ in range(_BRENT_ITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis       # bisect
+        else:
+            spre = scur = sbis           # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise IterationLimitError(
+        f"Brent search did not converge in {_BRENT_ITER} iterations")
+
+
 def shooting_ground_energy(spec: PotentialSpec, half_width: float,
                            parity: Optional[Parity] = None) -> float:
     """Ground level by renormalized Numerov shooting on _SHOOT_N points.
@@ -439,10 +521,7 @@ def shooting_ground_energy(spec: PotentialSpec, half_width: float,
         else:
             lo = mid
     m = min(max(int(np.flatnonzero(v <= hi)[-1]), 1), _SHOOT_N - 3)
-    try:
-        return brentq(
-            lambda energy: _numerov_mismatch(_numerov_w(spec, energy, v, h),
-                                             parity, m),
-            lo, hi, xtol=_SHOOT_TOL * max(1.0, abs(lo), abs(hi)))
-    except RuntimeError as exc:
-        raise IterationLimitError(f"Brent search did not converge: {exc}") from exc
+    return _brentq(
+        lambda energy: _numerov_mismatch(_numerov_w(spec, energy, v, h),
+                                         parity, m),
+        lo, hi, _SHOOT_TOL * max(1.0, abs(lo), abs(hi)))

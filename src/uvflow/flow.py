@@ -24,19 +24,23 @@ in the ``potentials.FamilyDef`` that each spec carries; this module reads
 that entry and never branches on the family.  A family with no law (every
 custom shape) uses the exact reduction, one with no closed-form beta has
 none, and one with no fixed-point power law has its fixed point tabulated.
+
+The two numerical tools the flows need, a scalar Dormand-Prince integrator
+and a monotone cubic interpolant, are written out here on Python floats
+rather than imported, so that importing uvflow loads only numpy and
+``scipy.linalg``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (DomainError, FlowUndefinedError, IntegrationAbortError,
                      NoFixedPointError, NoUVLimitError)
@@ -89,20 +93,60 @@ class LogFlow:
         return -self.K ** 2 / (s * s)
 
 
+def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided three-point slope at an end knot, kept shape-preserving."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Knot slopes of the monotone piecewise cubic through (x, y).
+
+    Fritsch & Carlson (SIAM J. Numer. Anal. 17, 238 (1980)) with the
+    weighted harmonic mean of Fritsch & Butland at interior knots: zero
+    where the neighbouring secants differ in sign or one vanishes.  The
+    end slopes are the three-point formula of Moler's pchiptx, held to
+    the sign of the end secant.  Operation for operation this is scipy's
+    PchipInterpolator.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if len(m) == 1:
+        return np.array([m[0], m[0]])
+    d = np.zeros_like(y)
+    inner = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
+    w1 = (2.0 * h[1:] + h[:-1])[inner]
+    w2 = (h[1:] + 2.0 * h[:-1])[inner]
+    d[1:-1][inner] = 1.0 / ((w1 / m[:-1][inner] + w2 / m[1:][inner]) / (w1 + w2))
+    d[0] = _end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
 @dataclass(frozen=True)
 class TabulatedFlow:
-    """Sampled trajectory, interpolated monotonically in ln(Lambda)."""
+    """Sampled trajectory, interpolated monotonically in ln(Lambda).
+
+    Between knots the coupling is the cubic Hermite polynomial on the
+    ``_pchip_slopes``, so it overshoots no sample.
+    """
 
     lams: np.ndarray
     couplings: np.ndarray
-    _interp: PchipInterpolator = field(init=False, repr=False, compare=False)
+    _knots: Tuple[list, list, list] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lams = np.asarray(self.lams, dtype=float)
         if lams.ndim != 1 or len(lams) < 2 or np.any(np.diff(lams) <= 0):
             raise DomainError("tabulated flow needs strictly increasing cutoffs")
-        interp = PchipInterpolator(np.log(lams), np.asarray(self.couplings, dtype=float))
-        object.__setattr__(self, "_interp", interp)
+        s = np.log(lams)
+        g = np.asarray(self.couplings, dtype=float)
+        knots = (s.tolist(), g.tolist(), _pchip_slopes(s, g).tolist())
+        object.__setattr__(self, "_knots", knots)
 
     @property
     def lam_min(self) -> float:
@@ -116,7 +160,16 @@ class TabulatedFlow:
         if not (self.lam_min <= lam <= self.lam_max):
             raise DomainError(f"cutoff {lam} outside tabulated range "
                               f"[{self.lam_min}, {self.lam_max}]")
-        return float(self._interp(math.log(lam)))
+        s, g, d = self._knots
+        x = math.log(lam)
+        i = min(bisect_right(s, x), len(s) - 1) - 1  # x = s[-1] takes the last piece
+        # power-form coefficients of the Hermite cubic on [s_i, s_i+1]
+        h = s[i + 1] - s[i]
+        secant = (g[i + 1] - g[i]) / h
+        t = (d[i] + d[i + 1] - 2.0 * secant) / h
+        c3, c2 = t / h, (secant - d[i]) / h - t
+        u = x - s[i]
+        return g[i] + d[i] * u + c2 * (u * u) + c3 * (u * u * u)
 
 
 CouplingFlow = PowerLawFlow | LogFlow | TabulatedFlow
@@ -214,14 +267,137 @@ def solve_fixed_point(spec: PotentialSpec) -> CouplingFlow:
 
 
 # -- flow integration -------------------------------------------------------
+#
+# The explicit 5(4) pair of Dormand & Prince (J. Comput. Appl. Math. 6, 19
+# (1980)) with the step control of Hairer, Norsett & Wanner (Solving
+# Ordinary Differential Equations I, Sec. II.4) and the pair's 4th-order
+# continuous extension, on Python floats for the one scalar equation.
+# Tableau, starting step, controller and interpolant are those of scipy's
+# RK45, so a trajectory matches solve_ivp(method="RK45") to rounding.
+
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_A = ((1 / 5,),
+         (3 / 40, 9 / 40),
+         (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+# 5th minus 4th order weights over all seven stages: the local error estimate
+_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525,
+         1 / 40)
+# dense output: y(t + x h) = y + h sum_j (sum_i k_i P_ij) x^(j+1), stored by
+# column j, one weight per stage i
+_DP_P = tuple(zip(
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423)))
+_DP_SAFETY = 0.9
+_DP_MIN_FACTOR = 0.2     # bounds on the step change after one attempt
+_DP_MAX_FACTOR = 10.0
+_DP_EXPONENT = -1.0 / 5.0  # the controlled error is O(h^5)
+
+
+def _dot(ks: Sequence[float], ws: Sequence[float]) -> float:
+    """sum k_i w_i, accumulated left to right."""
+    acc = 0.0
+    for k, w in zip(ks, ws):
+        acc += k * w
+    return acc
+
+
+def _dormand_prince(rhs: Callable[[float, float], float], t0: float, y0: float,
+                    t_eval: Sequence[float], rtol: float,
+                    atol: float) -> Iterator[float]:
+    """Integrate dy/dt = rhs(t, y) from t0 to t_eval[-1]; yield y at each
+    point of t_eval (monotone, starting at t0) as the steps pass it.
+
+    A step is accepted when its error estimate, scaled by
+    atol + rtol max(|y_old|, |y_new|), is below 1; the next step is the
+    last one times 0.9 err^(-1/5), held to [0.2, 10], and never grows
+    right after a rejection.  A step below 10 ulp of t raises
+    FlowUndefinedError; exceptions of ``rhs`` pass through, so the caller
+    keeps every value yielded before them.
+    """
+    t_bound = t_eval[-1]
+    direction = 1.0 if t_bound > t0 else -1.0
+    t, y = t0, y0
+    f = rhs(t, y)
+    # starting step (Hairer, Norsett & Wanner II.4)
+    span = abs(t_bound - t0)
+    scale = atol + abs(y) * rtol
+    d0, d1 = abs(y / scale), abs(f / scale)
+    h0 = 1.0e-6 if d0 < 1.0e-5 or d1 < 1.0e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    f1 = rhs(t + h0 * direction, y + h0 * direction * f)
+    d2 = abs((f1 - f) / scale) / h0
+    if d1 <= 1.0e-15 and d2 <= 1.0e-15:
+        h1 = max(1.0e-6, h0 * 1.0e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 5.0)
+    h_abs = min(100.0 * h0, h1, span)
+    emitted = 0
+    while True:
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise FlowUndefinedError(
+                    f"the step fell below 10 ulp of ln(lam) = {t}")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0.0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            ks = [f]
+            for c, a in zip(_DP_C, _DP_A):
+                ks.append(rhs(t + c * h, y + _dot(ks, a) * h))
+            y_new = y + h * _dot(ks, _DP_B)
+            f_new = rhs(t + h, y_new)
+            ks.append(f_new)
+            err = abs(_dot(ks, _DP_E) * h
+                      / (atol + max(abs(y), abs(y_new)) * rtol))
+            if err < 1.0:
+                factor = (_DP_MAX_FACTOR if err == 0.0 else
+                          min(_DP_MAX_FACTOR, _DP_SAFETY * err ** _DP_EXPONENT))
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_DP_MIN_FACTOR, _DP_SAFETY * err ** _DP_EXPONENT)
+            rejected = True
+        q = [_dot(ks, col) for col in _DP_P]
+        while emitted < len(t_eval) and direction * (t_eval[emitted] - t_new) <= 0.0:
+            x = (t_eval[emitted] - t) / h
+            xx = x * x
+            yield h * _dot(q, (x, xx, xx * x, xx * x * x)) + y
+            emitted += 1
+        if direction * (t_new - t_bound) >= 0.0:
+            return
+        t, y, f = t_new, y_new, f_new
+
 
 def integrate_flow(spec: PotentialSpec, g0: float, lam0: float, lam1: float,
                    beta: str | Callable[[float, float], float] = "closed-form",
                    n_points: int = 129) -> TabulatedFlow:
-    """Integrate dg/ds = beta(g, e^s) in s = ln(Lambda) from lam0 to lam1."""
+    """Integrate dg/ds = beta(g, e^s) in s = ln(Lambda) from lam0 to lam1.
+
+    The trajectory is sampled at n_points equally spaced in s.  A beta
+    that fails, or a coupling that leaves the float range, aborts with an
+    IntegrationAbortError whose ``partial`` holds the samples reached
+    before the failure, in integration order (None when there are none).
+    """
     lam0 = _check_lam(lam0)
     lam1 = _check_lam(lam1)
-    if lam0 == lam1:
+    s0, s1 = math.log(lam0), math.log(lam1)
+    if s0 == s1:
         raise DomainError("integration endpoints coincide")
     if callable(beta):
         rhs_beta = beta
@@ -232,29 +408,26 @@ def integrate_flow(spec: PotentialSpec, g0: float, lam0: float, lam1: float,
     else:
         raise DomainError(f"unknown beta method {beta!r}")
 
-    def rhs(s, y):
-        b = rhs_beta(float(y[0]), math.exp(s))
+    def rhs(s: float, g: float) -> float:
+        b = rhs_beta(g, math.exp(s))
         if not math.isfinite(b):
-            raise FlowUndefinedError(f"beta is {b} at (g={y[0]}, lam={math.exp(s)})")
-        return [b]
+            raise FlowUndefinedError(f"beta is {b} at (g={g}, lam={math.exp(s)})")
+        return b
 
-    s0, s1 = math.log(lam0), math.log(lam1)
     s_eval = np.linspace(s0, s1, n_points)
+    gs: list[float] = []
     try:
-        sol = solve_ivp(rhs, (s0, s1), [float(g0)], t_eval=s_eval,
-                        rtol=1.0e-8, atol=abs(g0) * 1.0e-8 * 1e-3 + 1e-300,
-                        method="RK45")
+        for g in _dormand_prince(rhs, s0, float(g0), s_eval.tolist(),
+                                 rtol=1.0e-8, atol=abs(g0) * 1.0e-8 * 1e-3 + 1e-300):
+            if not math.isfinite(g):
+                raise FlowUndefinedError(f"the coupling reached {g}")
+            gs.append(g)
     except (FlowUndefinedError, DomainError, ValueError, OverflowError) as exc:
-        raise IntegrationAbortError(f"beta evaluation failed mid-flow: {exc}") from exc
-    good = np.isfinite(sol.y[0])
-    if not sol.success or not good.all():
-        lams_ok = np.exp(sol.t[good])
-        gs_ok = sol.y[0][good]
-        raise IntegrationAbortError(
-            f"flow integration aborted: {sol.message}",
-            partial=(lams_ok, gs_ok) if len(gs_ok) else None)
-    lams = np.exp(sol.t)
-    gs = sol.y[0]
+        partial = (np.exp(s_eval[:len(gs)]), np.array(gs)) if gs else None
+        raise IntegrationAbortError(f"flow integration aborted: {exc}",
+                                    partial=partial) from exc
+    lams = np.exp(s_eval)
+    gs = np.array(gs)
     if lams[0] > lams[-1]:
         lams, gs = lams[::-1], gs[::-1]
     # exp(log(lam)) rounding must not shrink the range past the endpoints

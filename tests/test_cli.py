@@ -115,6 +115,22 @@ def test_flow_abort_writes_partial_and_exits_1(tmp_path):
     assert read_csv_rows(out) == []  # header only, nothing sampled
 
 
+def test_flow_mid_flow_abort_writes_the_rows_reached(tmp_path, monkeypatch):
+    def beta(spec, g, lam, _beta=cli.beta_closed_form):
+        if lam > 100.0:
+            raise uvflow.FlowUndefinedError("no beta above 100")
+        return _beta(spec, g, lam)
+
+    monkeypatch.setattr(cli, "beta_closed_form", beta)
+    out = tmp_path / "q.csv"
+    res = run_cli(["flow", "quartic", "--output", str(out)], tmp_path)
+    assert res.returncode == 1
+    assert "wrote partial trajectory" in res.stderr
+    lams = [float(r["lambda"]) for r in read_csv_rows(out)]
+    assert lams[0] == 10.0 and 10 < len(lams) < 41
+    assert lams[-1] <= 100.0
+
+
 def test_flow_kh_tracks_log_solution(tmp_path):
     out = tmp_path / "kh.json"
     res = run_cli(["flow", "kh", "--K", "1", "--lam0", "100",
@@ -197,6 +213,12 @@ def test_malformed_numbers_exit_2(tmp_path, args):
     (["oracle", "quartic"], {"g": None}),
     (["flow", "quartic"], {"beta": ["closed"]}),
     (["kh-scan"], {"eps-exp": 2, "eps_exp": 3}),
+    (["flow", "kh", "--g0", "5"], None),
+    (["flow", "kh", "--beta", "numeric"], None),
+    (["flow", "kh", "--start-on-fixed-point"], None),
+    (["flow", "kh", "--alpha", "2"], None),
+    (["flow", "kh"], {"lam": 100.0}),
+    (["flow", "kh"], {"start_on_fixed_point": False}),
 ], ids=["oracle-even-n", "analyze-even-n", "oracle-string-n",
         "analyze-string-n", "oracle-zero-half-width",
         "analyze-negative-half-width", "oracle-negative-level",
@@ -207,7 +229,9 @@ def test_malformed_numbers_exit_2(tmp_path, args):
         "kh-scan-few-fit-samples", "kh-scan-wide-z-window",
         "kh-scan-zero-eps-exp", "kh-scan-string-z-window",
         "flow-string-g0", "oracle-string-param", "oracle-null-param",
-        "flow-list-beta", "kh-scan-both-spellings"])
+        "flow-list-beta", "kh-scan-both-spellings", "flow-kh-g0",
+        "flow-kh-beta", "flow-kh-start-on-fixed-point", "flow-kh-alpha",
+        "flow-kh-lam-config", "flow-kh-fixed-point-config"])
 def test_bad_settings_exit_2(tmp_path, args, config):
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -238,6 +262,35 @@ def test_extreme_numbers_exit_1(tmp_path, args):
     assert res.returncode == 1, res.stdout + res.stderr
     assert re.search(r": \w+Error: ", res.stderr.splitlines()[0])
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["oracle", "quartic", "--g", "-1"],
+    ["oracle", "kh"],
+], ids=["inverted-quartic", "kh-defaults"])
+def test_oracle_without_bound_state_says_so(tmp_path, args):
+    """A level pressed against a wall where V is lowest is no bound state,
+    and no larger box would help."""
+    res = run_cli(args, tmp_path)
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert "NoBoundStateError" in res.stderr
+    assert "enlarge half_width" not in res.stderr
+
+
+def test_cli_import_loads_only_numpy_and_scipy_linalg():
+    """Start-up stays cheap: importing the CLI loads none of the heavy
+    scipy subpackages."""
+    heavy = ("scipy.integrate", "scipy.interpolate", "scipy.optimize",
+             "scipy.special")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, uvflow.cli; print("
+         f"[m for m in {heavy!r} if m in sys.modules])"],
+        env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def _long_options():

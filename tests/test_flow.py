@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.interpolate import PchipInterpolator
 
 import uvflow as uf
 from uvflow.flow import UV_SAMPLE_CUTOFFS
@@ -276,6 +278,71 @@ def test_integrate_flow_abort_carries_no_partial_when_immediate():
     with pytest.raises(uf.IntegrationAbortError) as info:
         uf.integrate_flow(uf.coulomb(1.0), 5.0, 1.0e2, 1.0e4)
     assert info.value.partial is None
+
+
+def test_integrate_flow_abort_keeps_partial_trajectory():
+    def beta(g, lam):
+        if lam > 100.0:
+            raise uf.FlowUndefinedError("no beta above 100")
+        return 2.0 * g
+
+    with pytest.raises(uf.IntegrationAbortError) as info:
+        uf.integrate_flow(uf.quartic(1.0), 1.0, 10.0, 1.0e4, beta=beta)
+    lams, gs = info.value.partial
+    s_eval = np.linspace(math.log(10.0), math.log(1.0e4), 129)
+    assert 10 < len(lams) < 129
+    assert lams[-1] <= 100.0
+    assert np.array_equal(lams, np.exp(s_eval[:len(lams)]))
+    assert np.allclose(gs, (lams / 10.0) ** 2, rtol=1e-7, atol=0.0)
+
+
+def _solve_ivp_flow(spec, g0, lam0, lam1):
+    """(couplings, beta evaluations) of integrate_flow through scipy's RK45."""
+    s0, s1 = math.log(lam0), math.log(lam1)
+    sol = solve_ivp(
+        lambda s, y: [uf.beta_closed_form(spec, float(y[0]), math.exp(s))],
+        (s0, s1), [g0], t_eval=np.linspace(s0, s1, 129), rtol=1.0e-8,
+        atol=abs(g0) * 1.0e-11 + 1e-300, method="RK45")
+    assert sol.success
+    return sol.y[0], sol.nfev
+
+
+@pytest.mark.parametrize("spec, g0, lam0, lam1", [
+    (uf.morse(4.0), 4.0, 10.0, 1.0e4),
+    (uf.morse(9.0, 2.0, 3.0), 9.0, 1.0e4, 3.0),
+    (uf.quartic(1.0), 1.0, 10.0, 1.0e4),
+    (uf.quartic(1.0), 50.0, 1.0e4, 10.0),
+], ids=["morse-up", "morse-down", "quartic-up", "quartic-down"])
+def test_integrate_flow_matches_solve_ivp(spec, g0, lam0, lam1):
+    calls = []
+
+    def beta(g, lam):
+        calls.append(lam)
+        return uf.beta_closed_form(spec, g, lam)
+
+    ours = uf.integrate_flow(spec, g0, lam0, lam1, beta=beta).couplings
+    if lam0 > lam1:
+        ours = ours[::-1]
+    theirs, evaluations = _solve_ivp_flow(spec, g0, lam0, lam1)
+    assert np.max(np.abs(ours - theirs) / np.abs(theirs)) < 1e-10
+    assert len(calls) == evaluations  # the same steps, tried and taken
+
+
+@pytest.mark.parametrize("couplings", [
+    [1.0, 1.1, 2.0, 2.0, 5.0, 3.0, 3.5, -1.0, 0.0, 0.0, 4.0],
+    [0.3, 0.2, 1.5, 1.4, 9.0, 9.0, 8.0, 2.0, 2.5, 0.1],
+    [5.0, 1.0, 4.0],
+    [2.0, 7.0],
+], ids=["flat-and-turning", "end-slope-clamps", "three-knots", "two-knots"])
+def test_tabulated_flow_matches_scipy_pchip(couplings):
+    lams = np.geomspace(3.0, 2.0e4, len(couplings)) * np.linspace(
+        1.0, 1.3, len(couplings))  # uneven in ln(lam)
+    flow = uf.TabulatedFlow(lams, np.array(couplings))
+    reference = PchipInterpolator(np.log(lams), couplings)
+    probes = np.concatenate([lams, np.geomspace(lams[0], lams[-1], 997)[1:-1]])
+    for lam in probes:
+        expected = float(reference(math.log(lam)))
+        assert abs(flow(lam) - expected) <= 1e-15 * abs(expected)
 
 
 def test_integrate_flow_validation():
