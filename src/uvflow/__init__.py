@@ -19,11 +19,10 @@ from .potentials import (PotentialSpec, coulomb, custom,
                          kramers_henneberger, morse, quartic, soft_coulomb,
                          with_coupling_and_cutoff)
 from .reduction import (GaussianState, GroundStateEstimate,
-                        QuadraticReduction, SignBranch, expand_at_cutoff,
+                        QuadraticReduction, expand_at_cutoff,
                         ho_ground_energy, ho_ground_wavefunction)
-from .flow import (LAMBDA_FLOOR, LogFlow, PowerLawFlow, SignPolicy,
-                   TabulatedFlow, beta_closed_form, beta_numeric,
-                   default_sign_policy, integrate_flow,
+from .flow import (LAMBDA_FLOOR, LogFlow, PowerLawFlow, TabulatedFlow,
+                   beta_closed_form, beta_numeric, integrate_flow,
                    pipeline_ground_energy, solve_fixed_point, uv_energy_law,
                    uv_limit_energy)
 from .eigensolver import (Grid, OracleResult, Parity, eigenvalue_by_index,
@@ -37,10 +36,10 @@ __all__ = [
     "GaussianState", "Grid", "GroundStateEstimate", "IntegrationAbortError",
     "IterationLimitError", "LAMBDA_FLOOR", "LogFlow", "NoBoundStateError",
     "NoFixedPointError", "NoUVLimitError", "OracleResult", "Parity",
-    "PotentialSpec", "PowerLawFlow", "QuadraticReduction", "SignBranch",
-    "SignPolicy", "SingularPointError", "TabulatedFlow", "UVFlowError",
+    "PotentialSpec", "PowerLawFlow", "QuadraticReduction",
+    "SingularPointError", "TabulatedFlow", "UVFlowError",
     "beta_closed_form", "beta_numeric", "coulomb", "custom",
-    "default_sign_policy", "eigenvalue_by_index",
+    "eigenvalue_by_index",
     "expand_at_cutoff", "ground_state", "ho_ground_energy",
     "ho_ground_wavefunction", "integrate_flow", "kramers_henneberger",
     "morse", "pipeline_ground_energy", "quartic", "shooting_ground_energy",

@@ -32,9 +32,9 @@ import numpy as np
 from . import kh, suite
 from .eigensolver import Grid, Parity, eigenvalue_by_index
 from .errors import ConfigError, IntegrationAbortError, UVFlowError
-from .flow import (LAMBDA_FLOOR, PowerLawFlow, SignPolicy, beta_closed_form,
-                   beta_numeric, integrate_flow, pipeline_ground_energy,
-                   solve_fixed_point, uv_limit_energy)
+from .flow import (LAMBDA_FLOOR, PowerLawFlow, beta_closed_form, beta_numeric,
+                   integrate_flow, pipeline_ground_energy, solve_fixed_point,
+                   uv_limit_energy)
 from .potentials import (PotentialSpec, coulomb, kramers_henneberger, morse,
                          quartic, soft_coulomb)
 
@@ -177,8 +177,31 @@ def _number(name: str, value, floor: float = 0.0) -> float:
     return float(value)
 
 
-def _params(args) -> dict:
-    """The model parameters that are set, each a finite number."""
+# the settings of flow beyond the model parameters; kh's log flow
+# g = K**2/ln(lam) reads none of them
+_FLOW_SETTINGS = ("g0", "beta", "start_on_fixed_point")
+
+
+def _params(args, models: Sequence[str]) -> dict:
+    """The model parameters that are set, each a finite number.
+
+    A model reads its constructor's parameters (and flow's settings);
+    analyze and flow follow kh along its log flow instead, which reads
+    only K and eps_exp.  A setting that none of the models reads is a
+    config error.
+    """
+    read = set()
+    for model in models:
+        if model == "kh" and args.command != "oracle":
+            read.update(("K", "eps_exp"))
+        else:
+            read.update(_MODELS[model][1], _FLOW_SETTINGS)
+    unread = [key for key in (*_PARAMS, *_FLOW_SETTINGS)
+              if getattr(args, key, None) is not None and key not in read]
+    if unread:
+        raise ConfigError(f"{args.command} does not read "
+                          + ", ".join("--" + k.replace("_", "-") for k in unread)
+                          + " for " + ", ".join(models))
     return {key: _number(key, getattr(args, key), -math.inf)
             for key in _PARAMS if getattr(args, key) is not None}
 
@@ -200,8 +223,8 @@ def _member(cls, name, what: str):
 
 # -- analyze -----------------------------------------------------------------
 
-def _analyze_row(model: str, params: dict, policy: Optional[SignPolicy],
-                 half_width: Optional[float], n: Optional[int]) -> dict:
+def _analyze_row(model: str, params: dict, half_width: Optional[float],
+                 n: Optional[int]) -> dict:
     if model == "kh":
         K = params.get("K", 1.0)
         eps = params.get("eps_exp", 1.0)
@@ -216,7 +239,7 @@ def _analyze_row(model: str, params: dict, policy: Optional[SignPolicy],
         flow = PowerLawFlow(spec.coupling, 0.0)
     else:
         flow = solve_fixed_point(spec)
-    est = uv_limit_energy(spec, flow, policy=policy)
+    est = uv_limit_energy(spec, flow)
     dl, dn, dparity = _MODELS[model][2]
     grid = Grid(half_width if half_width is not None else dl,
                 n if n is not None else dn)
@@ -225,7 +248,8 @@ def _analyze_row(model: str, params: dict, policy: Optional[SignPolicy],
     notes = (f"oracle minus flow limit = {oracle - est.energy:.12g}"
              if model == "morse" else "")
     return {"model": model, "rg_energy": est.energy, "oracle_energy": oracle,
-            "rel_error": rel, "sign_branch": est.sign_branch.value,
+            "rel_error": rel,
+            "sign_branch": "positive" if est.branches is None else "ambiguous",
             "flow_law": f"g(lam) = {flow.coefficient:.12g} lam^{flow.exponent:g}",
             "notes": notes}
 
@@ -238,15 +262,14 @@ def cmd_analyze(args) -> int:
             or any(m not in tuple(_MODELS) for m in models)):
         raise ConfigError(f"models must be a list drawn from {tuple(_MODELS)}, "
                           f"got {models!r}")
-    policy = _member(SignPolicy, args.sign_policy, "sign policy")
-    params = _params(args)
+    params = _params(args, models)
     half_width = None if args.half_width is None else _number("half-width", args.half_width)
     n = None if args.n is None else _grid_size(args.n)
     path, fmt = _report_path(args, "analyze")
     rows, failed = [], False
     for model in models:
         try:
-            rows.append(_analyze_row(model, params, policy, half_width, n))
+            rows.append(_analyze_row(model, params, half_width, n))
         except UVFlowError as exc:
             failed = True
             rows.append({"model": model, "sign_branch": "", "flow_law": "",
@@ -262,19 +285,9 @@ def cmd_analyze(args) -> int:
 
 # -- flow --------------------------------------------------------------------
 
-# settings of flow that the fixed K**2/ln(lam) trajectory of kh does not read
-_KH_FLOW_IGNORES = ("g0", "beta", "start_on_fixed_point") + tuple(
-    key for key in _PARAMS if key not in ("K", "eps_exp"))
-
-
 def cmd_flow(args) -> int:
     model = args.model
-    if model == "kh":
-        ignored = [key for key in _KH_FLOW_IGNORES if getattr(args, key) is not None]
-        if ignored:
-            raise ConfigError("flow kh follows g = K**2/ln(lam) and takes no "
-                              + ", ".join(k.replace("_", "-") for k in ignored))
-    params = _params(args)
+    params = _params(args, [model])
     path, fmt = _report_path(args, f"flow_{model}")
     lam0 = _number("lam0", 10.0 if args.lam0 is None else args.lam0, LAMBDA_FLOOR)
     lam1 = _number("lam1", 1.0e4 if args.lam1 is None else args.lam1, LAMBDA_FLOOR)
@@ -381,7 +394,7 @@ def cmd_kh_scan(args) -> int:
 
 def cmd_oracle(args) -> int:
     model = args.model
-    params = _params(args)
+    params = _params(args, [model])
     path, fmt = _report_path(args, f"oracle_{model}")
     dl, dn, dparity = _MODELS[model][2]
     half_width = _number("half-width", dl if args.half_width is None else args.half_width)
@@ -439,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="single model (default: the four case studies)")
     _add_common(p)
     _add_params(p)
-    p.add_argument("--sign-policy", choices=[s.value for s in SignPolicy])
     p.add_argument("--half-width", type=float, help="oracle box half width")
     p.add_argument("--n", type=int, help="oracle grid points (odd)")
     p.set_defaults(func=cmd_analyze, models=None)

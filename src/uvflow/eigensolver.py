@@ -95,7 +95,6 @@ class OracleResult:
     parity: Optional[Parity]
     refinement_estimate: float   # Richardson value from grids (n, 2n-1)
     convergence_ratio: float     # coarse/fine error ratio, ~4 in the h^2 regime
-    x: np.ndarray
 
 
 def _potential_on(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
@@ -300,7 +299,7 @@ def eigenvalue_by_index(spec: PotentialSpec, grid: Grid, k: int,
         refined = (4.0 * e_f - raw) / 3.0
         denom = raw - e_f
         ratio = (e_c - raw) / denom if denom != 0.0 else math.nan
-    return OracleResult(raw, psi, found_parity, refined, ratio, grid.nodes)
+    return OracleResult(raw, psi, found_parity, refined, ratio)
 
 
 def ground_state(spec: PotentialSpec, grid: Grid,

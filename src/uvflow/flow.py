@@ -19,11 +19,12 @@ as Lambda grows (see ``pipeline_ground_energy`` to evaluate the exact
 route).
 
 The laws, the closed-form betas, the fixed-point power laws and the
-attractive flag behind ``default_sign_policy`` are defined once per family,
-in the ``potentials.FamilyDef`` that each spec carries; this module reads
-that entry and never branches on the family.  A family with no law (every
-custom shape) uses the exact reduction, one with no closed-form beta has
-none, and one with no fixed-point power law has its fixed point tabulated.
+attractive flag that picks the quoted branch of an ambiguous level are
+defined once per family, in the ``potentials.FamilyDef`` that each spec
+carries; this module reads that entry and never branches on the family.  A
+family with no law (every custom shape) uses the exact reduction, one with
+no closed-form beta has none, and one with no fixed-point power law has its
+fixed point tabulated.
 
 The two numerical tools the flows need, a scalar Dormand-Prince integrator
 and a monotone cubic interpolant, are written out here on Python floats
@@ -36,17 +37,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import partial
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (DomainError, FlowUndefinedError, IntegrationAbortError,
                      NoFixedPointError, NoUVLimitError)
 from .potentials import PotentialSpec, with_coupling_and_cutoff
-from .reduction import (GroundStateEstimate, SignBranch, expand_at_cutoff,
-                        ho_ground_energy)
+from .reduction import GroundStateEstimate, expand_at_cutoff, ho_ground_energy
 
 LAMBDA_FLOOR = 2.0
 
@@ -173,18 +172,6 @@ class TabulatedFlow:
 
 
 CouplingFlow = PowerLawFlow | LogFlow | TabulatedFlow
-
-
-class SignPolicy(Enum):
-    PREFER_NEGATIVE = "prefer-negative"
-    PREFER_POSITIVE = "prefer-positive"
-
-
-def default_sign_policy(spec: PotentialSpec) -> SignPolicy:
-    """Attractive families resolve the root downward, confining ones upward."""
-    if spec.family.attractive:
-        return SignPolicy.PREFER_NEGATIVE
-    return SignPolicy.PREFER_POSITIVE
 
 
 # -- energy laws ------------------------------------------------------------
@@ -457,8 +444,7 @@ def _aitken(e1: float, e2: float, e3: float) -> Tuple[float, float]:
     return e3 + correction, abs(correction * ratio)
 
 
-def uv_limit_energy(spec: PotentialSpec, flow: CouplingFlow,
-                    policy: Optional[SignPolicy] = None) -> GroundStateEstimate:
+def uv_limit_energy(spec: PotentialSpec, flow: CouplingFlow) -> GroundStateEstimate:
     """Ground level in the infinite-cutoff limit along a coupling flow.
 
     E0(Lambda) is sampled through the exact reduction at UV_SAMPLE_CUTOFFS
@@ -466,11 +452,9 @@ def uv_limit_energy(spec: PotentialSpec, flow: CouplingFlow,
     must be at most 1e-6 max(1, |E0|).  When
     the coupling is negative or the reduced stiffness inverted at a sample,
     the frequency root is sign-ambiguous: both branches are settled and
-    carried in ``branches``, and ``policy`` picks the one ``energy``
-    quotes.
+    carried in ``branches``, and ``energy`` quotes the lower one for an
+    attractive family, the upper one otherwise.
     """
-    if policy is None:
-        policy = default_sign_policy(spec)
     roots, offsets, flipped = [], [], False
     for lam in UV_SAMPLE_CUTOFFS:
         try:
@@ -494,7 +478,7 @@ def uv_limit_energy(spec: PotentialSpec, flow: CouplingFlow,
         return est
 
     if not flipped:
-        return GroundStateEstimate(settle(plus), SignBranch.POSITIVE)
+        return GroundStateEstimate(settle(plus))
     both = (settle(plus), settle(minus))
-    energy = both[1] if policy is SignPolicy.PREFER_NEGATIVE else both[0]
-    return GroundStateEstimate(energy, SignBranch.AMBIGUOUS, branches=both)
+    energy = both[1] if spec.family.attractive else both[0]
+    return GroundStateEstimate(energy, branches=both)

@@ -44,7 +44,6 @@ import numpy as np
 
 from .errors import DomainError, FitDegenerateError
 from .flow import LAMBDA_FLOOR, LogFlow
-from .potentials import PotentialSpec, custom
 
 _AGM_TOL = 2.0 ** -26    # one step past this relative gap leaves rounding only
 _FAR = 1.0e9             # beyond |z| = _FAR, I = pi/|z| to double precision
@@ -189,58 +188,36 @@ class FieldRegime(Enum):
 class EnergyLimit:
     """A printed limiting ground energy (unit energy scale)."""
 
-    regime: FieldRegime
     energy: float
     constant: float                          # the K (small) or K^2 (strong) used
     branches: Optional[Tuple[float, float]] = None
-    note: str = ""
 
 
 def ground_energy_limits(eps_exp: float, regime: FieldRegime) -> EnergyLimit:
     """Limiting ground energy for the requested drive regime.
 
     The two regimes fix the flow constant differently and are reported as
-    printed, including the strong-drive root ambiguity (both branches come
-    out positive and proportional to eps_exp^2).  The regime labels follow
-    the source convention even though the small-field label is paired with
-    large eps_exp; see README.  An eps_exp at which a limit is not a finite
-    float is a DomainError.
+    printed: the small-field level has a single branch and tends to -1/2 as
+    eps_exp grows; the strong-drive level keeps its root ambiguity (both
+    branches come out positive and proportional to eps_exp^2).  The regime
+    labels follow the source convention even though the small-field label
+    is paired with large eps_exp; see README.  An eps_exp at which a limit
+    is not a finite float is a DomainError.
     """
     if eps_exp <= 0.0:
         raise DomainError("eps_exp must be positive")
     try:
         if regime is FieldRegime.SMALL_FIELD:
             K = -math.sqrt(2.0 / (math.pi * eps_exp ** 3))
-            limit = EnergyLimit(regime, -0.5 + 1.0 / eps_exp ** 2, K,
-                                note="single branch; tends to -1/2 as eps_exp grows")
+            limit = EnergyLimit(-0.5 + 1.0 / eps_exp ** 2, K)
         else:
             half_root = 0.5 * math.sqrt(2.0 / math.pi) * eps_exp ** 2
             base = (2.0 / math.pi) * eps_exp ** 2
             plus, minus = base + half_root, base - half_root
-            limit = EnergyLimit(regime, plus, eps_exp, branches=(plus, minus),
-                                note="both branches positive, proportional to eps_exp^2")
+            limit = EnergyLimit(plus, eps_exp, branches=(plus, minus))
         if math.isfinite(limit.energy) and math.isfinite(limit.constant):
             return limit
     except (OverflowError, ZeroDivisionError):
         pass
     raise DomainError(f"the {regime.value} limit is not finite at eps_exp = {eps_exp!r}")
 
-
-def reduced_quadratic_spec(c0: float, c2: float, alpha: float,
-                           eps_exp: float) -> PotentialSpec:
-    """Quadratic-in-z stand-in potential built from measured (c0, c2).
-
-    V(z) = alpha (c0 + c2 z^2) / (pi eps_exp), kinetic normalization 1/2,
-    so the generic completed-square reduction consumes the fitted kernel
-    through the same code path as every other family.
-    """
-    if eps_exp <= 0.0:
-        raise DomainError("eps_exp must be positive")
-    scale = 1.0 / (math.pi * eps_exp)
-
-    def profile(z):
-        return scale * (c0 + c2 * np.asarray(z, dtype=float) ** 2)
-
-    return custom(profile, coupling=alpha, kappa=0.5,
-                  d1=lambda z: scale * 2.0 * c2 * z,
-                  d2=lambda z: scale * 2.0 * c2)

@@ -12,7 +12,8 @@ treat all families uniformly.
 
 Each family is defined once, as a ``FamilyDef``: its name, shape and
 derivatives, printed energy law, closed-form beta, fixed-point power law
-and the two flags that set its default sign policy and its parity guard.
+and the two flags that pick the quoted branch of a sign-ambiguous level
+and set its parity guard.
 A ``PotentialSpec`` carries its family's entry, so ``flow`` and
 ``eigensolver`` read it directly and never branch on the family.  The
 builtin entries are in ``FAMILIES``, keyed by name; ``custom`` builds one
@@ -50,8 +51,8 @@ class FamilyDef:
     of the power law g(Lambda) that holds the reduced stiffness there.
     None for any of the three means no closed form: the law is the exact
     reduction, there is no closed-form beta, and the fixed point is
-    tabulated.  An ``attractive`` family resolves an ambiguous frequency
-    root downward by default, the others upward.  A shape that is
+    tabulated.  An ``attractive`` family quotes the lower branch of an
+    ambiguous frequency root, the others the upper one.  A shape that is
     ``singular_at_origin`` has no value at x = 0, so the oracles solve only
     its odd sector.
     """
@@ -73,7 +74,7 @@ class PotentialSpec:
     The shape is ``family.value`` and ``family.derivatives`` with the
     parameters in ``shape``.  The flow treats a negative coupling as outside
     the binding regime: there the reduced ground level is sign-ambiguous,
-    and a SignPolicy resolves it downstream.
+    and ``family.attractive`` picks the branch it quotes.
     """
 
     family: FamilyDef
@@ -204,7 +205,8 @@ def _soft_coulomb_beta(s, g, lam):
     return -g * (3.0 * lam + 4.0 * t) / (lam + 4.0 * t)
 
 
-# uvflow.kh imports this module, so the dressed family imports it on use
+# uvflow.kh imports this module through uvflow.flow, so the dressed family
+# imports it on use
 
 def _kh_value(s, z):
     from . import kh
@@ -301,8 +303,9 @@ def custom(profile: Callable, coupling: float = 1.0, kappa: float = 1.0,
     ``profile`` should accept numpy arrays if the resulting spec is meant
     for the grid eigensolver.  Without both d1 and d2 the derivatives fall
     back to a central difference and the 5-point second-derivative
-    stencil, with steps scaled by max(|x0|, 1).  Each call builds its own
-    family entry, with no energy law, beta or fixed-point power law.
+    stencil, with steps scaled by |x0| (by 1 at x0 = 0), so the reduction
+    point 1/Lambda keeps its digits at large cutoffs.  Each call builds its
+    own family entry, with no energy law, beta or fixed-point power law.
     """
     if kappa <= 0:
         raise DomainError("custom requires kappa > 0")
@@ -311,9 +314,10 @@ def custom(profile: Callable, coupling: float = 1.0, kappa: float = 1.0,
         v0 = float(profile(x0))
         if d1 is not None and d2 is not None:
             return v0, float(d1(x0)), float(d2(x0))
-        h1 = max(abs(x0), 1.0) * _H1_SCALE
+        scale = abs(x0) or 1.0
+        h1 = scale * _H1_SCALE
         fd1 = (profile(x0 + h1) - profile(x0 - h1)) / (2.0 * h1)
-        h2 = max(abs(x0), 1.0) * _H2_SCALE
+        h2 = scale * _H2_SCALE
         fd2 = (-profile(x0 + 2 * h2) + 16 * profile(x0 + h2) - 30 * v0
                + 16 * profile(x0 - h2) - profile(x0 - 2 * h2)) / (12 * h2 * h2)
         return v0, float(fd1), float(fd2)

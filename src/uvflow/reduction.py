@@ -16,14 +16,15 @@ frequency omega = 2 sqrt(kappa c) and ground level
 
 The square root carries an intrinsic sign ambiguity (it enters through
 omega**2); it only matters when the flow has driven the coupling outside
-the binding regime, and is resolved by the caller's sign policy.
+the binding regime.  A GroundStateEstimate then carries both branches, and
+the family's ``attractive`` flag decides which one ``energy`` quotes along
+a flow (see ``flow.uv_limit_energy``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Tuple
 
 import numpy as np
@@ -40,25 +41,16 @@ class QuadraticReduction:
     center: float
     offset: float
     kappa: float
-    cutoff: float
-    taylor: Tuple[float, float, float]  # (V, V', V'') at x0 = 1/cutoff
-
-    def polynomial(self):
-        """Coefficients (x^2, x^1, x^0) of the reduced quadratic."""
-        c, xb, C = self.stiffness, self.center, self.offset
-        return c, -2.0 * c * xb, c * xb * xb + C
-
-
-class SignBranch(Enum):
-    POSITIVE = "positive"
-    AMBIGUOUS = "ambiguous"
+    taylor: Tuple[float, float, float]  # (V, V', V'') at x0 = 1/Lambda
 
 
 @dataclass(frozen=True)
 class GroundStateEstimate:
+    """A reduced ground level; ``branches`` is (+root, -root) when the
+    frequency root is sign-ambiguous and None when it is not."""
+
     energy: float
-    sign_branch: SignBranch
-    branches: Optional[Tuple[float, float]] = None  # (+root, -root) when ambiguous
+    branches: Optional[Tuple[float, float]] = None
 
 
 def expand_at_cutoff(spec: PotentialSpec, lam: float) -> QuadraticReduction:
@@ -73,7 +65,11 @@ def expand_at_cutoff(spec: PotentialSpec, lam: float) -> QuadraticReduction:
     c = 0.5 * v2
     xbar = x0 - v1 / v2
     offset = v0 - v1 * v1 / (2.0 * v2)
-    return QuadraticReduction(c, xbar, offset, spec.kappa, float(lam), (v0, v1, v2))
+    # c = v2/2 is finite here, but V'/V'' and V'^2 can still overflow
+    if not (math.isfinite(xbar) and math.isfinite(offset)):
+        raise DomainError(f"the reduction at cutoff {lam} leaves the float range: "
+                          f"stiffness {c}, center {xbar}, offset {offset}")
+    return QuadraticReduction(c, xbar, offset, spec.kappa, (v0, v1, v2))
 
 
 def ho_ground_energy(red: QuadraticReduction) -> GroundStateEstimate:
@@ -86,9 +82,8 @@ def ho_ground_energy(red: QuadraticReduction) -> GroundStateEstimate:
     c, C = red.stiffness, red.offset
     root = math.sqrt(red.kappa * abs(c))
     if c > 0.0:
-        return GroundStateEstimate(C + root, SignBranch.POSITIVE)
-    return GroundStateEstimate(C + root, SignBranch.AMBIGUOUS,
-                               branches=(C + root, C - root))
+        return GroundStateEstimate(C + root)
+    return GroundStateEstimate(C + root, branches=(C + root, C - root))
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import kh
 from .eigensolver import Grid, Parity, ground_state, shooting_ground_energy
-from .flow import (PowerLawFlow, SignPolicy, beta_closed_form, beta_numeric,
-                   pipeline_ground_energy, solve_fixed_point, uv_limit_energy)
+from .flow import (beta_closed_form, beta_numeric, pipeline_ground_energy,
+                   solve_fixed_point, uv_limit_energy)
 from .potentials import coulomb, custom, morse, quartic, soft_coulomb
 
 
@@ -50,8 +50,7 @@ def criterion_1() -> CriterionResult:
 def criterion_2() -> CriterionResult:
     """Coulomb: flow limit -1/2; softened odd levels approach it monotonically."""
     spec = coulomb(1.0)
-    est = uv_limit_energy(spec, solve_fixed_point(spec),
-                          policy=SignPolicy.PREFER_NEGATIVE)
+    est = uv_limit_energy(spec, solve_fixed_point(spec))
     softenings = (1.0e-1, 1.0e-2, 1.0e-3)
     levels = [ground_state(soft_coulomb(1.0, 1.0 / s), Grid(30.0, 4001),
                            parity=Parity.ODD).refinement_estimate

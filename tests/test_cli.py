@@ -65,6 +65,46 @@ def test_analyze_quartic_values(tmp_path):
     assert row["sign_branch"] == "positive"
 
 
+def test_analyze_sign_branch_column(tmp_path):
+    """The column reads "ambiguous" exactly where the flow limit carries
+    both root branches; the kh row always does."""
+    expected = {"morse": "positive", "quartic": "positive",
+                "coulomb": "ambiguous", "kh": "ambiguous"}
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"a.{fmt}"
+        res = run_cli(["analyze", "--format", fmt, "--output", str(out)],
+                      tmp_path)
+        assert res.returncode == 0, res.stderr
+        rows = (read_csv_rows(out) if fmt == "csv"
+                else json.loads(out.read_text())["rows"])
+        assert {r["model"]: r["sign_branch"] for r in rows} == expected
+
+
+def test_sign_policy_option_is_gone(tmp_path):
+    res = run_cli(["analyze", "--sign-policy", "prefer-positive"], tmp_path)
+    assert res.returncode == 2
+    res = run_cli(["analyze", "quartic", "--sign-policy", "prefer-positive"],
+                  tmp_path)
+    assert res.returncode == 2
+    assert "unrecognized arguments: --sign-policy" in res.stderr
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_analyze_accepts_a_parameter_any_model_reads(tmp_path):
+    """Without a model, analyze takes a parameter that one of its models
+    reads; the models that do not read it are unaffected."""
+    (tmp_path / "cfg.json").write_text(json.dumps({"models": ["quartic", "kh"],
+                                                   "K": 2}))
+    out = tmp_path / "a.csv"
+    res = run_cli(["analyze", "--config", "cfg.json", "--output", str(out)],
+                  tmp_path)
+    assert res.returncode == 0, res.stderr
+    rows = {r["model"]: r for r in read_csv_rows(out)}
+    assert float(rows["kh"]["rg_energy"]) == float(
+        cli._fmt(uvflow.kh.scaled_energy_from_K(2.0, 1.0)))
+    assert float(rows["quartic"]["rg_energy"]) == 1.0
+
+
 def test_analyze_output_is_deterministic(tmp_path):
     # two interpreters, so no state carries over between the runs
     args = ["analyze", "quartic", "--format", "json", "--output", "det.json"]
@@ -219,6 +259,16 @@ def test_malformed_numbers_exit_2(tmp_path, args):
     (["flow", "kh", "--alpha", "2"], None),
     (["flow", "kh"], {"lam": 100.0}),
     (["flow", "kh"], {"start_on_fixed_point": False}),
+    (["oracle", "quartic", "--K", "5", "--A", "3", "--eps-exp", "2"], None),
+    (["oracle", "quartic"], {"K": 5}),
+    (["oracle", "morse", "--g", "5"], None),
+    (["oracle", "morse"], {"g": 5}),
+    (["oracle", "kh", "--K", "2"], None),
+    (["flow", "quartic", "--alpha", "5"], None),
+    (["flow", "quartic"], {"alpha": 3}),
+    (["analyze", "--lam", "100"], None),
+    (["analyze"], {"lam": 100}),
+    (["analyze", "kh", "--alpha", "2"], None),
 ], ids=["oracle-even-n", "analyze-even-n", "oracle-string-n",
         "analyze-string-n", "oracle-zero-half-width",
         "analyze-negative-half-width", "oracle-negative-level",
@@ -231,7 +281,12 @@ def test_malformed_numbers_exit_2(tmp_path, args):
         "flow-string-g0", "oracle-string-param", "oracle-null-param",
         "flow-list-beta", "kh-scan-both-spellings", "flow-kh-g0",
         "flow-kh-beta", "flow-kh-start-on-fixed-point", "flow-kh-alpha",
-        "flow-kh-lam-config", "flow-kh-fixed-point-config"])
+        "flow-kh-lam-config", "flow-kh-fixed-point-config",
+        "oracle-quartic-unread-params", "oracle-quartic-unread-config",
+        "oracle-morse-unread-g", "oracle-morse-unread-g-config",
+        "oracle-kh-unread-K", "flow-quartic-unread-alpha",
+        "flow-quartic-unread-alpha-config", "analyze-unread-lam",
+        "analyze-unread-lam-config", "analyze-kh-unread-alpha"])
 def test_bad_settings_exit_2(tmp_path, args, config):
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -251,17 +306,22 @@ def test_bad_settings_exit_2(tmp_path, args, config):
     ["oracle", "quartic", "--half-width", "1e-160"],
     ["oracle", "quartic", "--half-width", "1e160"],
     ["flow", "quartic", "--g0", "1e300"],
+    ["flow", "quartic", "--g0", "1e200"],
     ["oracle", "quartic", "--g", "-1"],
 ], ids=["kh-scan-tiny-eps-exp", "kh-scan-huge-eps-exp",
         "oracle-tiny-half-width", "oracle-huge-half-width", "flow-huge-g0",
-        "oracle-inverted-quartic"])
+        "flow-overflowing-offset", "oracle-inverted-quartic"])
 def test_extreme_numbers_exit_1(tmp_path, args):
     """Finite inputs whose numbers leave the float range end in one
-    UVFlowError line and exit 1: no traceback, no RuntimeWarning, no hang."""
+    UVFlowError line and exit 1: no traceback, no RuntimeWarning, no hang,
+    and no report cell that is not a finite number."""
     res = run_cli(args, tmp_path)
     assert res.returncode == 1, res.stdout + res.stderr
     assert re.search(r": \w+Error: ", res.stderr.splitlines()[0])
     assert "Traceback" not in res.stderr
+    for path in tmp_path.glob("*.csv"):
+        cells = {cell for row in read_csv_rows(path) for cell in row.values()}
+        assert not cells & {"inf", "-inf", "nan"}
 
 
 @pytest.mark.parametrize("args", [

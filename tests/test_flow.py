@@ -359,7 +359,6 @@ def test_integrate_flow_validation():
 def test_uv_limit_quartic_fixed_point():
     est = uf.uv_limit_energy(uf.quartic(1.0), uf.solve_fixed_point(uf.quartic(1.0)))
     assert abs(est.energy - 1.0) < 1e-12
-    assert est.sign_branch is uf.SignBranch.POSITIVE
     assert est.branches is None
 
 
@@ -367,12 +366,10 @@ def test_uv_limit_coulomb_fixed_point_is_ambiguous():
     spec = uf.coulomb(1.0)
     flow = uf.solve_fixed_point(spec)
     est = uf.uv_limit_energy(spec, flow)
-    assert est.sign_branch is uf.SignBranch.AMBIGUOUS
+    assert est.branches is not None
     plus, minus = est.branches
     assert abs(plus - 0.5) < 1e-9 and abs(minus + 0.5) < 1e-9
-    assert est.energy == minus  # attractive family prefers the lower branch
-    pos = uf.uv_limit_energy(spec, flow, policy=uf.SignPolicy.PREFER_POSITIVE)
-    assert abs(pos.energy - 0.5) < 1e-9
+    assert est.energy == minus  # attractive family quotes the lower branch
 
 
 def test_uv_limit_soft_coulomb_fixed_point():
@@ -385,7 +382,7 @@ def test_uv_limit_constant_morse_depth():
     spec = uf.morse(4.0)
     est = uf.uv_limit_energy(spec, uf.PowerLawFlow(4.0, 0.0))
     assert abs(est.energy - (-4.0 + math.sqrt(2.0))) < 1e-8
-    assert est.sign_branch is uf.SignBranch.POSITIVE
+    assert est.branches is None
 
 
 def test_uv_limit_detects_drift():
@@ -405,10 +402,16 @@ def test_uv_sample_cutoffs_are_increasing():
     assert len(UV_SAMPLE_CUTOFFS) == 3
 
 
-def test_default_sign_policy():
-    assert uf.default_sign_policy(uf.morse(1.0)) is uf.SignPolicy.PREFER_POSITIVE
-    assert uf.default_sign_policy(uf.quartic(1.0)) is uf.SignPolicy.PREFER_POSITIVE
-    assert uf.default_sign_policy(uf.custom(lambda x: x * x)) is uf.SignPolicy.PREFER_POSITIVE
-    assert uf.default_sign_policy(uf.coulomb(1.0)) is uf.SignPolicy.PREFER_NEGATIVE
-    assert uf.default_sign_policy(uf.soft_coulomb(1.0, 5.0)) is uf.SignPolicy.PREFER_NEGATIVE
-    assert uf.default_sign_policy(kh_spec()) is uf.SignPolicy.PREFER_NEGATIVE
+def test_attractive_families_quote_the_lower_branch():
+    assert uf.morse(1.0).family.attractive is False
+    assert uf.quartic(1.0).family.attractive is False
+    assert uf.custom(lambda x: x * x).family.attractive is False
+    assert uf.coulomb(1.0).family.attractive is True
+    assert uf.soft_coulomb(1.0, 5.0).family.attractive is True
+    assert kh_spec().family.attractive is True
+    # an inverted quartic along g = -lam^2/6 has reduced level +-1; the
+    # confining family quotes the upper branch
+    est = uf.uv_limit_energy(uf.quartic(1.0), uf.PowerLawFlow(-1.0 / 6.0, 2.0))
+    plus, minus = est.branches
+    assert abs(plus - 1.0) < 1e-9 and abs(minus + 1.0) < 1e-9
+    assert est.energy == plus

@@ -266,7 +266,6 @@ def test_small_field_limit():
     assert abs(lim.energy + 0.49) < 1e-12
     assert abs(lim.constant + math.sqrt(2.0 / (math.pi * 1000.0))) < 1e-15
     assert lim.branches is None
-    assert lim.note
     deep = kh.ground_energy_limits(1.0e6, kh.FieldRegime.SMALL_FIELD)
     assert abs(deep.energy + 0.5) < 1e-11
 
@@ -279,7 +278,6 @@ def test_strong_field_limit():
     assert abs(minus - STRONG_MINUS_AT_TENTH) < 1e-14
     assert lim.energy == plus
     assert lim.constant == 0.1
-    assert lim.note
 
 
 def test_energy_limit_validation():
@@ -289,17 +287,6 @@ def test_energy_limit_validation():
         kh.ground_energy_limits(-2.0, kh.FieldRegime.STRONG_FIELD)
 
 
-def test_reduced_quadratic_spec_shape():
-    spec = kh.reduced_quadratic_spec(3.0, 2.0, 1.0, 2.0)
-    assert spec.kappa == 0.5
-    scale = 1.0 / (math.pi * 2.0)
-    assert abs(spec(0.5) - scale * (3.0 + 2.0 * 0.25)) < 1e-15
-    _, _, v2 = spec.derivatives(0.1)
-    assert abs(v2 - scale * 4.0) < 1e-12
-    with pytest.raises(uf.DomainError):
-        kh.reduced_quadratic_spec(3.0, 2.0, 1.0, 0.0)
-
-
 def test_reduced_quadratic_matches_printed_level():
     """Feeding the fitted kernel coefficients through the generic completed
     square must land near the printed scaled level; the two differ only by
@@ -307,7 +294,11 @@ def test_reduced_quadratic_matches_printed_level():
     K, eps, lam = 1.0, 2.0, 1.0e6
     fit = kh.log_divergence_fit([lam])[0]
     alpha = kh.cs_solution(K)(lam)
-    spec = kh.reduced_quadratic_spec(fit.c0, fit.c2, alpha, eps)
+    scale = 1.0 / (math.pi * eps)
+    spec = uf.custom(lambda z: scale * (fit.c0 + fit.c2 * z * z),
+                     coupling=alpha, kappa=0.5,
+                     d1=lambda z: scale * 2.0 * fit.c2 * z,
+                     d2=lambda z: scale * 2.0 * fit.c2)
     est = uf.ho_ground_energy(uf.expand_at_cutoff(spec, lam))
     printed = kh.scaled_energy_from_K(K, eps)
     assert abs(est.energy - printed) < 0.08 * printed

@@ -78,6 +78,19 @@ def test_finite_difference_fallback_matches_analytic():
             assert abs(num[2] - an[2]) < 1e-5 * max(1.0, abs(an[2]))
 
 
+def test_finite_difference_fallback_keeps_digits_at_large_cutoffs():
+    """The fallback steps scale with |x0|, so the curvature at 1/Lambda
+    keeps its digits however small the reduction point gets."""
+    fd = uf.custom(lambda x: x ** 4 + 0.3 * x ** 6)
+    for lam in (1.0e4, 1.0e6, 1.0e8):
+        x0 = 1.0 / lam
+        _, d1, d2 = fd.derivatives(x0)
+        exact1 = 4.0 * x0 ** 3 + 1.8 * x0 ** 5
+        exact2 = 12.0 * x0 ** 2 + 9.0 * x0 ** 4
+        assert abs(d1 - exact1) < 1e-8 * exact1
+        assert abs(d2 - exact2) < 1e-8 * exact2
+
+
 def test_even_shapes_are_exactly_even():
     xs = np.array([0.3, 0.71, 1.9, 4.2])
     for spec in (uf.quartic(0.9), uf.coulomb(1.0), uf.soft_coulomb(1.0, 5.0)):

@@ -15,7 +15,7 @@ def test_quartic_reduction_closed_form():
     assert abs(red.stiffness - 6.0 * g / lam ** 2) < 1e-12 * abs(red.stiffness)
     assert abs(red.center - 2.0 / (3.0 * lam)) < 1e-12 * red.center
     assert abs(red.offset - g / (3.0 * lam ** 4)) < 1e-12 * abs(red.offset)
-    assert red.kappa == 1.0 and red.cutoff == lam
+    assert red.kappa == 1.0
 
 
 def test_coulomb_reduction_closed_form():
@@ -49,7 +49,8 @@ def test_polynomial_matches_taylor_reconstruction():
             x0 = 1.0 / lam
             v0, v1, v2 = red.taylor
             assert (v0, v1, v2) == spec.derivatives(x0)
-            c2, c1, c0 = red.polynomial()
+            c, xb, C = red.stiffness, red.center, red.offset
+            c2, c1, c0 = c, -2.0 * c * xb, c * xb * xb + C
             w2 = 0.5 * v2
             w1 = v1 - v2 * x0
             w0 = v0 - v1 * x0 + 0.5 * v2 * x0 * x0
@@ -63,7 +64,6 @@ def test_ho_ground_energy_quartic():
     est = uf.ho_ground_energy(uf.expand_at_cutoff(uf.quartic(g), lam))
     law = math.sqrt(6.0 * g) / lam + g / (3.0 * lam ** 4)
     assert abs(est.energy - law) < 1e-12 * law
-    assert est.sign_branch is uf.SignBranch.POSITIVE
     assert est.branches is None
 
 
@@ -73,7 +73,7 @@ def test_ho_ground_energy_coulomb_negative_coupling():
     est = uf.ho_ground_energy(uf.expand_at_cutoff(uf.coulomb(alpha), lam))
     law = 0.5 * math.sqrt(-2.0 * alpha * lam ** 3) - 0.75 * alpha * lam
     assert abs(est.energy - law) < 1e-12 * abs(law)
-    assert est.sign_branch is uf.SignBranch.POSITIVE
+    assert est.branches is None
 
 
 def test_ho_ground_energy_unit_oscillator_exact():
@@ -85,7 +85,7 @@ def test_ho_ground_energy_unit_oscillator_exact():
 
 def test_ho_ground_energy_inverted_reports_both_branches():
     est = uf.ho_ground_energy(uf.expand_at_cutoff(uf.coulomb(1.0), 50.0))
-    assert est.sign_branch is uf.SignBranch.AMBIGUOUS
+    assert est.branches is not None
     plus, minus = est.branches
     assert plus > minus
     assert est.energy == plus
@@ -111,7 +111,7 @@ def test_ho_ground_wavefunction_matches_grid_solver():
 
     grid = uf.Grid(6.0, 4001)
     res = uf.ground_state(uf.quartic(1.0), grid)
-    overlap = float(np.sum(res.eigenfunction * state(res.x)) * grid.spacing)
+    overlap = float(np.sum(res.eigenfunction * state(grid.nodes)) * grid.spacing)
     assert overlap > 0.99
     assert abs(overlap - GAUSS_VS_GRID_OVERLAP) < 5e-4
 
@@ -144,7 +144,7 @@ def test_reduced_oscillator_virial_balance():
     grid = uf.Grid(10.0, 16001)
     res = uf.ground_state(spec, grid, refine=False)
     psi2 = res.eigenfunction ** 2
-    v_mean = float(np.sum(psi2 * profile(res.x)) * grid.spacing)
+    v_mean = float(np.sum(psi2 * profile(grid.nodes)) * grid.spacing)
     t_mean = res.eigenvalue - v_mean
     assert abs(t_mean - (v_mean - C)) < 1e-6 * t_mean
     assert abs(res.eigenvalue - uf.ho_ground_energy(red).energy) < 1e-7
@@ -155,6 +155,14 @@ def test_degenerate_expansion_raises():
                      d2=lambda x: 0.0 * x)
     with pytest.raises(uf.DegenerateExpansionError):
         uf.expand_at_cutoff(flat, 10.0)
+
+
+def test_reduction_leaving_the_float_range_raises():
+    """V'^2 overflows at g = 1e200, cutoff 10: the offset would be -inf."""
+    spec = uf.with_coupling_and_cutoff(uf.quartic(1.0), 1.0e200, 10.0)
+    with pytest.raises(uf.DomainError, match="float range"):
+        uf.expand_at_cutoff(spec, 10.0)
+    assert math.isfinite(uf.expand_at_cutoff(uf.quartic(1.0e150), 10.0).offset)
 
 
 def test_nonpositive_cutoff_raises():
