@@ -211,16 +211,6 @@ def build_spec(model: str, params: dict) -> PotentialSpec:
     return make(**{k: params.get(k, v) for k, v in defaults.items()})
 
 
-def _member(cls, name, what: str):
-    """The member of the enum cls that a setting names; None when unset."""
-    if name is None:
-        return None
-    try:
-        return cls(name)
-    except ValueError as exc:
-        raise ConfigError(f"unknown {what} {name!r}") from exc
-
-
 # -- analyze -----------------------------------------------------------------
 
 def _analyze_row(model: str, params: dict, half_width: Optional[float],
@@ -301,7 +291,7 @@ def cmd_flow(args) -> int:
     if not isinstance(args.start_on_fixed_point, (bool, type(None))):
         raise ConfigError("start-on-fixed-point must be true or false, "
                           f"got {args.start_on_fixed_point!r}")
-    rows, aborted = [], None
+    rows, errors = [], []
     if model == "kh":
         K = params.get("K", 1.0)
         eps = params.get("eps_exp", 1.0)
@@ -323,14 +313,19 @@ def cmd_flow(args) -> int:
             lams, gs = traj.lams, traj.couplings
         except IntegrationAbortError as exc:
             lams, gs = exc.partial if exc.partial is not None else ([], [])
-            aborted = exc
+            errors.append(exc)
         for lam, g in zip(lams, gs):
-            rows.append({"lambda": float(lam), "coupling": float(g),
-                         "beta": beta(spec, g, lam),
-                         "energy": pipeline_ground_energy(spec, g, lam)})
+            try:
+                rows.append({"lambda": float(lam), "coupling": float(g),
+                             "beta": beta(spec, g, lam),
+                             "energy": pipeline_ground_energy(spec, g, lam)})
+            except UVFlowError as exc:  # keep the rows before it, as an abort does
+                errors.append(exc)
+                break
     _write_report(path, FLOW_COLUMNS, rows, fmt)
-    if aborted is not None:
-        print(f"flow/{model}: IntegrationAbortError: {aborted}", file=sys.stderr)
+    for exc in errors:
+        print(f"flow/{model}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    if errors:
         print(f"wrote partial trajectory to {path}", file=sys.stderr)
         return 1
     print(f"wrote {path}")
@@ -400,7 +395,10 @@ def cmd_oracle(args) -> int:
     half_width = _number("half-width", dl if args.half_width is None else args.half_width)
     n = _grid_size(dn if args.n is None else args.n)
     parity = dparity if args.parity is None else args.parity
-    parity = _member(Parity, None if parity == "none" else parity, "parity")
+    try:
+        parity = None if parity in (None, "none") else Parity(parity)
+    except ValueError as exc:
+        raise ConfigError(f"unknown parity {parity!r}") from exc
     level = _integer("level", 0 if args.level is None else args.level, 0)
     spec = build_spec(model, params)
     res = eigenvalue_by_index(spec, Grid(half_width, n), level, parity=parity)

@@ -295,6 +295,25 @@ def kramers_henneberger(alpha: float, eps_exp: float, lam: float) -> PotentialSp
                          {"eps_exp": float(eps_exp), "lam": float(lam)})
 
 
+def _differences(profile, x0, v0, scale):
+    """((V', error), (V'', error)) at x0 by a central difference and the
+    5-point stencil, with steps ``scale`` times the step rules.  An error
+    estimate is the change when the step doubles plus the rounding bound,
+    so it shows both a step too long for the shape's features and one too
+    short for its size; a non-finite estimate reads as infinite."""
+    h = scale * _H1_SCALE
+    f = {k: float(profile(x0 + k * h)) for k in (-2, -1, 1, 2)}
+    d1 = (f[1] - f[-1]) / (2.0 * h)
+    e1 = abs(d1 - (f[2] - f[-2]) / (4.0 * h)) + _EPS * (abs(f[1]) + abs(f[-1])) / (2.0 * h)
+    h = scale * _H2_SCALE
+    f = {k: float(profile(x0 + k * h)) for k in (-4, -2, -1, 1, 2, 4)}
+    d2, d2_doubled = ((-f[-2 * k] + 16.0 * f[-k] - 30.0 * v0 + 16.0 * f[k] - f[2 * k])
+                      / (12.0 * (k * h) ** 2) for k in (1, 2))
+    e2 = abs(d2 - d2_doubled) + _EPS * (abs(f[-2]) + 16.0 * abs(f[-1]) + 30.0 * abs(v0)
+                                        + 16.0 * abs(f[1]) + abs(f[2])) / (12.0 * h * h)
+    return tuple((d, e if math.isfinite(e) else math.inf) for d, e in ((d1, e1), (d2, e2)))
+
+
 def custom(profile: Callable, coupling: float = 1.0, kappa: float = 1.0,
            d1: Optional[Callable] = None,
            d2: Optional[Callable] = None) -> PotentialSpec:
@@ -303,9 +322,12 @@ def custom(profile: Callable, coupling: float = 1.0, kappa: float = 1.0,
     ``profile`` should accept numpy arrays if the resulting spec is meant
     for the grid eigensolver.  Without both d1 and d2 the derivatives fall
     back to a central difference and the 5-point second-derivative
-    stencil, with steps scaled by |x0| (by 1 at x0 = 0), so the reduction
-    point 1/Lambda keeps its digits at large cutoffs.  Each call builds its
-    own family entry, with no energy law, beta or fixed-point power law.
+    stencil.  Below |x0| = 1 each is taken with steps scaled by |x0| and
+    by 1, keeping the one with the smaller error estimate: a shape such as
+    x^4, which shrinks with x0, needs the first at the reduction point
+    1/Lambda of a large cutoff, and a Morse well, whose size does not, the
+    second.  Each call builds its own family entry, with no energy law,
+    beta or fixed-point power law.
     """
     if kappa <= 0:
         raise DomainError("custom requires kappa > 0")
@@ -314,13 +336,16 @@ def custom(profile: Callable, coupling: float = 1.0, kappa: float = 1.0,
         v0 = float(profile(x0))
         if d1 is not None and d2 is not None:
             return v0, float(d1(x0)), float(d2(x0))
-        scale = abs(x0) or 1.0
-        h1 = scale * _H1_SCALE
-        fd1 = (profile(x0 + h1) - profile(x0 - h1)) / (2.0 * h1)
-        h2 = scale * _H2_SCALE
-        fd2 = (-profile(x0 + 2 * h2) + 16 * profile(x0 + h2) - 30 * v0
-               + 16 * profile(x0 - h2) - profile(x0 - 2 * h2)) / (12 * h2 * h2)
-        return v0, float(fd1), float(fd2)
+        r = abs(x0)
+        fine = _differences(profile, x0, v0, r or 1.0)
+        if not 0.0 < r < 1.0:
+            return v0, fine[0][0], fine[1][0]
+        # a unit step that spans a feature of size |x0| (a singular origin)
+        # can look converged on doubling, so it must also agree with the
+        # |x0|-scaled one within the two estimates
+        unit = _differences(profile, x0, v0, 1.0)
+        return (v0, *(du if eu < ef and not abs(du - df) > ef + eu else df
+                      for (df, ef), (du, eu) in zip(fine, unit)))
 
     family = FamilyDef("custom", lambda s, x: profile(x), derivatives)
     return PotentialSpec(family, float(coupling), float(kappa))

@@ -171,6 +171,27 @@ def test_flow_mid_flow_abort_writes_the_rows_reached(tmp_path, monkeypatch):
     assert lams[-1] <= 100.0
 
 
+def test_flow_energy_failure_writes_the_rows_before_it(tmp_path):
+    """A row whose reduced level leaves the float range ends the report
+    there, and an integration abort before it is still reported."""
+    out = tmp_path / "q.csv"
+    res = run_cli(["flow", "quartic", "--g0", "1e155", "--output", str(out)],
+                  tmp_path)
+    assert res.returncode == 1
+    assert "flow/quartic: DomainError: the reduction at cutoff" in res.stderr
+    assert "wrote partial trajectory" in res.stderr
+    rows = read_csv_rows(out)
+    assert 10 < len(rows) < 41 and float(rows[0]["lambda"]) == 10.0
+
+    res = run_cli(["flow", "quartic", "--g0", "1e200", "--output", str(out)],
+                  tmp_path)
+    assert res.returncode == 1
+    lines = res.stderr.splitlines()
+    assert lines[0].startswith("flow/quartic: IntegrationAbortError: ")
+    assert lines[1].startswith("flow/quartic: DomainError: ")
+    assert read_csv_rows(out) == []  # the first row already fails
+
+
 def test_flow_kh_tracks_log_solution(tmp_path):
     out = tmp_path / "kh.json"
     res = run_cli(["flow", "kh", "--K", "1", "--lam0", "100",
@@ -307,13 +328,15 @@ def test_bad_settings_exit_2(tmp_path, args, config):
     ["oracle", "quartic", "--half-width", "1e160"],
     ["flow", "quartic", "--g0", "1e300"],
     ["flow", "quartic", "--g0", "1e200"],
+    ["flow", "quartic", "--g0", "1e155"],
     ["oracle", "quartic", "--g", "-1"],
 ], ids=["kh-scan-tiny-eps-exp", "kh-scan-huge-eps-exp",
         "oracle-tiny-half-width", "oracle-huge-half-width", "flow-huge-g0",
-        "flow-overflowing-offset", "oracle-inverted-quartic"])
+        "flow-overflowing-offset", "flow-offset-overflows-mid-trajectory",
+        "oracle-inverted-quartic"])
 def test_extreme_numbers_exit_1(tmp_path, args):
-    """Finite inputs whose numbers leave the float range end in one
-    UVFlowError line and exit 1: no traceback, no RuntimeWarning, no hang,
+    """Finite inputs whose numbers leave the float range end in
+    UVFlowError lines and exit 1: no traceback, no RuntimeWarning, no hang,
     and no report cell that is not a finite number."""
     res = run_cli(args, tmp_path)
     assert res.returncode == 1, res.stdout + res.stderr

@@ -60,7 +60,10 @@ def test_morse_derivatives_at_origin():
 
 def test_finite_difference_fallback_matches_analytic():
     """A custom wrapper with no supplied d1/d2 must reproduce the analytic
-    derivatives of the same shape through the finite-difference fallback."""
+    derivatives of the same shape through the finite-difference fallback,
+    also at the reduction points 1/Lambda of large cutoffs: there the size
+    of the Morse and soft-Coulomb shapes does not shrink with x0, and the
+    Coulomb shape is singular at the origin, which a unit step would span."""
     cases = [
         (uf.morse(1.7, 1.3), lambda x: np.exp(-2.6 * x) - 2.0 * np.exp(-1.3 * x), 1.7),
         (uf.quartic(0.8), lambda x: np.asarray(x, dtype=float) ** 4, 0.8),
@@ -70,7 +73,7 @@ def test_finite_difference_fallback_matches_analytic():
     ]
     for spec, profile, g in cases:
         fd = uf.custom(profile, coupling=g)
-        for x0 in (0.35, 1.0, 2.2):
+        for x0 in (1e-8, 1e-6, 10 ** -4.5, 1e-3, 0.35, 1.0, 2.2):
             an = spec.derivatives(x0)
             num = fd.derivatives(x0)
             assert abs(num[0] - an[0]) < 1e-10 * max(1.0, abs(an[0]))
@@ -79,8 +82,8 @@ def test_finite_difference_fallback_matches_analytic():
 
 
 def test_finite_difference_fallback_keeps_digits_at_large_cutoffs():
-    """The fallback steps scale with |x0|, so the curvature at 1/Lambda
-    keeps its digits however small the reduction point gets."""
+    """For a shape that shrinks with x0 the |x0|-scaled steps win, so the
+    curvature at 1/Lambda keeps its digits however small the point gets."""
     fd = uf.custom(lambda x: x ** 4 + 0.3 * x ** 6)
     for lam in (1.0e4, 1.0e6, 1.0e8):
         x0 = 1.0 / lam
