@@ -6,7 +6,9 @@ the point 1/Lambda set by a short-distance cutoff and complete the square
 to obtain a running coupling (``flow``), and compare the infinite-cutoff
 level against an independent eigensolver (``eigensolver``).  The dressed
 driven-atom application lives in ``kh``; ``suite`` bundles the acceptance
-checks the CLI exposes as ``uvflow paper-suite``.
+checks the CLI exposes as ``uvflow paper-suite``.  Of these, only
+``eigensolver`` and ``suite`` need scipy (``scipy.linalg``), so neither is
+imported until it is used.
 """
 
 from .errors import (ConfigError, DegenerateExpansionError, DomainError,
@@ -25,8 +27,6 @@ from .flow import (LAMBDA_FLOOR, LogFlow, PowerLawFlow, TabulatedFlow,
                    beta_closed_form, beta_numeric, integrate_flow,
                    pipeline_ground_energy, solve_fixed_point, uv_energy_law,
                    uv_limit_energy)
-from .eigensolver import (Grid, OracleResult, Parity, eigenvalue_by_index,
-                          ground_state, shooting_ground_energy)
 
 __version__ = "0.1.0"
 
@@ -46,3 +46,20 @@ __all__ = [
     "soft_coulomb", "solve_fixed_point", "uv_energy_law", "uv_limit_energy",
     "with_coupling_and_cutoff",
 ]
+
+# the grid oracle needs scipy.linalg, so its names load it on first use
+# and every other import stays on numpy alone
+_EIGENSOLVER_NAMES = ("Grid", "OracleResult", "Parity", "eigenvalue_by_index",
+                      "ground_state", "shooting_ground_energy")
+
+
+def __getattr__(name):
+    if name in _EIGENSOLVER_NAMES:
+        from . import eigensolver
+
+        return getattr(eigensolver, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -29,8 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import kh, suite
-from .eigensolver import Grid, Parity, eigenvalue_by_index
+from . import kh
 from .errors import ConfigError, IntegrationAbortError, UVFlowError
 from .flow import (LAMBDA_FLOOR, PowerLawFlow, beta_closed_form, beta_numeric,
                    integrate_flow, pipeline_ground_energy, solve_fixed_point,
@@ -41,13 +40,13 @@ from .potentials import (PotentialSpec, coulomb, kramers_henneberger, morse,
 CASE_STUDIES = ("morse", "quartic", "coulomb", "kh")
 
 # model name -> (constructor, its parameters with their defaults,
-#                oracle defaults (half_width, n, parity))
+#                oracle defaults (half_width, n, parity as --parity spells it))
 _MODELS = {
     "morse": (morse, {"A": 4.0, "a": 1.0, "m": 1.0}, (30.0, 4001, None)),
     "quartic": (quartic, {"g": 1.0}, (6.0, 4001, None)),
-    "coulomb": (coulomb, {"alpha": 1.0}, (30.0, 4001, Parity.ODD)),
+    "coulomb": (coulomb, {"alpha": 1.0}, (30.0, 4001, "odd")),
     "soft-coulomb": (soft_coulomb, {"alpha": 1.0, "lam": 1000.0},
-                     (30.0, 4001, Parity.ODD)),
+                     (30.0, 4001, "odd")),
     "kh": (kramers_henneberger, {"alpha": 1.0, "eps_exp": 1.0, "lam": 1.0e4},
            (12.0, 4001, None)),
 }
@@ -211,6 +210,20 @@ def build_spec(model: str, params: dict) -> PotentialSpec:
     return make(**{k: params.get(k, v) for k, v in defaults.items()})
 
 
+def _grid_level(spec: PotentialSpec, half_width: float, n: int, level: int,
+                parity: Optional[str]):
+    """The oracle's ``level`` on the grid, in the sector ``parity`` spelled
+    as --parity takes it.  Only grid commands get here, so only they load
+    the eigensolver, and with it scipy.linalg."""
+    from .eigensolver import Grid, Parity, eigenvalue_by_index
+
+    try:
+        parity = None if parity in (None, "none") else Parity(parity)
+    except ValueError as exc:
+        raise ConfigError(f"unknown parity {parity!r}") from exc
+    return eigenvalue_by_index(spec, Grid(half_width, n), level, parity=parity)
+
+
 # -- analyze -----------------------------------------------------------------
 
 def _analyze_row(model: str, params: dict, half_width: Optional[float],
@@ -231,9 +244,8 @@ def _analyze_row(model: str, params: dict, half_width: Optional[float],
         flow = solve_fixed_point(spec)
     est = uv_limit_energy(spec, flow)
     dl, dn, dparity = _MODELS[model][2]
-    grid = Grid(half_width if half_width is not None else dl,
-                n if n is not None else dn)
-    oracle = eigenvalue_by_index(spec, grid, 0, parity=dparity).refinement_estimate
+    oracle = _grid_level(spec, half_width if half_width is not None else dl,
+                         n if n is not None else dn, 0, dparity).refinement_estimate
     rel = abs(est.energy - oracle) / abs(oracle)
     notes = (f"oracle minus flow limit = {oracle - est.energy:.12g}"
              if model == "morse" else "")
@@ -305,8 +317,15 @@ def cmd_flow(args) -> int:
         spec = build_spec(model, params)
         if args.start_on_fixed_point:
             g0 = solve_fixed_point(spec)(lam0)
+        elif args.g0 is not None:
+            g0 = _number("g0", args.g0, -math.inf)
         else:
-            g0 = _number("g0", spec.coupling if args.g0 is None else args.g0, -math.inf)
+            # the model's coupling, on the side of the family's canonical
+            # fixed point, where its beta is defined (g < 0 for the Coulomb
+            # shapes); a family without one, Morse, keeps its sign
+            fixed_point = spec.family.fixed_point
+            side = 1.0 if fixed_point is None else fixed_point(spec.kappa)[0]
+            g0 = math.copysign(spec.coupling, side)
         try:
             traj = integrate_flow(spec, g0, lam0, lam1, n_points=points,
                                   beta=lambda g, lam: beta(spec, g, lam))
@@ -395,13 +414,9 @@ def cmd_oracle(args) -> int:
     half_width = _number("half-width", dl if args.half_width is None else args.half_width)
     n = _grid_size(dn if args.n is None else args.n)
     parity = dparity if args.parity is None else args.parity
-    try:
-        parity = None if parity in (None, "none") else Parity(parity)
-    except ValueError as exc:
-        raise ConfigError(f"unknown parity {parity!r}") from exc
     level = _integer("level", 0 if args.level is None else args.level, 0)
     spec = build_spec(model, params)
-    res = eigenvalue_by_index(spec, Grid(half_width, n), level, parity=parity)
+    res = _grid_level(spec, half_width, n, level, parity)
     row = {"model": model, "half_width": half_width, "n": n,
            "parity": res.parity.value if res.parity else "none",
            "level": level, "eigenvalue": res.eigenvalue,
@@ -417,6 +432,8 @@ def cmd_oracle(args) -> int:
 # -- paper-suite -------------------------------------------------------------
 
 def cmd_paper_suite(args) -> int:
+    from . import suite
+
     results = suite.run_all()
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.index}  {r.name}: {r.details}")

@@ -205,6 +205,22 @@ def test_flow_kh_tracks_log_solution(tmp_path):
         assert abs(row["energy"] - target) < 1e-10 * abs(target)
 
 
+@pytest.mark.parametrize("model, g0", [
+    ("morse", "4"), ("quartic", "1"), ("coulomb", "-1"), ("soft-coulomb", "-1"),
+])
+def test_flow_default_g0_is_where_beta_is_defined(tmp_path, model, g0):
+    """By default g0 is the model's coupling on the side where the family's
+    beta is defined, that of its canonical fixed point: g < 0 for the
+    Coulomb shapes."""
+    res = run_cli(["flow", model, "--output", "default.csv"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    res = run_cli(["flow", model, "--g0", g0, "--output", "given.csv"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    default = (tmp_path / "default.csv").read_text()
+    assert default == (tmp_path / "given.csv").read_text()
+    assert len(read_csv_rows(tmp_path / "default.csv")) == 41
+
+
 def test_flow_on_fixed_point_conserves_energy(tmp_path):
     out = tmp_path / "fp.json"
     res = run_cli(["flow", "quartic", "--start-on-fixed-point",
@@ -360,20 +376,58 @@ def test_oracle_without_bound_state_says_so(tmp_path, args):
     assert "enlarge half_width" not in res.stderr
 
 
-def test_cli_import_loads_only_numpy_and_scipy_linalg():
-    """Start-up stays cheap: importing the CLI loads none of the heavy
-    scipy subpackages."""
-    heavy = ("scipy.integrate", "scipy.interpolate", "scipy.optimize",
-             "scipy.special")
+def run_python(code, args=(), cwd=None):
+    """``python -c <code> <args>`` in a fresh interpreter; returns the JSON
+    object the code prints on its last stdout line."""
     env = dict(os.environ)
+    env.pop("UVFLOW_OUTPUT_DIR", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
-    res = subprocess.run(
-        [sys.executable, "-c", "import sys, uvflow.cli; print("
-         f"[m for m in {heavy!r} if m in sys.modules])"],
-        env=env, capture_output=True, text=True)
+    res = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                         capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+# the scipy modules loaded so far, as a child interpreter prints them
+SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_cli_import_loads_no_scipy():
+    """Start-up stays on numpy: neither the package nor its CLI loads any
+    scipy module."""
+    loaded = run_python(
+        f"import json, sys; import uvflow; first = {SCIPY_LOADED}; "
+        f"import uvflow.cli; print(json.dumps([first, {SCIPY_LOADED}]))")
+    assert loaded == [[], []]
+
+
+def test_public_surface_is_unchanged():
+    """The grid oracle's names load on first use, yet read as before."""
+    namespace = {}
+    exec("from uvflow import *", namespace)
+    assert set(uvflow.__all__) <= set(namespace)
+    assert uvflow.Grid is uvflow.eigensolver.Grid
+    assert set(uvflow.__all__) <= set(dir(uvflow))
+    with pytest.raises(AttributeError):
+        uvflow.no_such_name
+
+
+@pytest.mark.parametrize("args, linalg", [
+    (["flow", "morse"], False),
+    (["kh-scan"], False),
+    (["analyze", "kh"], False),
+    (["oracle", "quartic"], True),
+], ids=["flow-morse", "kh-scan", "analyze-kh", "oracle-quartic"])
+def test_only_grid_commands_load_scipy(tmp_path, args, linalg):
+    """A command that solves no grid runs on numpy alone; the grid oracle
+    loads scipy.linalg when it solves."""
+    code, loaded = run_python(
+        "import json, sys; from uvflow import cli; code = cli.main(sys.argv[1:]); "
+        f"print(json.dumps([code, {SCIPY_LOADED}]))", args, cwd=tmp_path)
+    assert code == 0
+    assert ("scipy.linalg" in loaded) == linalg
+    assert bool(loaded) == linalg
 
 
 def _long_options():

@@ -43,3 +43,21 @@ def test_completed_square_invariants(name, g, sign, log_lam):
     assert abs(c * dx * dx + red.offset - v0) <= 1e-14 * abs(v0)
     assert abs(2.0 * c * dx - v1) <= 1e-14 * abs(v1)
     assert abs(2.0 * c - v2) <= 1e-14 * abs(v2)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(alpha=st.floats(0.5, 4.0), lam=st.floats(10.0, 1000.0),
+       bohr_radii=st.floats(30.0, 45.0))
+def test_soft_coulomb_rescaling_on_the_grid(alpha, lam, bohr_radii):
+    """x -> x/2 maps p^2/2 - 2 alpha/sqrt(x^2 + 1/(2 lam)^2) on
+    Grid(L/2, n) onto 4 (p^2/2 - alpha/sqrt(x^2 + 1/lam^2)) on Grid(L, n),
+    so E(2 alpha, 2 lam; L/2) = 4 E(alpha, lam; L) in the odd sector, to
+    criterion 8's bound.  The box spans as many Bohr radii 1/alpha as
+    criterion 8's, or more, so the level decays before the wall."""
+    half_width = bohr_radii / alpha
+    level = uf.ground_state(uf.soft_coulomb(alpha, lam), uf.Grid(half_width, 2001),
+                            parity=uf.Parity.ODD).refinement_estimate
+    scaled = uf.ground_state(uf.soft_coulomb(2.0 * alpha, 2.0 * lam),
+                             uf.Grid(half_width / 2.0, 2001),
+                             parity=uf.Parity.ODD).refinement_estimate
+    assert abs(scaled - 4.0 * level) <= 1e-5 * abs(scaled)
