@@ -31,9 +31,9 @@ import numpy as np
 
 from . import kh
 from .errors import ConfigError, IntegrationAbortError, UVFlowError
-from .flow import (LAMBDA_FLOOR, PowerLawFlow, beta_closed_form, beta_numeric,
-                   integrate_flow, pipeline_ground_energy, solve_fixed_point,
-                   uv_limit_energy)
+from .flow import (LAMBDA_FLOOR, LogFlow, PowerLawFlow, beta_closed_form,
+                   beta_numeric, integrate_flow, pipeline_ground_energy,
+                   solve_fixed_point, uv_limit_energy)
 from .potentials import (PotentialSpec, coulomb, kramers_henneberger, morse,
                          quartic, soft_coulomb)
 
@@ -303,16 +303,14 @@ def cmd_flow(args) -> int:
     if not isinstance(args.start_on_fixed_point, (bool, type(None))):
         raise ConfigError("start-on-fixed-point must be true or false, "
                           f"got {args.start_on_fixed_point!r}")
-    rows, errors = [], []
+    errors = []
     if model == "kh":
-        K = params.get("K", 1.0)
         eps = params.get("eps_exp", 1.0)
-        flow = kh.cs_solution(K)
-        for lam in np.geomspace(lam0, lam1, points):
-            alpha = flow(lam)
-            rows.append({"lambda": float(lam), "coupling": alpha,
-                         "beta": flow.derivative_wrt_log(lam),
-                         "energy": kh.scaled_ground_energy(alpha, lam, eps)})
+        flow = LogFlow(params.get("K", 1.0))
+        lams = np.geomspace(lam0, lam1, points)
+        gs = map(flow, lams)  # sampled row by row, inside the loop's try
+        row_beta = lambda g, lam: flow.derivative_wrt_log(lam)
+        row_energy = lambda g, lam: kh.scaled_ground_energy(g, lam, eps)
     else:
         spec = build_spec(model, params)
         if args.start_on_fixed_point:
@@ -326,21 +324,22 @@ def cmd_flow(args) -> int:
             fixed_point = spec.family.fixed_point
             side = 1.0 if fixed_point is None else fixed_point(spec.kappa)[0]
             g0 = math.copysign(spec.coupling, side)
+        row_beta = lambda g, lam: beta(spec, g, lam)
+        row_energy = lambda g, lam: pipeline_ground_energy(spec, g, lam)
         try:
             traj = integrate_flow(spec, g0, lam0, lam1, n_points=points,
-                                  beta=lambda g, lam: beta(spec, g, lam))
+                                  beta=row_beta)
             lams, gs = traj.lams, traj.couplings
         except IntegrationAbortError as exc:
             lams, gs = exc.partial if exc.partial is not None else ([], [])
             errors.append(exc)
+    rows = []
+    try:  # a failing row keeps the rows before it, as an abort does
         for lam, g in zip(lams, gs):
-            try:
-                rows.append({"lambda": float(lam), "coupling": float(g),
-                             "beta": beta(spec, g, lam),
-                             "energy": pipeline_ground_energy(spec, g, lam)})
-            except UVFlowError as exc:  # keep the rows before it, as an abort does
-                errors.append(exc)
-                break
+            rows.append({"lambda": float(lam), "coupling": float(g),
+                         "beta": row_beta(g, lam), "energy": row_energy(g, lam)})
+    except UVFlowError as exc:
+        errors.append(exc)
     _write_report(path, FLOW_COLUMNS, rows, fmt)
     for exc in errors:
         print(f"flow/{model}: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -375,28 +374,23 @@ def cmd_kh_scan(args) -> int:
         raise ConfigError(f"lambdas must be a non-empty list of cutoffs, "
                           f"got {lambdas!r}")
     lambdas = [_number("lambdas", lam, LAMBDA_FLOOR) for lam in lambdas]
-    small = kh.ground_energy_limits(eps, kh.FieldRegime.SMALL_FIELD)
-    strong = kh.ground_energy_limits(eps, kh.FieldRegime.STRONG_FIELD)
+    small, K, upper, lower = kh.ground_energy_limits(eps)
     rows = []
     for f in kh.log_divergence_fit(lambdas, z_window=z_window, n_fit=n_fit):
         s = math.log(f.lam)
         rows.append({"lambda": f.lam, "c0": f.c0, "c2": f.c2,
                      "c0_over_log": f.c0 / s, "c2_over_log": f.c2 / s,
-                     "small_field_energy": small.energy,
-                     "strong_field_energy": strong.energy})
+                     "small_field_energy": small, "strong_field_energy": upper})
     extra = {"limits": {
         "eps_exp": _round12(eps),
-        "small_field": {"energy": _round12(small.energy),
-                        "K": _round12(small.constant)},
-        "strong_field": {"energy": _round12(strong.energy),
-                         "K_squared": _round12(strong.constant),
-                         "branches": [_round12(b) for b in strong.branches]},
+        "small_field": {"energy": _round12(small), "K": _round12(K)},
+        "strong_field": {"energy": _round12(upper), "K_squared": _round12(eps),
+                         "branches": [_round12(upper), _round12(lower)]},
     }}
     comments = (
-        f"small-field(eps_exp={_fmt(eps)}): energy={_fmt(small.energy)} "
-        f"K={_fmt(small.constant)}",
-        f"strong-field(eps_exp={_fmt(eps)}): energy={_fmt(strong.energy)} "
-        f"branches={_fmt(strong.branches[0])},{_fmt(strong.branches[1])}",
+        f"small-field(eps_exp={_fmt(eps)}): energy={_fmt(small)} K={_fmt(K)}",
+        f"strong-field(eps_exp={_fmt(eps)}): energy={_fmt(upper)} "
+        f"branches={_fmt(upper)},{_fmt(lower)}",
     )
     _write_report(path, KH_SCAN_COLUMNS, rows, fmt, extra=extra,
                   comments=comments)

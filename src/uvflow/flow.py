@@ -84,12 +84,22 @@ class LogFlow:
     def __call__(self, lam: float) -> float:
         if not lam >= LAMBDA_FLOOR:
             raise DomainError(f"cutoff {lam} is below the floor {LAMBDA_FLOOR}")
-        return self.K ** 2 / math.log(lam)
+        return self._K2_over(math.log(lam))
 
     def derivative_wrt_log(self, lam: float) -> float:
         """d g / d ln(Lambda), analytic."""
         s = math.log(lam)
-        return -self.K ** 2 / (s * s)
+        return -self._K2_over(s * s)
+
+    def _K2_over(self, d: float) -> float:
+        """K**2 / d; a quotient that leaves the float range is a DomainError."""
+        try:
+            value = self.K ** 2 / d
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise DomainError(f"K**2 / {d!r} leaves the float range at K = {self.K!r}")
+        return value
 
 
 def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
@@ -241,7 +251,7 @@ def solve_fixed_point(spec: PotentialSpec) -> CouplingFlow:
 
     def pointwise(lam: float) -> float:
         moved = with_coupling_and_cutoff(spec, 1.0, lam)
-        _, _, v2 = moved.shape_derivatives(1.0 / lam)
+        _, _, v2 = moved.derivatives(1.0 / lam)
         if v2 == 0.0:
             raise NoFixedPointError(f"flat shape curvature at cutoff {lam}")
         return spec.kappa / (0.5 * v2)

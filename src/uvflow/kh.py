@@ -15,7 +15,7 @@ cutoff-independence condition integrates in closed form to
     alpha(Lambda) = K^2 / ln(Lambda).
 
 This module evaluates I in closed form, fits its logarithmic growth,
-and provides the closed-form flow, the scaled oscillator level along it,
+and provides the scaled oscillator level along that flow (``flow.LogFlow``)
 and the two printed limiting energies (weak and strong drive).
 
 Closed form: with z' = cos(theta), I = integral over theta in [0, pi] of
@@ -37,13 +37,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError, FitDegenerateError
-from .flow import LAMBDA_FLOOR, LogFlow
+from .flow import LAMBDA_FLOOR
 
 _AGM_TOL = 2.0 ** -26    # one step past this relative gap leaves rounding only
 _FAR = 1.0e9             # beyond |z| = _FAR, I = pi/|z| to double precision
@@ -147,12 +146,7 @@ def log_divergence_fit(lams: Sequence[float], z_window: float = 0.2,
     return out
 
 
-# -- the logarithmic flow and its printed energies ---------------------------
-
-def cs_solution(K: float) -> LogFlow:
-    """The closed-form running coupling alpha(Lambda) = K^2 / ln(Lambda)."""
-    return LogFlow(float(K))
-
+# -- the scaled level along the logarithmic flow, and its limits -------------
 
 def scaled_ground_energy(alpha: float, lam: float, eps_exp: float) -> float:
     """Reduced-oscillator level in scaled units at one cutoff.
@@ -168,56 +162,46 @@ def scaled_ground_energy(alpha: float, lam: float, eps_exp: float) -> float:
     x = (2.0 / math.pi) * (alpha / eps_exp) * math.log(lam)
     if x < 0.0:
         raise DomainError("the scaled level is real only for alpha >= 0")
-    return 0.5 * math.sqrt(x) + x
+    return _scaled_level(x)
 
 
 def scaled_energy_from_K(K: float, eps_exp: float) -> float:
     """The cutoff-independent value of the scaled level along the flow."""
     if eps_exp <= 0.0:
         raise DomainError("eps_exp must be positive")
-    x = (2.0 / math.pi) * K * K / eps_exp
-    return 0.5 * math.sqrt(x) + x
+    return _scaled_level((2.0 / math.pi) * K * K / eps_exp)
 
 
-class FieldRegime(Enum):
-    SMALL_FIELD = "small-field"
-    STRONG_FIELD = "strong-field"
+def _scaled_level(x: float) -> float:
+    """(1/2) sqrt(x) + x; a level that is not a finite float is a DomainError."""
+    level = 0.5 * math.sqrt(x) + x
+    if not math.isfinite(level):
+        raise DomainError(f"the scaled level is {level} at scaled stiffness {x!r}")
+    return level
 
 
-@dataclass(frozen=True)
-class EnergyLimit:
-    """A printed limiting ground energy (unit energy scale)."""
+def ground_energy_limits(eps_exp: float) -> Tuple[float, float, float, float]:
+    """The two printed limiting ground energies (unit energy scale):
+    (small-field energy, its K, strong-drive upper branch, lower branch).
 
-    energy: float
-    constant: float                          # the K (small) or K^2 (strong) used
-    branches: Optional[Tuple[float, float]] = None
-
-
-def ground_energy_limits(eps_exp: float, regime: FieldRegime) -> EnergyLimit:
-    """Limiting ground energy for the requested drive regime.
-
-    The two regimes fix the flow constant differently and are reported as
-    printed: the small-field level has a single branch and tends to -1/2 as
-    eps_exp grows; the strong-drive level keeps its root ambiguity (both
-    branches come out positive and proportional to eps_exp^2).  The regime
-    labels follow the source convention even though the small-field label
-    is paired with large eps_exp; see README.  An eps_exp at which a limit
-    is not a finite float is a DomainError.
+    The small-field level has a single branch and tends to -1/2 as eps_exp
+    grows.  The strong-drive level fixes K^2 = eps_exp and keeps its root
+    ambiguity: both branches come out positive and proportional to
+    eps_exp^2, and the upper one is the quoted energy.  The regime labels
+    follow the source convention even though the small-field label is
+    paired with large eps_exp; see README.  An eps_exp at which the
+    small-field limit is not a finite float is a DomainError; where it is
+    finite, so is eps_exp^2 and with it the strong-drive branches.
     """
     if eps_exp <= 0.0:
         raise DomainError("eps_exp must be positive")
     try:
-        if regime is FieldRegime.SMALL_FIELD:
-            K = -math.sqrt(2.0 / (math.pi * eps_exp ** 3))
-            limit = EnergyLimit(-0.5 + 1.0 / eps_exp ** 2, K)
-        else:
-            half_root = 0.5 * math.sqrt(2.0 / math.pi) * eps_exp ** 2
-            base = (2.0 / math.pi) * eps_exp ** 2
-            plus, minus = base + half_root, base - half_root
-            limit = EnergyLimit(plus, eps_exp, branches=(plus, minus))
-        if math.isfinite(limit.energy) and math.isfinite(limit.constant):
-            return limit
+        K = -math.sqrt(2.0 / (math.pi * eps_exp ** 3))
+        small = -0.5 + 1.0 / eps_exp ** 2
     except (OverflowError, ZeroDivisionError):
-        pass
-    raise DomainError(f"the {regime.value} limit is not finite at eps_exp = {eps_exp!r}")
-
+        K = small = math.inf
+    if not (math.isfinite(small) and math.isfinite(K)):
+        raise DomainError(f"the small-field limit is not finite at eps_exp = {eps_exp!r}")
+    half_root = 0.5 * math.sqrt(2.0 / math.pi) * eps_exp ** 2
+    base = (2.0 / math.pi) * eps_exp ** 2
+    return small, K, base + half_root, base - half_root

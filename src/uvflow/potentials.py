@@ -82,25 +82,18 @@ class PotentialSpec:
     kappa: float
     shape: dict = field(default_factory=dict)
 
-    # -- shape function -------------------------------------------------
-
-    def shape_value(self, x):
-        """v(x) for scalar or ndarray argument."""
-        return self.family.value(self.shape, x)
-
-    def shape_derivatives(self, x0: float):
-        """(v, v', v'') at a scalar point x0."""
-        return self.family.derivatives(self.shape, float(x0))
-
-    # -- full potential --------------------------------------------------
-
     def __call__(self, x):
-        """V(x) = g * v(x)."""
-        return self.coupling * self.shape_value(x)
+        """V(x) = g * v(x) for a scalar or ndarray argument."""
+        return self.coupling * self.family.value(self.shape, x)
 
     def derivatives(self, x0: float):
-        """(V, V', V'') at x0."""
-        v, d1, d2 = self.shape_derivatives(x0)
+        """(V, V', V'') at a scalar point x0; a shape whose float arithmetic
+        overflows or divides by zero there raises DomainError."""
+        try:
+            v, d1, d2 = self.family.derivatives(self.shape, float(x0))
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise DomainError(f"the {self.family.name} shape leaves the float "
+                              f"range at x0 = {float(x0)!r}: {exc}") from None
         g = self.coupling
         return g * v, g * d1, g * d2
 
@@ -180,13 +173,21 @@ def _coulomb_beta(s, g, lam):
     return -3.0 * g * (2.0 * lam + t) / (2.0 * lam + 3.0 * t)
 
 
+def _softening(s):
+    """The squared softening distance 1/lam^2."""
+    try:
+        return 1.0 / s["lam"] ** 2
+    except OverflowError:
+        raise DomainError(f"lam^2 leaves the float range at lam = {s['lam']!r}") from None
+
+
 def _soft_coulomb_value(s, x):
-    d2 = 1.0 / s["lam"] ** 2
+    d2 = _softening(s)
     return -1.0 / np.sqrt(x * x + d2)
 
 
 def _soft_coulomb_derivatives(s, x0):
-    d2 = 1.0 / s["lam"] ** 2
+    d2 = _softening(s)
     u = x0 * x0 + d2
     return -u ** -0.5, x0 * u ** -1.5, (d2 - 2.0 * x0 * x0) * u ** -2.5
 
@@ -208,17 +209,11 @@ def _soft_coulomb_beta(s, g, lam):
 # uvflow.kh imports this module through uvflow.flow, so the dressed family
 # imports it on use
 
-def _kh_value(s, z):
-    from . import kh
-
-    return kh.dressed_potential_integral(z, s["lam"]) * (1.0 / (math.pi * s["eps_exp"]))
-
-
-def _kh_derivatives(s, z0):
+def _kh_derivatives(s, z):
     from . import kh
 
     scale = 1.0 / (math.pi * s["eps_exp"])
-    return tuple(d * scale for d in kh.dressed_integral_derivatives(z0, s["lam"]))
+    return tuple(d * scale for d in kh.dressed_integral_derivatives(z, s["lam"]))
 
 
 def _kh_law(s, alpha, lam):
@@ -229,7 +224,7 @@ def _kh_law(s, alpha, lam):
 
 def _kh_fixed_point(stiffness):
     raise NoFixedPointError(
-        "the dressed family runs logarithmically; use kh.cs_solution")
+        "the dressed family runs logarithmically; use flow.LogFlow")
 
 
 FAMILIES = {fam.name: fam for fam in (
@@ -245,7 +240,8 @@ FAMILIES = {fam.name: fam for fam in (
               _soft_coulomb_law, _soft_coulomb_beta,
               fixed_point=lambda tc: (-8.0 * math.sqrt(2.0) * tc, -3.0),
               attractive=True),
-    FamilyDef("kramers-henneberger", _kh_value, _kh_derivatives, _kh_law,
+    FamilyDef("kramers-henneberger", lambda s, z: _kh_derivatives(s, z)[0],
+              _kh_derivatives, _kh_law,
               lambda s, g, lam: -g / math.log(lam),
               fixed_point=_kh_fixed_point, attractive=True),
 )}
@@ -320,21 +316,24 @@ def custom(profile: Callable, coupling: float = 1.0, kappa: float = 1.0,
     """Wrap a user shape function v(x) as a family member.
 
     ``profile`` should accept numpy arrays if the resulting spec is meant
-    for the grid eigensolver.  Without both d1 and d2 the derivatives fall
-    back to a central difference and the 5-point second-derivative
-    stencil.  Below |x0| = 1 each is taken with steps scaled by |x0| and
-    by 1, keeping the one with the smaller error estimate: a shape such as
-    x^4, which shrinks with x0, needs the first at the reduction point
-    1/Lambda of a large cutoff, and a Morse well, whose size does not, the
-    second.  Each call builds its own family entry, with no energy law,
-    beta or fixed-point power law.
+    for the grid eigensolver.  ``d1`` and ``d2`` come together; one without
+    the other is a DomainError.  Without them the derivatives fall back to
+    a central difference and the 5-point second-derivative stencil.  Below
+    |x0| = 1 each is taken with steps scaled by |x0| and by 1, keeping the
+    one with the smaller error estimate: a shape such as x^4, which shrinks
+    with x0, needs the first at the reduction point 1/Lambda of a large
+    cutoff, and a Morse well, whose size does not, the second.  Each call
+    builds its own family entry, with no energy law, beta or fixed-point
+    power law.
     """
     if kappa <= 0:
         raise DomainError("custom requires kappa > 0")
+    if (d1 is None) != (d2 is None):
+        raise DomainError("custom takes both d1 and d2 or neither")
 
     def derivatives(s, x0):
         v0 = float(profile(x0))
-        if d1 is not None and d2 is not None:
+        if d1 is not None:
             return v0, float(d1(x0)), float(d2(x0))
         r = abs(x0)
         fine = _differences(profile, x0, v0, r or 1.0)

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import kh
 from .eigensolver import Grid, Parity, ground_state, shooting_ground_energy
-from .flow import (beta_closed_form, beta_numeric, pipeline_ground_energy,
-                   solve_fixed_point, uv_limit_energy)
+from .flow import (LogFlow, beta_closed_form, beta_numeric,
+                   pipeline_ground_energy, solve_fixed_point, uv_limit_energy)
 from .potentials import coulomb, custom, morse, quartic, soft_coulomb
 
 
@@ -148,7 +148,7 @@ def criterion_6() -> CriterionResult:
 
 def criterion_7() -> CriterionResult:
     """Log flow solves its own flow equation; scaled level cutoff-independent."""
-    flow = kh.cs_solution(1.3)
+    flow = LogFlow(1.3)
     lams = np.geomspace(1.0e2, 1.0e6, 9)
     resid = max(abs(flow.derivative_wrt_log(l) + flow(l) / math.log(l))
                 for l in lams)

@@ -191,6 +191,14 @@ def test_flow_energy_failure_writes_the_rows_before_it(tmp_path):
     assert lines[1].startswith("flow/quartic: DomainError: ")
     assert read_csv_rows(out) == []  # the first row already fails
 
+    # kh: downward from 1e4, K**2/ln(lam) with K = 1.2e154 overflows below lam = e
+    res = run_cli(["flow", "kh", "--K", "1.2e154", "--lam0", "1e4", "--lam1", "2.1",
+                   "--points", "5", "--output", str(out)], tmp_path)
+    assert res.returncode == 1
+    assert res.stderr.startswith("flow/kh: DomainError: ")
+    assert "wrote partial trajectory" in res.stderr
+    assert len(read_csv_rows(out)) == 4
+
 
 def test_flow_kh_tracks_log_solution(tmp_path):
     out = tmp_path / "kh.json"
@@ -240,9 +248,15 @@ def test_kh_scan_limits(tmp_path):
     for row in payload["rows"]:
         assert abs(row["small_field_energy"] + 0.49) < 1e-10
         assert 0.8 < row["c2_over_log"] < 1.2
-    branches = payload["limits"]["strong_field"]["branches"]
+    limits = payload["limits"]
+    assert abs(limits["small_field"]["K"]
+               + math.sqrt(2.0 / (math.pi * 1000.0))) < 1e-12
+    strong = limits["strong_field"]
+    branches = strong["branches"]
     assert abs(branches[0] - 103.556205277) < 1e-6
     assert abs(branches[1] - 23.7677491966) < 1e-6
+    assert strong["energy"] == branches[0]
+    assert strong["K_squared"] == 10.0
 
 
 def test_kh_scan_rejects_low_cutoffs(tmp_path):
@@ -346,10 +360,17 @@ def test_bad_settings_exit_2(tmp_path, args, config):
     ["flow", "quartic", "--g0", "1e200"],
     ["flow", "quartic", "--g0", "1e155"],
     ["oracle", "quartic", "--g", "-1"],
+    ["oracle", "soft-coulomb", "--lam", "1e300"],
+    ["flow", "kh", "--K", "1e200"],
+    ["flow", "kh", "--K", "1e150", "--eps-exp", "1e-10"],
+    ["flow", "coulomb", "--lam0", "1e200", "--lam1", "1e201"],
+    ["flow", "soft-coulomb", "--lam0", "1e70", "--lam1", "1e71"],
 ], ids=["kh-scan-tiny-eps-exp", "kh-scan-huge-eps-exp",
         "oracle-tiny-half-width", "oracle-huge-half-width", "flow-huge-g0",
         "flow-overflowing-offset", "flow-offset-overflows-mid-trajectory",
-        "oracle-inverted-quartic"])
+        "oracle-inverted-quartic", "oracle-soft-coulomb-huge-lam",
+        "flow-kh-huge-K", "flow-kh-overflowing-level",
+        "flow-coulomb-huge-cutoffs", "flow-soft-coulomb-huge-cutoffs"])
 def test_extreme_numbers_exit_1(tmp_path, args):
     """Finite inputs whose numbers leave the float range end in
     UVFlowError lines and exit 1: no traceback, no RuntimeWarning, no hang,
@@ -361,6 +382,23 @@ def test_extreme_numbers_exit_1(tmp_path, args):
     for path in tmp_path.glob("*.csv"):
         cells = {cell for row in read_csv_rows(path) for cell in row.values()}
         assert not cells & {"inf", "-inf", "nan"}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args", [
+    ["analyze", "soft-coulomb", "--lam", "1e300"],
+    ["analyze", "kh", "--K", "1e200"],
+], ids=["soft-coulomb-huge-lam", "kh-huge-K"])
+def test_analyze_row_out_of_float_range_fails(tmp_path, args):
+    """analyze reports a row's error in its notes and exits 1; the row
+    holds no number that is not finite."""
+    res = run_cli(args, tmp_path)
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert "Traceback" not in res.stderr
+    row, = read_csv_rows(tmp_path / "analyze.csv")
+    assert ": DomainError: " in row["notes"]
+    for column in ("rg_energy", "oracle_energy", "rel_error", "flow_law"):
+        assert not re.search(r"\b(inf|nan)\b", row[column])
 
 
 @pytest.mark.parametrize("args", [

@@ -47,6 +47,15 @@ def test_log_flow_derivative_matches_finite_difference():
     assert abs(flow.derivative_wrt_log(lam) - fd) < 1e-6 * abs(fd)
 
 
+def test_log_flow_out_of_float_range_is_a_domain_error():
+    with pytest.raises(uf.DomainError):
+        uf.LogFlow(1.0e200)(10.0)  # K**2 overflows
+    flow = uf.LogFlow(1.3e154)  # K**2 is finite, K**2 / ln(2.5)**2 is not
+    assert math.isfinite(flow(10.0))
+    with pytest.raises(uf.DomainError):
+        flow.derivative_wrt_log(2.5)
+
+
 def test_tabulated_flow():
     lams = np.geomspace(10.0, 1.0e4, 41)
     flow = uf.TabulatedFlow(lams, lams ** 2 / 6.0)

@@ -74,7 +74,7 @@ def test_kh_curvature_at_the_expansion_point(lam):
     (_, _, value, d1, d2), = [row for row in PINNED if row[:2] == (1.0 / lam, lam)]
     eps_exp = 2.0
     scale = 1.0 / (math.pi * eps_exp)
-    got = uf.kramers_henneberger(0.7, eps_exp, lam).shape_derivatives(1.0 / lam)
+    got = uf.kramers_henneberger(1.0, eps_exp, lam).derivatives(1.0 / lam)
     for g, want in zip(got, (value, d1, d2)):
         assert abs(g - scale * want) <= 1e-12 * abs(scale * want)
 
@@ -227,15 +227,8 @@ def test_log_divergence_fit_validation():
         kh.log_divergence_fit([1.0e4], z_window=5e-324)
 
 
-def test_cs_solution_is_the_log_flow():
-    flow = kh.cs_solution(1.0)
-    assert isinstance(flow, uf.LogFlow)
-    assert flow(math.e) == 1.0
-    assert abs(kh.cs_solution(2.0)(math.exp(4.0)) - 1.0) < 1e-14
-
-
 def test_cs_solution_satisfies_the_flow_equation():
-    flow = kh.cs_solution(1.3)
+    flow = uf.LogFlow(1.3)
     for lam in (10.0, 50.0, 1.0e4):
         residual = flow.derivative_wrt_log(lam) + flow(lam) / math.log(lam)
         assert abs(residual) < 1e-13
@@ -243,7 +236,7 @@ def test_cs_solution_satisfies_the_flow_equation():
 
 def test_scaled_level_is_cutoff_independent_along_the_flow():
     K, eps = 1.0, 2.0
-    flow = kh.cs_solution(K)
+    flow = uf.LogFlow(K)
     target = kh.scaled_energy_from_K(K, eps)
     for lam in (1.0e2, 1.0e4, 1.0e6):
         val = kh.scaled_ground_energy(flow(lam), lam, eps)
@@ -259,32 +252,31 @@ def test_scaled_level_validation():
         kh.scaled_ground_energy(0.1, 1.0e4, 0.0)
     with pytest.raises(uf.DomainError):
         kh.scaled_energy_from_K(1.0, -1.0)
+    # levels that leave the float range
+    with pytest.raises(uf.DomainError):
+        kh.scaled_energy_from_K(1.0e200, 1.0)
+    with pytest.raises(uf.DomainError):
+        kh.scaled_ground_energy(1.0e300, 1.0e4, 1.0e-10)
 
 
 def test_small_field_limit():
-    lim = kh.ground_energy_limits(10.0, kh.FieldRegime.SMALL_FIELD)
-    assert abs(lim.energy + 0.49) < 1e-12
-    assert abs(lim.constant + math.sqrt(2.0 / (math.pi * 1000.0))) < 1e-15
-    assert lim.branches is None
-    deep = kh.ground_energy_limits(1.0e6, kh.FieldRegime.SMALL_FIELD)
-    assert abs(deep.energy + 0.5) < 1e-11
+    energy, K, _, _ = kh.ground_energy_limits(10.0)
+    assert abs(energy + 0.49) < 1e-12
+    assert abs(K + math.sqrt(2.0 / (math.pi * 1000.0))) < 1e-15
+    assert abs(kh.ground_energy_limits(1.0e6)[0] + 0.5) < 1e-11
 
 
 def test_strong_field_limit():
-    lim = kh.ground_energy_limits(0.1, kh.FieldRegime.STRONG_FIELD)
-    plus, minus = lim.branches
+    _, _, plus, minus = kh.ground_energy_limits(0.1)
     assert plus > 0.0 and minus > 0.0
     assert abs(plus - STRONG_PLUS_AT_TENTH) < 1e-14
     assert abs(minus - STRONG_MINUS_AT_TENTH) < 1e-14
-    assert lim.energy == plus
-    assert lim.constant == 0.1
 
 
 def test_energy_limit_validation():
-    with pytest.raises(uf.DomainError):
-        kh.ground_energy_limits(0.0, kh.FieldRegime.SMALL_FIELD)
-    with pytest.raises(uf.DomainError):
-        kh.ground_energy_limits(-2.0, kh.FieldRegime.STRONG_FIELD)
+    for eps_exp in (0.0, -2.0, 1.0e-120, 1.0e160):
+        with pytest.raises(uf.DomainError):
+            kh.ground_energy_limits(eps_exp)
 
 
 def test_reduced_quadratic_matches_printed_level():
@@ -293,7 +285,7 @@ def test_reduced_quadratic_matches_printed_level():
     the finite-window curvature deficit (about 5% at this cutoff)."""
     K, eps, lam = 1.0, 2.0, 1.0e6
     fit = kh.log_divergence_fit([lam])[0]
-    alpha = kh.cs_solution(K)(lam)
+    alpha = uf.LogFlow(K)(lam)
     scale = 1.0 / (math.pi * eps)
     spec = uf.custom(lambda z: scale * (fit.c0 + fit.c2 * z * z),
                      coupling=alpha, kappa=0.5,

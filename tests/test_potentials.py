@@ -135,9 +135,21 @@ def test_family_table_entry(name):
     else:
         assert spec.family is FAMILIES[name]
     for x0 in (-0.7, 0.05, 0.3, 0.9, 0.999, 1.5):
-        v = float(spec.shape_value(x0))
-        v0 = spec.shape_derivatives(x0)[0]
+        v = float(spec(x0))
+        v0 = spec.derivatives(x0)[0]
         assert abs(v - v0) <= 1e-14 * abs(v0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: uf.soft_coulomb(1.0, 1.0e300)(np.array([0.5])),
+    lambda: uf.soft_coulomb(1.0, 1.0e300).derivatives(0.5),
+    lambda: uf.soft_coulomb(-1.0, 1.0e70).derivatives(1.0e-70),
+    lambda: uf.coulomb(1.0).derivatives(1.0e-200),
+], ids=["soft-coulomb-value", "soft-coulomb-derivatives",
+        "soft-coulomb-curvature", "coulomb-curvature"])
+def test_shape_out_of_float_range_is_a_domain_error(call):
+    with pytest.raises(uf.DomainError):
+        call()
 
 
 def test_with_coupling_and_cutoff():
@@ -164,6 +176,11 @@ def test_constructor_validation():
         uf.kramers_henneberger(1.0, -1.0, 100.0)
     with pytest.raises(uf.DomainError):
         uf.custom(lambda x: x * x, kappa=0.0)
+    # a lone d1 or d2 would go unused beside the finite differences
+    with pytest.raises(uf.DomainError):
+        uf.custom(lambda x: x ** 4, d1=lambda x: 999.0)
+    with pytest.raises(uf.DomainError):
+        uf.custom(lambda x: x ** 4, d2=lambda x: 999.0)
     # unconstrained knobs stay unconstrained
     uf.morse(-1.0)
     uf.quartic(float("nan"))

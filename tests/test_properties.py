@@ -61,3 +61,24 @@ def test_soft_coulomb_rescaling_on_the_grid(alpha, lam, bohr_radii):
                              uf.Grid(half_width / 2.0, 2001),
                              parity=uf.Parity.ODD).refinement_estimate
     assert abs(scaled - 4.0 * level) <= 1e-5 * abs(scaled)
+
+
+# each family's coupling domain for the beta comparison; cutoffs stay at or
+# below 1e3, past which the numeric beta of the Morse law loses digits
+BETA_DOMAINS = [("morse", 1.0, 8.0), ("quartic", 0.1, 10.0),
+                ("coulomb", -2.0, -0.05), ("soft-coulomb", -2.0, -0.05),
+                ("kramers-henneberger", 0.05, 2.0)]
+
+
+@pytest.mark.parametrize("name, low, high", BETA_DOMAINS,
+                         ids=[name for name, _, _ in BETA_DOMAINS])
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_numeric_beta_matches_closed_form(name, low, high, data):
+    """Implicit differentiation of the family's energy law gives its
+    closed-form beta to criterion 4's bound, 1e-4."""
+    g = data.draw(st.floats(low, high), label="g")
+    lam = 10.0 ** data.draw(st.floats(1.0, 3.0), label="log10_lam")
+    closed = uf.beta_closed_form(BASE[name], g, lam)
+    numeric = uf.beta_numeric(BASE[name], g, lam)
+    assert abs(numeric - closed) <= 1e-4 * abs(closed)
