@@ -7,12 +7,13 @@ Subcommands:
     oracle       solve one model on a grid
     paper-suite  run the acceptance checks, print one PASS/FAIL line each
 
-Configuration is a JSON file (--config) whose keys are the subcommand's
-long options, written with - or _; flags win over the file, and any other
-key is a config error.  Reports are deterministic: floats are written
-with 12 significant digits, row and column order is fixed, and no
-timestamps are emitted, so identical configs give byte-identical files.
-If UVFLOW_OUTPUT_DIR is set, relative output paths land under it.
+Settings are flags.  An argument that starts with @ names an args file,
+which argparse reads in its place, one argument per line (--g=8); its
+settings pass the same types and checks as flags, and a setting given
+later wins.  Reports are deterministic: floats are written with 12
+significant digits, row and column order is fixed, and no timestamps are
+emitted, so identical settings give byte-identical files.  If
+UVFLOW_OUTPUT_DIR is set, relative output paths land under it.
 
 Exit codes: 0 success, 1 computation error, 2 config error.
 """
@@ -81,96 +82,61 @@ def _round12(value):
     return float(_fmt(value)) if isinstance(value, float) else value
 
 
-def _report_path(args, stem: str):
-    """(path, format) of the report; the default path is <stem>.<format>,
-    and a relative path lands under UVFLOW_OUTPUT_DIR when that is set."""
-    fmt = "csv" if args.format is None else args.format
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    path = args.output or f"{stem}.{fmt}"
-    if not isinstance(path, str):
-        raise ConfigError(f"output must be a path string, got {path!r}")
+def _write_report(args, stem: str, columns: Sequence[str], rows: list[dict],
+                  extra: Optional[dict] = None,
+                  comments: Sequence[str] = ()) -> str:
+    """Write the report in --format and return its path: --output, by
+    default <stem>.<format>, placed under UVFLOW_OUTPUT_DIR when that is
+    set and the path is relative."""
+    path = args.output or f"{stem}.{args.format}"
     root = os.environ.get("UVFLOW_OUTPUT_DIR")
     if root and not os.path.isabs(path):
         path = os.path.join(root, path)
-    return path, fmt
-
-
-def _write_report(path: str, columns: Sequence[str], rows: list[dict],
-                  fmt: str, extra: Optional[dict] = None,
-                  comments: Sequence[str] = ()) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        try:
-            os.makedirs(parent, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create output directory {parent}: {exc}") from exc
-    if fmt == "json":
-        payload = {"rows": [{k: _round12(r.get(k)) for k in columns}
-                            for r in rows]}
-        if extra:
-            payload.update(extra)
-        with open(path, "w") as fh:
+    try:
+        if os.path.dirname(path):
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    with fh:
+        if args.format == "json":
+            payload = {"rows": [{k: _round12(r.get(k)) for k in columns}
+                                for r in rows]}
+            if extra:
+                payload.update(extra)
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        return
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for r in rows:
-            writer.writerow([_fmt(r.get(k)) for k in columns])
-        for line in comments:
-            fh.write(f"# {line}\n")
+        else:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            for r in rows:
+                writer.writerow([_fmt(r.get(k)) for k in columns])
+            for line in comments:
+                fh.write(f"# {line}\n")
+    return path
 
 
-def _load_config(args) -> None:
-    """Fill the options left off the command line from the --config file.
-
-    A key names one of the subcommand's long options, written with - or _
-    (analyze also reads ``models``); any other key, a key given in both
-    spellings, and a null value are config errors.
-    """
-    path = getattr(args, "config", None)
-    if path is None:
-        return
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    if len({key.replace("-", "_") for key in cfg}) < len(cfg):
-        raise ConfigError(f"config {path} sets an option under both spellings")
-    options = set(vars(args)) - {"command", "func", "config", "model"}
-    for key, value in cfg.items():
-        dest = key.replace("-", "_")
-        if dest not in options:
-            raise ConfigError(f"unknown config key {key!r}")
-        if value is None:
-            raise ConfigError(f"config key {key!r} is null")
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
+# the largest count that --n, --points, --n-fit and --level take: far above
+# the grids and trajectories the package runs, and small enough that the
+# arrays a count sizes fit in memory
+MAX_COUNT = 10**6
 
 
-def _integer(name: str, value, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"{name} must be an integer of at least {minimum}, "
-                          f"got {value!r}")
+def _integer(name: str, value: int, minimum: int) -> int:
+    if not minimum <= value <= MAX_COUNT:
+        raise ConfigError(f"{name} must be an integer from {minimum} to "
+                          f"{MAX_COUNT}, got {value!r}")
     return value
 
 
-def _grid_size(value) -> int:
+def _grid_size(value: int) -> int:
     if _integer("n", value, 3) % 2 == 0:
         raise ConfigError(f"n must be odd, got {value!r}")
     return value
 
 
-def _number(name: str, value, floor: float = 0.0) -> float:
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not floor < value < math.inf):
+def _number(name: str, value: float, floor: float = 0.0) -> float:
+    if not floor < value < math.inf:
         raise ConfigError(f"{name} must be a finite number above {floor:g}, "
                           f"got {value!r}")
     return float(value)
@@ -184,10 +150,11 @@ _FLOW_SETTINGS = ("g0", "beta", "start_on_fixed_point")
 def _params(args, models: Sequence[str]) -> dict:
     """The model parameters that are set, each a finite number.
 
-    A model reads its constructor's parameters (and flow's settings);
-    analyze and flow follow kh along its log flow instead, which reads
-    only K and eps_exp.  A setting that none of the models reads is a
-    config error.
+    A parameter or flow setting is set when it is not None, which is
+    why none of them has a parser default.  A model reads its
+    constructor's parameters (and flow's settings); analyze and flow
+    follow kh along its log flow instead, which reads only K and eps_exp.
+    A setting that none of the models reads is a config error.
     """
     read = set()
     for model in models:
@@ -217,10 +184,7 @@ def _grid_level(spec: PotentialSpec, half_width: float, n: int, level: int,
     the eigensolver, and with it scipy.linalg."""
     from .eigensolver import Grid, Parity, eigenvalue_by_index
 
-    try:
-        parity = None if parity in (None, "none") else Parity(parity)
-    except ValueError as exc:
-        raise ConfigError(f"unknown parity {parity!r}") from exc
+    parity = None if parity in (None, "none") else Parity(parity)
     return eigenvalue_by_index(spec, Grid(half_width, n), level, parity=parity)
 
 
@@ -257,17 +221,10 @@ def _analyze_row(model: str, params: dict, half_width: Optional[float],
 
 
 def cmd_analyze(args) -> int:
-    models = [args.model] if args.model is not None else args.models
-    if models is None:
-        models = list(CASE_STUDIES)
-    if (not isinstance(models, list)
-            or any(m not in tuple(_MODELS) for m in models)):
-        raise ConfigError(f"models must be a list drawn from {tuple(_MODELS)}, "
-                          f"got {models!r}")
+    models = args.models or CASE_STUDIES
     params = _params(args, models)
     half_width = None if args.half_width is None else _number("half-width", args.half_width)
     n = None if args.n is None else _grid_size(args.n)
-    path, fmt = _report_path(args, "analyze")
     rows, failed = [], False
     for model in models:
         try:
@@ -276,7 +233,7 @@ def cmd_analyze(args) -> int:
             failed = True
             rows.append({"model": model, "sign_branch": "", "flow_law": "",
                          "notes": f"analyze/{model}: {type(exc).__name__}: {exc}"})
-    _write_report(path, ANALYZE_COLUMNS, rows, fmt)
+    path = _write_report(args, "analyze", ANALYZE_COLUMNS, rows)
     for r in rows:
         print(f"{r['model']:12s} rg={_fmt(r.get('rg_energy')):>18s} "
               f"oracle={_fmt(r.get('oracle_energy')):>18s} "
@@ -290,19 +247,12 @@ def cmd_analyze(args) -> int:
 def cmd_flow(args) -> int:
     model = args.model
     params = _params(args, [model])
-    path, fmt = _report_path(args, f"flow_{model}")
-    lam0 = _number("lam0", 10.0 if args.lam0 is None else args.lam0, LAMBDA_FLOOR)
-    lam1 = _number("lam1", 1.0e4 if args.lam1 is None else args.lam1, LAMBDA_FLOOR)
+    lam0 = _number("lam0", args.lam0, LAMBDA_FLOOR)
+    lam1 = _number("lam1", args.lam1, LAMBDA_FLOOR)
     if lam0 == lam1:
         raise ConfigError(f"lam0 and lam1 must differ, both are {lam0!r}")
-    points = _integer("points", 41 if args.points is None else args.points, 2)
-    beta_name = "closed" if args.beta is None else args.beta
-    beta = {"closed": beta_closed_form, "numeric": beta_numeric}.get(str(beta_name))
-    if beta is None:
-        raise ConfigError(f"unknown beta choice {beta_name!r}")
-    if not isinstance(args.start_on_fixed_point, (bool, type(None))):
-        raise ConfigError("start-on-fixed-point must be true or false, "
-                          f"got {args.start_on_fixed_point!r}")
+    points = _integer("points", args.points, 2)
+    beta = beta_numeric if args.beta == "numeric" else beta_closed_form
     errors = []
     if model == "kh":
         eps = params.get("eps_exp", 1.0)
@@ -340,7 +290,7 @@ def cmd_flow(args) -> int:
                          "beta": row_beta(g, lam), "energy": row_energy(g, lam)})
     except UVFlowError as exc:
         errors.append(exc)
-    _write_report(path, FLOW_COLUMNS, rows, fmt)
+    path = _write_report(args, f"flow_{model}", FLOW_COLUMNS, rows)
     for exc in errors:
         print(f"flow/{model}: {type(exc).__name__}: {exc}", file=sys.stderr)
     if errors:
@@ -353,26 +303,23 @@ def cmd_flow(args) -> int:
 # -- kh-scan -----------------------------------------------------------------
 
 def cmd_kh_scan(args) -> int:
-    path, fmt = _report_path(args, "kh_scan")
-    eps = _number("eps-exp", 1.0 if args.eps_exp is None else args.eps_exp)
-    z_window = _number("z-window", 0.2 if args.z_window is None else args.z_window)
+    eps = _number("eps-exp", args.eps_exp)
+    z_window = _number("z-window", args.z_window)
     if z_window > 0.3:
         raise ConfigError(f"z-window must be at most 0.3, got {z_window!r}")
-    n_fit = _integer("n-fit", 9 if args.n_fit is None else args.n_fit, 5)
-    lambdas = args.lambdas
-    if lambdas is None:
-        lambdas = list(np.geomspace(
-            _number("lam0", 1.0e2 if args.lam0 is None else args.lam0, LAMBDA_FLOOR),
-            _number("lam1", 1.0e6 if args.lam1 is None else args.lam1, LAMBDA_FLOOR),
-            _integer("points", 5 if args.points is None else args.points, 1)))
-    elif isinstance(lambdas, str):
+    n_fit = _integer("n-fit", args.n_fit, 5)
+    if args.lambdas is None:
+        lambdas = np.geomspace(_number("lam0", args.lam0, LAMBDA_FLOOR),
+                               _number("lam1", args.lam1, LAMBDA_FLOOR),
+                               _integer("points", args.points, 1))
+    else:
         try:
-            lambdas = [float(tok) for tok in lambdas.split(",") if tok]
+            lambdas = [float(tok) for tok in args.lambdas.split(",") if tok]
         except ValueError as exc:
-            raise ConfigError(f"cutoff list {lambdas!r}: {exc}") from exc
-    if not isinstance(lambdas, list) or not lambdas:
-        raise ConfigError(f"lambdas must be a non-empty list of cutoffs, "
-                          f"got {lambdas!r}")
+            raise ConfigError(f"cutoff list {args.lambdas!r}: {exc}") from exc
+        if not lambdas:
+            raise ConfigError(f"lambdas must be a non-empty list of cutoffs, "
+                              f"got {args.lambdas!r}")
     lambdas = [_number("lambdas", lam, LAMBDA_FLOOR) for lam in lambdas]
     small, K, upper, lower = kh.ground_energy_limits(eps)
     rows = []
@@ -392,8 +339,8 @@ def cmd_kh_scan(args) -> int:
         f"strong-field(eps_exp={_fmt(eps)}): energy={_fmt(upper)} "
         f"branches={_fmt(upper)},{_fmt(lower)}",
     )
-    _write_report(path, KH_SCAN_COLUMNS, rows, fmt, extra=extra,
-                  comments=comments)
+    path = _write_report(args, "kh_scan", KH_SCAN_COLUMNS, rows, extra=extra,
+                         comments=comments)
     print(f"wrote {path}")
     return 0
 
@@ -403,12 +350,11 @@ def cmd_kh_scan(args) -> int:
 def cmd_oracle(args) -> int:
     model = args.model
     params = _params(args, [model])
-    path, fmt = _report_path(args, f"oracle_{model}")
     dl, dn, dparity = _MODELS[model][2]
     half_width = _number("half-width", dl if args.half_width is None else args.half_width)
     n = _grid_size(dn if args.n is None else args.n)
     parity = dparity if args.parity is None else args.parity
-    level = _integer("level", 0 if args.level is None else args.level, 0)
+    level = _integer("level", args.level, 0)
     spec = build_spec(model, params)
     res = _grid_level(spec, half_width, n, level, parity)
     row = {"model": model, "half_width": half_width, "n": n,
@@ -416,7 +362,7 @@ def cmd_oracle(args) -> int:
            "level": level, "eigenvalue": res.eigenvalue,
            "refinement_estimate": res.refinement_estimate,
            "convergence_ratio": res.convergence_ratio}
-    _write_report(path, ORACLE_COLUMNS, [row], fmt)
+    path = _write_report(args, f"oracle_{model}", ORACLE_COLUMNS, [row])
     print(f"{model}: level {level} = {_fmt(res.refinement_estimate)} "
           f"(raw {_fmt(res.eigenvalue)}, ratio {_fmt(res.convergence_ratio)})")
     print(f"wrote {path}")
@@ -439,8 +385,8 @@ def cmd_paper_suite(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--format", choices=("csv", "json"), help="output format")
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="output format (default csv)")
     p.add_argument("--output", help="output path (default per command)")
 
 
@@ -449,30 +395,44 @@ def _add_params(p: argparse.ArgumentParser) -> None:
         p.add_argument("--" + key.replace("_", "-"), type=float, help=text)
 
 
+def _model(name: str) -> str:
+    # analyze's models are checked here rather than by choices=, which
+    # argparse before 3.12 also applies to an empty nargs="*" list
+    if name not in _MODELS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} "
+            f"(choose from {', '.join(map(repr, _MODELS))})")
+    return name
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="uvflow",
+        prog="uvflow", fromfile_prefix_chars="@",
         description="cutoff reductions, running couplings and oracles "
-                    "for one-dimensional quantum systems")
+                    "for one-dimensional quantum systems; @FILE reads "
+                    "arguments from FILE, one per line")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="flow prediction vs oracle per model")
-    p.add_argument("model", nargs="?", choices=_MODELS,
-                   help="single model (default: the four case studies)")
+    p.add_argument("models", nargs="*", type=_model, metavar="model",
+                   help="models to compare (default: the four case studies)")
     _add_common(p)
     _add_params(p)
     p.add_argument("--half-width", type=float, help="oracle box half width")
     p.add_argument("--n", type=int, help="oracle grid points (odd)")
-    p.set_defaults(func=cmd_analyze, models=None)
+    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("flow", help="write a running-coupling trajectory")
     p.add_argument("model", choices=_MODELS)
     _add_common(p)
     _add_params(p)
     p.add_argument("--g0", type=float, help="starting coupling at lam0")
-    p.add_argument("--lam0", type=float, help="starting cutoff (default 10)")
-    p.add_argument("--lam1", type=float, help="final cutoff (default 1e4)")
-    p.add_argument("--points", type=int, help="rows in the trajectory")
+    p.add_argument("--lam0", type=float, default=10.0,
+                   help="starting cutoff (default 10)")
+    p.add_argument("--lam1", type=float, default=1.0e4,
+                   help="final cutoff (default 1e4)")
+    p.add_argument("--points", type=int, default=41,
+                   help="rows in the trajectory (default 41)")
     p.add_argument("--beta", choices=("closed", "numeric"),
                    help="beta evaluation route (default closed)")
     p.add_argument("--start-on-fixed-point", action="store_true", default=None,
@@ -482,12 +442,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kh-scan", help="dressed-kernel growth fit and limits")
     _add_common(p)
     p.add_argument("--lambdas", help="comma-separated cutoff list")
-    p.add_argument("--lam0", type=float, help="scan start (default 1e2)")
-    p.add_argument("--lam1", type=float, help="scan end (default 1e6)")
-    p.add_argument("--points", type=int, help="scan points (default 5)")
-    p.add_argument("--z-window", type=float, help="fit half-width (default 0.2)")
-    p.add_argument("--n-fit", type=int, help="fit samples (default 9)")
-    p.add_argument("--eps-exp", type=float,
+    p.add_argument("--lam0", type=float, default=1.0e2,
+                   help="scan start (default 1e2)")
+    p.add_argument("--lam1", type=float, default=1.0e6,
+                   help="scan end (default 1e6)")
+    p.add_argument("--points", type=int, default=5, help="scan points (default 5)")
+    p.add_argument("--z-window", type=float, default=0.2,
+                   help="fit half-width (default 0.2)")
+    p.add_argument("--n-fit", type=int, default=9, help="fit samples (default 9)")
+    p.add_argument("--eps-exp", type=float, default=1.0,
                    help="drive-strength parameter (default 1)")
     p.set_defaults(func=cmd_kh_scan)
 
@@ -498,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--half-width", type=float)
     p.add_argument("--n", type=int)
     p.add_argument("--parity", choices=("even", "odd", "none"))
-    p.add_argument("--level", type=int, help="eigenvalue index (default 0)")
+    p.add_argument("--level", type=int, default=0,
+                   help="eigenvalue index (default 0)")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("paper-suite", help="run all acceptance criteria")
@@ -507,9 +471,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
     try:
-        _load_config(args)
+        args = parser.parse_args(argv)
+    except (UnicodeDecodeError, RecursionError) as exc:
+        # argparse turns only an OSError of an args file into a usage error
+        parser.error(f"cannot read an args file: {exc}")
+    try:
         return args.func(args)
     except ConfigError as exc:
         print(f"uvflow {args.command}: config error: {exc}", file=sys.stderr)

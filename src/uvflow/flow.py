@@ -70,9 +70,7 @@ class PowerLawFlow:
     exponent: float
 
     def __call__(self, lam: float) -> float:
-        if not lam >= LAMBDA_FLOOR:
-            raise DomainError(f"cutoff {lam} is below the floor {LAMBDA_FLOOR}")
-        return self.coefficient * lam ** self.exponent
+        return self.coefficient * _check_lam(lam) ** self.exponent
 
 
 @dataclass(frozen=True)
@@ -82,13 +80,11 @@ class LogFlow:
     K: float
 
     def __call__(self, lam: float) -> float:
-        if not lam >= LAMBDA_FLOOR:
-            raise DomainError(f"cutoff {lam} is below the floor {LAMBDA_FLOOR}")
-        return self._K2_over(math.log(lam))
+        return self._K2_over(math.log(_check_lam(lam)))
 
     def derivative_wrt_log(self, lam: float) -> float:
         """d g / d ln(Lambda), analytic."""
-        s = math.log(lam)
+        s = math.log(_check_lam(lam))
         return -self._K2_over(s * s)
 
     def _K2_over(self, d: float) -> float:

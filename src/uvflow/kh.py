@@ -42,7 +42,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, FitDegenerateError
-from .flow import LAMBDA_FLOOR
+from .flow import _check_lam
 
 _AGM_TOL = 2.0 ** -26    # one step past this relative gap leaves rounding only
 _FAR = 1.0e9             # beyond |z| = _FAR, I = pi/|z| to double precision
@@ -157,9 +157,7 @@ def scaled_ground_energy(alpha: float, lam: float, eps_exp: float) -> float:
     """
     if eps_exp <= 0.0:
         raise DomainError("eps_exp must be positive")
-    if not lam > LAMBDA_FLOOR:
-        raise DomainError(f"cutoff {lam} is at or below {LAMBDA_FLOOR}")
-    x = (2.0 / math.pi) * (alpha / eps_exp) * math.log(lam)
+    x = (2.0 / math.pi) * (alpha / eps_exp) * math.log(_check_lam(lam))
     if x < 0.0:
         raise DomainError("the scaled level is real only for alpha >= 0")
     return _scaled_level(x)

@@ -46,6 +46,11 @@ def run_cli_process(args, cwd):
                           capture_output=True, text=True)
 
 
+# the line an exit-2 run ends on: argparse's usage errors and the CLI's
+# config errors, "uvflow[ <command>]: [config ]error: ..."
+ERROR_LINE = re.compile(r"^uvflow( [\w-]+)?: (config )?error: ", re.M)
+
+
 def read_csv_rows(path):
     with open(path) as fh:
         lines = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
@@ -91,15 +96,14 @@ def test_sign_policy_option_is_gone(tmp_path):
 
 
 def test_analyze_accepts_a_parameter_any_model_reads(tmp_path):
-    """Without a model, analyze takes a parameter that one of its models
-    reads; the models that do not read it are unaffected."""
-    (tmp_path / "cfg.json").write_text(json.dumps({"models": ["quartic", "kh"],
-                                                   "K": 2}))
+    """analyze takes a parameter that one of its models reads; the models
+    that do not read it are unaffected."""
     out = tmp_path / "a.csv"
-    res = run_cli(["analyze", "--config", "cfg.json", "--output", str(out)],
+    res = run_cli(["analyze", "quartic", "kh", "--K", "2", "--output", str(out)],
                   tmp_path)
     assert res.returncode == 0, res.stderr
     rows = {r["model"]: r for r in read_csv_rows(out)}
+    assert list(rows) == ["quartic", "kh"]
     assert float(rows["kh"]["rg_energy"]) == float(
         cli._fmt(uvflow.kh.scaled_energy_from_K(2.0, 1.0)))
     assert float(rows["quartic"]["rg_energy"]) == 1.0
@@ -121,22 +125,40 @@ def test_unknown_model_exits_2(tmp_path):
 
 def test_missing_config_exits_2(tmp_path):
     # through the module entry point, whose sys.exit must carry the code
-    res = run_cli_process(["analyze", "quartic", "--config", "absent.json"],
-                          tmp_path)
+    res = run_cli_process(["analyze", "quartic", "@absent.args"], tmp_path)
     assert res.returncode == 2
-    assert "config error" in res.stderr
+    assert "uvflow: error: " in res.stderr and "absent.args" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_flag_overrides_config(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"lam0": 100.0, "g0": 1.0, "lam1": 1000.0}))
-    out = tmp_path / "t.csv"
-    res = run_cli(["flow", "quartic", "--config", str(cfg), "--lam0", "10",
-                   "--output", str(out)], tmp_path)
+    """A setting given later wins, whether a flag or an args-file line."""
+    (tmp_path / "run.args").write_text("--lam0=100\n--g0=1\n--lam1=1000\n")
+    res = run_cli(["flow", "quartic", "@run.args", "--lam0", "10",
+                   "--output", "later-flag.csv"], tmp_path)
     assert res.returncode == 0, res.stderr
-    rows = read_csv_rows(out)
+    rows = read_csv_rows(tmp_path / "later-flag.csv")
     assert float(rows[0]["lambda"]) == 10.0
-    assert float(rows[-1]["lambda"]) == 1000.0  # config still supplies lam1
+    assert float(rows[-1]["lambda"]) == 1000.0  # the file still supplies lam1
+    res = run_cli(["flow", "quartic", "--lam0", "10", "@run.args",
+                   "--output", "later-file.csv"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert float(read_csv_rows(tmp_path / "later-file.csv")[0]["lambda"]) == 100.0
+
+
+@pytest.mark.parametrize("content", [b"@run.args\n", b"--g=8\n\xff\xfe\n"],
+                         ids=["includes-itself", "not-text"])
+def test_unreadable_args_file_exits_2(tmp_path, content):
+    (tmp_path / "run.args").write_bytes(content)
+    res = run_cli(["oracle", "quartic", "@run.args"], tmp_path)
+    assert res.returncode == 2, res.stdout + res.stderr
+    # The message differs by environment: Python 3.12 decodes the file with
+    # surrogateescape, so bytes that are not text become an unrecognized
+    # argument, and a low open-file limit stops the self-inclusion with
+    # argparse's own OSError message before RecursionError.
+    assert ERROR_LINE.search(res.stderr)
+    assert "Traceback" not in res.stderr
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_output_dir_redirect(tmp_path):
@@ -276,20 +298,27 @@ def test_malformed_numbers_exit_2(tmp_path, args):
     assert "Traceback" not in res.stderr
 
 
-@pytest.mark.parametrize("args, config", [
+# bad-settings rows that argparse rejects: an unknown option, or a value
+# outside an option's type or choices
+ARGPARSE_REJECTS = {
+    "analyze-bogus-sign-policy", "analyze-models-string", "oracle-format-xml",
+    "oracle-params-list", "oracle-string-param", "oracle-null-param",
+    "flow-list-beta", "kh-scan-both-spellings"}
+
+HUGE = "1" + "0" * 30  # 10**30, past the largest array numpy can size
+
+
+@pytest.mark.parametrize("args, lines", [
     (["oracle", "quartic", "--n", "4000"], None),
     (["analyze", "--n", "4000"], None),
-    (["oracle", "quartic"], {"n": "4001"}),
-    (["analyze"], {"n": "4001"}),
     (["oracle", "quartic", "--half-width", "0"], None),
     (["analyze", "quartic", "--half-width", "-3"], None),
     (["oracle", "quartic", "--level", "-1"], None),
-    (["oracle", "quartic"], {"level": -1}),
-    (["analyze"], {"sign-policy": "bogus"}),
-    (["analyze"], {"models": "quartic"}),
-    (["oracle", "quartic"], {"format": "xml"}),
-    (["oracle", "quartic"], {"output": 5}),
-    (["oracle", "quartic"], {"params": [1]}),
+    (["oracle", "quartic"], ["--level=-1"]),
+    (["analyze"], ["--sign-policy=bogus"]),
+    (["analyze"], ["--models=quartic"]),
+    (["oracle", "quartic"], ["--format=xml"]),
+    (["oracle", "quartic"], ["--params=1"]),
     (["flow", "quartic", "--lam0", "1"], None),
     (["flow", "quartic", "--lam1", "1"], None),
     (["flow", "quartic", "--lam0", "100", "--lam1", "100"], None),
@@ -298,38 +327,43 @@ def test_malformed_numbers_exit_2(tmp_path, args):
     (["kh-scan", "--n-fit", "3"], None),
     (["kh-scan", "--z-window", "0.5"], None),
     (["kh-scan", "--eps-exp", "0"], None),
-    (["kh-scan"], {"z-window": "0.2"}),
-    (["flow", "quartic"], {"g0": "1"}),
-    (["oracle", "quartic"], {"g": "x"}),
-    (["oracle", "quartic"], {"g": None}),
-    (["flow", "quartic"], {"beta": ["closed"]}),
-    (["kh-scan"], {"eps-exp": 2, "eps_exp": 3}),
+    (["oracle", "quartic"], ["--g=x"]),
+    (["oracle", "quartic"], ["--g="]),
+    (["flow", "quartic"], ["--beta=closed,numeric"]),
+    (["kh-scan"], ["--eps-exp=2", "--eps_exp=3"]),
     (["flow", "kh", "--g0", "5"], None),
     (["flow", "kh", "--beta", "numeric"], None),
     (["flow", "kh", "--start-on-fixed-point"], None),
     (["flow", "kh", "--alpha", "2"], None),
-    (["flow", "kh"], {"lam": 100.0}),
-    (["flow", "kh"], {"start_on_fixed_point": False}),
+    (["flow", "kh"], ["--lam=100"]),
+    (["flow", "kh"], ["--start-on-fixed-point"]),
     (["oracle", "quartic", "--K", "5", "--A", "3", "--eps-exp", "2"], None),
-    (["oracle", "quartic"], {"K": 5}),
+    (["oracle", "quartic"], ["--K=5"]),
     (["oracle", "morse", "--g", "5"], None),
-    (["oracle", "morse"], {"g": 5}),
+    (["oracle", "morse"], ["--g=5"]),
     (["oracle", "kh", "--K", "2"], None),
     (["flow", "quartic", "--alpha", "5"], None),
-    (["flow", "quartic"], {"alpha": 3}),
+    (["flow", "quartic"], ["--alpha=3"]),
     (["analyze", "--lam", "100"], None),
-    (["analyze"], {"lam": 100}),
+    (["analyze"], ["--lam=100"]),
     (["analyze", "kh", "--alpha", "2"], None),
-], ids=["oracle-even-n", "analyze-even-n", "oracle-string-n",
-        "analyze-string-n", "oracle-zero-half-width",
+    (["flow", "morse", "--points", HUGE], None),
+    (["flow", "morse", "--points", str(cli.MAX_COUNT + 1)], None),
+    (["kh-scan", "--points", HUGE], None),
+    (["kh-scan", "--n-fit", HUGE], None),
+    (["oracle", "quartic", "--n", HUGE + "1"], None),
+    (["oracle", "quartic", "--level", HUGE], None),
+    (["analyze", "quartic", "--n", HUGE + "1"], None),
+    (["oracle", "quartic"], ["--n=" + HUGE + "1"]),
+    (["flow", "morse", "--output", "."], None),
+], ids=["oracle-even-n", "analyze-even-n", "oracle-zero-half-width",
         "analyze-negative-half-width", "oracle-negative-level",
         "oracle-negative-level-config", "analyze-bogus-sign-policy",
-        "analyze-models-string", "oracle-format-xml", "oracle-output-number",
-        "oracle-params-list", "flow-lam0-at-floor", "flow-lam1-at-floor",
+        "analyze-models-string", "oracle-format-xml", "oracle-params-list",
+        "flow-lam0-at-floor", "flow-lam1-at-floor",
         "flow-equal-cutoffs", "kh-scan-zero-points", "kh-scan-empty-lambdas",
         "kh-scan-few-fit-samples", "kh-scan-wide-z-window",
-        "kh-scan-zero-eps-exp", "kh-scan-string-z-window",
-        "flow-string-g0", "oracle-string-param", "oracle-null-param",
+        "kh-scan-zero-eps-exp", "oracle-string-param", "oracle-null-param",
         "flow-list-beta", "kh-scan-both-spellings", "flow-kh-g0",
         "flow-kh-beta", "flow-kh-start-on-fixed-point", "flow-kh-alpha",
         "flow-kh-lam-config", "flow-kh-fixed-point-config",
@@ -337,14 +371,23 @@ def test_malformed_numbers_exit_2(tmp_path, args):
         "oracle-morse-unread-g", "oracle-morse-unread-g-config",
         "oracle-kh-unread-K", "flow-quartic-unread-alpha",
         "flow-quartic-unread-alpha-config", "analyze-unread-lam",
-        "analyze-unread-lam-config", "analyze-kh-unread-alpha"])
-def test_bad_settings_exit_2(tmp_path, args, config):
-    if config is not None:
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
-        args = args + ["--config", "cfg.json"]
+        "analyze-unread-lam-config", "analyze-kh-unread-alpha",
+        "flow-huge-points", "flow-points-above-cap", "kh-scan-huge-points",
+        "kh-scan-huge-n-fit", "oracle-huge-n", "oracle-huge-level",
+        "analyze-huge-n", "oracle-huge-n-config", "flow-output-directory"])
+def test_bad_settings_exit_2(request, tmp_path, args, lines):
+    """Each setting is rejected before any report is written; a row with
+    ``lines`` gives its settings in an args file. argparse itself rejects
+    the rows in ARGPARSE_REJECTS; the command rejects every other row as a
+    config error, whether its setting came from a flag or a file."""
+    if lines is not None:
+        (tmp_path / "run.args").write_text("".join(ln + "\n" for ln in lines))
+        args = args + ["@run.args"]
     res = run_cli(args, tmp_path)
     assert res.returncode == 2, res.stdout + res.stderr
-    assert "config error" in res.stderr
+    assert ERROR_LINE.search(res.stderr)
+    config_error = "config error" in res.stderr
+    assert config_error != (request.node.callspec.id in ARGPARSE_REJECTS)
     assert "Traceback" not in res.stderr
     assert not list(tmp_path.glob("*.csv"))  # rejected before any report
     assert not list(tmp_path.glob("*.xml"))
@@ -469,42 +512,47 @@ def test_only_grid_commands_load_scipy(tmp_path, args, linalg):
 
 
 def _long_options():
-    """(subcommand, option, bad value) for every long option a config file
-    may set; the value has the wrong JSON type for that option."""
+    """(subcommand, option) for every long option of every subcommand."""
     parser = cli.build_parser()
     commands = next(a.choices for a in parser._actions
                     if isinstance(a.choices, dict))
-    return [pytest.param(name, opt[2:], "yes" if action.nargs == 0 else True,
-                         id=name + opt[1:])
+    return [pytest.param(name, opt, id=name + opt[1:])
             for name, sub in commands.items() for action in sub._actions
             for opt in action.option_strings
-            if opt.startswith("--") and opt not in ("--help", "--config")]
+            if opt.startswith("--") and opt != "--help"]
 
 
-@pytest.mark.parametrize("command, key, value", _long_options())
-def test_config_sets_every_long_option(tmp_path, command, key, value):
-    """A config key named like a long option reaches that option: a value
-    of the wrong type is a config error, never ignored."""
-    (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+@pytest.mark.parametrize("command, option", _long_options())
+def test_config_sets_every_long_option(tmp_path, command, option):
+    """An args-file line sets its option and passes the same checks as a
+    flag: an invalid value is an error, never ignored.  nan is invalid for
+    every option but --output, which gets a path under the args file."""
+    value = "run.args/report.csv" if option == "--output" else "nan"
+    (tmp_path / "run.args").write_text(f"{option}={value}\n")
     args = [command] + (["quartic"] if command in ("flow", "oracle") else [])
-    res = run_cli(args + ["--config", "cfg.json"], tmp_path)
+    res = run_cli(args + ["@run.args"], tmp_path)
     assert res.returncode == 2, res.stdout + res.stderr
-    assert "config error" in res.stderr
+    assert ERROR_LINE.search(res.stderr)
+    assert "Traceback" not in res.stderr
     assert not list(tmp_path.glob("*.csv"))
 
 
 def test_config_keys_match_flags(tmp_path):
-    """Config keys, with - or _, give the same report as the flags."""
-    (tmp_path / "cfg.json").write_text(json.dumps({"g": 8, "half_width": 5}))
-    res = run_cli(["oracle", "quartic", "--config", "cfg.json",
-                   "--output", "config.csv"], tmp_path)
+    """An args file gives the same report as the same flags."""
+    (tmp_path / "run.args").write_text("--g=8\n--half-width\n5\n")
+    res = run_cli(["oracle", "quartic", "@run.args", "--output", "file.csv"],
+                  tmp_path)
     assert res.returncode == 0, res.stderr
     res = run_cli(["oracle", "quartic", "--g", "8", "--half-width", "5",
                    "--output", "flags.csv"], tmp_path)
     assert res.returncode == 0, res.stderr
-    config = (tmp_path / "config.csv").read_text()
-    assert config == (tmp_path / "flags.csv").read_text()
-    assert read_csv_rows(tmp_path / "config.csv")[0]["half_width"] == "5"
+    from_file = (tmp_path / "file.csv").read_text()
+    assert from_file == (tmp_path / "flags.csv").read_text()
+    assert read_csv_rows(tmp_path / "file.csv")[0]["half_width"] == "5"
+
+
+def test_count_cap_is_inclusive():
+    assert cli._integer("points", cli.MAX_COUNT, 2) == cli.MAX_COUNT
 
 
 def test_oracle_morse(tmp_path):

@@ -6,6 +6,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 import uvflow as uf
+from uvflow import kh
 from uvflow.flow import UV_SAMPLE_CUTOFFS
 
 MORSE_LAW_GAP_SLOPE = -1.5 * math.sqrt(2.0)  # A=4, a=1, m=1
@@ -21,9 +22,10 @@ def kh_spec():
 def test_power_law_flow():
     flow = uf.PowerLawFlow(0.5, 2.0)
     assert flow(10.0) == 50.0
-    assert flow(uf.LAMBDA_FLOOR) == 2.0  # the floor itself is in range
     with pytest.raises(uf.DomainError):
-        flow(1.5)  # below the global floor
+        flow(uf.LAMBDA_FLOOR)  # a cutoff must lie above the floor
+    with pytest.raises(uf.DomainError):
+        flow(1.5)
 
 
 def test_log_flow_values():
@@ -45,6 +47,19 @@ def test_log_flow_derivative_matches_finite_difference():
     h = 1e-6
     fd = (flow(lam * math.exp(h)) - flow(lam * math.exp(-h))) / (2.0 * h)
     assert abs(flow.derivative_wrt_log(lam) - fd) < 1e-6 * abs(fd)
+
+
+@pytest.mark.parametrize("lam", [uf.LAMBDA_FLOOR, 1.0, 0.5, -3.0, math.nan])
+def test_cutoff_floor_is_one_rule(lam):
+    """Every function of the cutoff takes it above the floor only, as the
+    betas and the CLI do."""
+    calls = [uf.PowerLawFlow(0.5, 2.0), uf.LogFlow(1.0),
+             uf.LogFlow(1.0).derivative_wrt_log,
+             lambda lam: kh.scaled_ground_energy(1.0, lam, 1.0),
+             lambda lam: uf.beta_closed_form(uf.quartic(1.0), 1.0, lam)]
+    for call in calls:
+        with pytest.raises(uf.DomainError, match="at or below the floor"):
+            call(lam)
 
 
 def test_log_flow_out_of_float_range_is_a_domain_error():

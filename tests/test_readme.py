@@ -1,14 +1,22 @@
-"""The README's Python examples run against the current API."""
+"""The README's Python examples run against the current API, and its
+command examples run against the current command line."""
 
 import os
 import re
+import shlex
+import subprocess
 
 import pytest
+
+from uvflow import cli
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "README.md")
 with open(README) as fh:
-    BLOCKS = re.findall(r"^```python\n(.*?)^```", fh.read(), re.M | re.S)
+    TEXT = fh.read()
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, re.M | re.S)
+COMMANDS = [line for block in re.findall(r"^```sh\n(.*?)^```", TEXT, re.M | re.S)
+            for line in block.splitlines() if line.strip()]
 
 
 def test_readme_has_python_examples():
@@ -18,3 +26,21 @@ def test_readme_has_python_examples():
 @pytest.mark.parametrize("code", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
 def test_readme_python_block_runs(code):
     exec(compile(code, README, "exec"), {"__name__": "readme"})
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    """Every line of the README's sh blocks exits 0, run in order in one
+    empty directory; a uvflow line calls the entry point in process, any
+    other line runs in the shell."""
+    assert any(line.startswith("uvflow ") for line in COMMANDS)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("UVFLOW_OUTPUT_DIR", raising=False)
+    for line in COMMANDS:
+        if line.startswith("uvflow "):
+            try:
+                code = cli.main(shlex.split(line)[1:])
+            except SystemExit as exc:
+                code = exc.code
+        else:
+            code = subprocess.run(line, shell=True).returncode
+        assert code == 0, line
