@@ -7,15 +7,21 @@ Subcommands:
     oracle       solve one model on a grid
     paper-suite  run the acceptance checks, print one PASS/FAIL line each
 
-Settings are flags.  An argument that starts with @ names an args file,
-which argparse reads in its place, one argument per line (--g=8); its
-settings pass the same types and checks as flags, and a setting given
-later wins.  Reports are deterministic: floats are written with 12
+Settings are flags, each given one way.  An argument that starts with @
+names an args file, which argparse reads in its place, one argument per
+line (--g=8), skipping blank lines; a setting given later wins.  Each
+option's argparse type checks every rule that needs that setting alone
+(finite, above a floor, at most a top, a count up to MAX_COUNT, odd for
+--n), so a bad value exits 2 with argparse's "error: argument --X:" line,
+from a flag or a file alike.  A config error is left for the three rules
+that involve two settings or the file system: a model parameter that no
+model of the run reads, lam0 == lam1 in flow, and a report path that
+cannot be written.  Reports are deterministic: floats are written with 12
 significant digits, row and column order is fixed, and no timestamps are
 emitted, so identical settings give byte-identical files.  If
 UVFLOW_OUTPUT_DIR is set, relative output paths land under it.
 
-Exit codes: 0 success, 1 computation error, 2 config error.
+Exit codes: 0 success, 1 computation error, 2 bad setting or usage.
 """
 
 from __future__ import annotations
@@ -122,24 +128,30 @@ def _write_report(args, stem: str, columns: Sequence[str], rows: list[dict],
 MAX_COUNT = 10**6
 
 
-def _integer(name: str, value: int, minimum: int) -> int:
-    if not minimum <= value <= MAX_COUNT:
-        raise ConfigError(f"{name} must be an integer from {minimum} to "
-                          f"{MAX_COUNT}, got {value!r}")
-    return value
+def _real(floor: float = -math.inf, top: float = math.inf):
+    """argparse type: a finite number above ``floor``, at most ``top``."""
+    rule = ("a finite number" + (f" above {floor:g}" if floor > -math.inf else "")
+            + (f" and at most {top:g}" if top < math.inf else ""))
+
+    def real(text: str) -> float:
+        value = float(text)
+        if floor < value < math.inf and value <= top:
+            return value
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+    return real
 
 
-def _grid_size(value: int) -> int:
-    if _integer("n", value, 3) % 2 == 0:
-        raise ConfigError(f"n must be odd, got {value!r}")
-    return value
+def _count(minimum: int, odd: bool = False):
+    """argparse type: an integer from ``minimum`` to MAX_COUNT, odd if
+    ``odd``."""
+    rule = f"{'an odd' if odd else 'an'} integer from {minimum} to {MAX_COUNT}"
 
-
-def _number(name: str, value: float, floor: float = 0.0) -> float:
-    if not floor < value < math.inf:
-        raise ConfigError(f"{name} must be a finite number above {floor:g}, "
-                          f"got {value!r}")
-    return float(value)
+    def count(text: str) -> int:
+        value = int(text)
+        if minimum <= value <= MAX_COUNT and (value % 2 or not odd):
+            return value
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+    return count
 
 
 # the settings of flow beyond the model parameters; kh's log flow
@@ -148,7 +160,7 @@ _FLOW_SETTINGS = ("g0", "beta", "start_on_fixed_point")
 
 
 def _params(args, models: Sequence[str]) -> dict:
-    """The model parameters that are set, each a finite number.
+    """The model parameters that are set.
 
     A parameter or flow setting is set when it is not None, which is
     why none of them has a parser default.  A model reads its
@@ -168,8 +180,8 @@ def _params(args, models: Sequence[str]) -> dict:
         raise ConfigError(f"{args.command} does not read "
                           + ", ".join("--" + k.replace("_", "-") for k in unread)
                           + " for " + ", ".join(models))
-    return {key: _number(key, getattr(args, key), -math.inf)
-            for key in _PARAMS if getattr(args, key) is not None}
+    return {key: getattr(args, key) for key in _PARAMS
+            if getattr(args, key) is not None}
 
 
 def build_spec(model: str, params: dict) -> PotentialSpec:
@@ -190,8 +202,7 @@ def _grid_level(spec: PotentialSpec, half_width: float, n: int, level: int,
 
 # -- analyze -----------------------------------------------------------------
 
-def _analyze_row(model: str, params: dict, half_width: Optional[float],
-                 n: Optional[int]) -> dict:
+def _analyze_row(model: str, params: dict) -> dict:
     if model == "kh":
         K = params.get("K", 1.0)
         eps = params.get("eps_exp", 1.0)
@@ -207,9 +218,8 @@ def _analyze_row(model: str, params: dict, half_width: Optional[float],
     else:
         flow = solve_fixed_point(spec)
     est = uv_limit_energy(spec, flow)
-    dl, dn, dparity = _MODELS[model][2]
-    oracle = _grid_level(spec, half_width if half_width is not None else dl,
-                         n if n is not None else dn, 0, dparity).refinement_estimate
+    half_width, n, parity = _MODELS[model][2]
+    oracle = _grid_level(spec, half_width, n, 0, parity).refinement_estimate
     rel = abs(est.energy - oracle) / abs(oracle)
     notes = (f"oracle minus flow limit = {oracle - est.energy:.12g}"
              if model == "morse" else "")
@@ -223,12 +233,10 @@ def _analyze_row(model: str, params: dict, half_width: Optional[float],
 def cmd_analyze(args) -> int:
     models = args.models or CASE_STUDIES
     params = _params(args, models)
-    half_width = None if args.half_width is None else _number("half-width", args.half_width)
-    n = None if args.n is None else _grid_size(args.n)
     rows, failed = [], False
     for model in models:
         try:
-            rows.append(_analyze_row(model, params, half_width, n))
+            rows.append(_analyze_row(model, params))
         except UVFlowError as exc:
             failed = True
             rows.append({"model": model, "sign_branch": "", "flow_law": "",
@@ -247,26 +255,23 @@ def cmd_analyze(args) -> int:
 def cmd_flow(args) -> int:
     model = args.model
     params = _params(args, [model])
-    lam0 = _number("lam0", args.lam0, LAMBDA_FLOOR)
-    lam1 = _number("lam1", args.lam1, LAMBDA_FLOOR)
-    if lam0 == lam1:
-        raise ConfigError(f"lam0 and lam1 must differ, both are {lam0!r}")
-    points = _integer("points", args.points, 2)
+    if args.lam0 == args.lam1:
+        raise ConfigError(f"lam0 and lam1 must differ, both are {args.lam0!r}")
     beta = beta_numeric if args.beta == "numeric" else beta_closed_form
     errors = []
     if model == "kh":
         eps = params.get("eps_exp", 1.0)
         flow = LogFlow(params.get("K", 1.0))
-        lams = np.geomspace(lam0, lam1, points)
+        lams = np.geomspace(args.lam0, args.lam1, args.points)
         gs = map(flow, lams)  # sampled row by row, inside the loop's try
         row_beta = lambda g, lam: flow.derivative_wrt_log(lam)
         row_energy = lambda g, lam: kh.scaled_ground_energy(g, lam, eps)
     else:
         spec = build_spec(model, params)
         if args.start_on_fixed_point:
-            g0 = solve_fixed_point(spec)(lam0)
+            g0 = solve_fixed_point(spec)(args.lam0)
         elif args.g0 is not None:
-            g0 = _number("g0", args.g0, -math.inf)
+            g0 = args.g0
         else:
             # the model's coupling, on the side of the family's canonical
             # fixed point, where its beta is defined (g < 0 for the Coulomb
@@ -277,8 +282,8 @@ def cmd_flow(args) -> int:
         row_beta = lambda g, lam: beta(spec, g, lam)
         row_energy = lambda g, lam: pipeline_ground_energy(spec, g, lam)
         try:
-            traj = integrate_flow(spec, g0, lam0, lam1, n_points=points,
-                                  beta=row_beta)
+            traj = integrate_flow(spec, g0, args.lam0, args.lam1,
+                                  n_points=args.points, beta=row_beta)
             lams, gs = traj.lams, traj.couplings
         except IntegrationAbortError as exc:
             lams, gs = exc.partial if exc.partial is not None else ([], [])
@@ -303,27 +308,12 @@ def cmd_flow(args) -> int:
 # -- kh-scan -----------------------------------------------------------------
 
 def cmd_kh_scan(args) -> int:
-    eps = _number("eps-exp", args.eps_exp)
-    z_window = _number("z-window", args.z_window)
-    if z_window > 0.3:
-        raise ConfigError(f"z-window must be at most 0.3, got {z_window!r}")
-    n_fit = _integer("n-fit", args.n_fit, 5)
-    if args.lambdas is None:
-        lambdas = np.geomspace(_number("lam0", args.lam0, LAMBDA_FLOOR),
-                               _number("lam1", args.lam1, LAMBDA_FLOOR),
-                               _integer("points", args.points, 1))
-    else:
-        try:
-            lambdas = [float(tok) for tok in args.lambdas.split(",") if tok]
-        except ValueError as exc:
-            raise ConfigError(f"cutoff list {args.lambdas!r}: {exc}") from exc
-        if not lambdas:
-            raise ConfigError(f"lambdas must be a non-empty list of cutoffs, "
-                              f"got {args.lambdas!r}")
-    lambdas = [_number("lambdas", lam, LAMBDA_FLOOR) for lam in lambdas]
+    eps = args.eps_exp
+    lambdas = np.geomspace(args.lam0, args.lam1, args.points)
     small, K, upper, lower = kh.ground_energy_limits(eps)
     rows = []
-    for f in kh.log_divergence_fit(lambdas, z_window=z_window, n_fit=n_fit):
+    for f in kh.log_divergence_fit(lambdas, z_window=args.z_window,
+                                     n_fit=args.n_fit):
         s = math.log(f.lam)
         rows.append({"lambda": f.lam, "c0": f.c0, "c2": f.c2,
                      "c0_over_log": f.c0 / s, "c2_over_log": f.c2 / s,
@@ -351,19 +341,18 @@ def cmd_oracle(args) -> int:
     model = args.model
     params = _params(args, [model])
     dl, dn, dparity = _MODELS[model][2]
-    half_width = _number("half-width", dl if args.half_width is None else args.half_width)
-    n = _grid_size(dn if args.n is None else args.n)
+    half_width = dl if args.half_width is None else args.half_width
+    n = dn if args.n is None else args.n
     parity = dparity if args.parity is None else args.parity
-    level = _integer("level", args.level, 0)
     spec = build_spec(model, params)
-    res = _grid_level(spec, half_width, n, level, parity)
+    res = _grid_level(spec, half_width, n, args.level, parity)
     row = {"model": model, "half_width": half_width, "n": n,
            "parity": res.parity.value if res.parity else "none",
-           "level": level, "eigenvalue": res.eigenvalue,
+           "level": args.level, "eigenvalue": res.eigenvalue,
            "refinement_estimate": res.refinement_estimate,
            "convergence_ratio": res.convergence_ratio}
     path = _write_report(args, f"oracle_{model}", ORACLE_COLUMNS, [row])
-    print(f"{model}: level {level} = {_fmt(res.refinement_estimate)} "
+    print(f"{model}: level {args.level} = {_fmt(res.refinement_estimate)} "
           f"(raw {_fmt(res.eigenvalue)}, ratio {_fmt(res.convergence_ratio)})")
     print(f"wrote {path}")
     return 0
@@ -392,7 +381,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_params(p: argparse.ArgumentParser) -> None:
     for key, text in _PARAMS.items():
-        p.add_argument("--" + key.replace("_", "-"), type=float, help=text)
+        p.add_argument("--" + key.replace("_", "-"), type=_real(), help=text)
 
 
 def _model(name: str) -> str:
@@ -411,6 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="cutoff reductions, running couplings and oracles "
                     "for one-dimensional quantum systems; @FILE reads "
                     "arguments from FILE, one per line")
+    # a blank line of an args file gives no argument, not an empty one
+    parser.convert_arg_line_to_args = lambda line: [line] if line.strip() else []
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="flow prediction vs oracle per model")
@@ -418,39 +409,40 @@ def build_parser() -> argparse.ArgumentParser:
                    help="models to compare (default: the four case studies)")
     _add_common(p)
     _add_params(p)
-    p.add_argument("--half-width", type=float, help="oracle box half width")
-    p.add_argument("--n", type=int, help="oracle grid points (odd)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("flow", help="write a running-coupling trajectory")
     p.add_argument("model", choices=_MODELS)
     _add_common(p)
     _add_params(p)
-    p.add_argument("--g0", type=float, help="starting coupling at lam0")
-    p.add_argument("--lam0", type=float, default=10.0,
+    start = p.add_mutually_exclusive_group()
+    start.add_argument("--g0", type=_real(), help="starting coupling at lam0")
+    start.add_argument("--start-on-fixed-point", action="store_true",
+                       default=None,
+                       help="set g0 from the canonical-oscillator matching")
+    p.add_argument("--lam0", type=_real(LAMBDA_FLOOR), default=10.0,
                    help="starting cutoff (default 10)")
-    p.add_argument("--lam1", type=float, default=1.0e4,
+    p.add_argument("--lam1", type=_real(LAMBDA_FLOOR), default=1.0e4,
                    help="final cutoff (default 1e4)")
-    p.add_argument("--points", type=int, default=41,
+    p.add_argument("--points", type=_count(2), default=41,
                    help="rows in the trajectory (default 41)")
     p.add_argument("--beta", choices=("closed", "numeric"),
                    help="beta evaluation route (default closed)")
-    p.add_argument("--start-on-fixed-point", action="store_true", default=None,
-                   help="set g0 from the canonical-oscillator matching")
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("kh-scan", help="dressed-kernel growth fit and limits")
     _add_common(p)
-    p.add_argument("--lambdas", help="comma-separated cutoff list")
-    p.add_argument("--lam0", type=float, default=1.0e2,
+    p.add_argument("--lam0", type=_real(LAMBDA_FLOOR), default=1.0e2,
                    help="scan start (default 1e2)")
-    p.add_argument("--lam1", type=float, default=1.0e6,
+    p.add_argument("--lam1", type=_real(LAMBDA_FLOOR), default=1.0e6,
                    help="scan end (default 1e6)")
-    p.add_argument("--points", type=int, default=5, help="scan points (default 5)")
-    p.add_argument("--z-window", type=float, default=0.2,
+    p.add_argument("--points", type=_count(1), default=5,
+                   help="scan points (default 5)")
+    p.add_argument("--z-window", type=_real(0.0, 0.3), default=0.2,
                    help="fit half-width (default 0.2)")
-    p.add_argument("--n-fit", type=int, default=9, help="fit samples (default 9)")
-    p.add_argument("--eps-exp", type=float, default=1.0,
+    p.add_argument("--n-fit", type=_count(5), default=9,
+                   help="fit samples (default 9)")
+    p.add_argument("--eps-exp", type=_real(0.0), default=1.0,
                    help="drive-strength parameter (default 1)")
     p.set_defaults(func=cmd_kh_scan)
 
@@ -458,10 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", choices=_MODELS)
     _add_common(p)
     _add_params(p)
-    p.add_argument("--half-width", type=float)
-    p.add_argument("--n", type=int)
+    p.add_argument("--half-width", type=_real(0.0))
+    p.add_argument("--n", type=_count(3, odd=True))
     p.add_argument("--parity", choices=("even", "odd", "none"))
-    p.add_argument("--level", type=int, default=0,
+    p.add_argument("--level", type=_count(0), default=0,
                    help="eigenvalue index (default 0)")
     p.set_defaults(func=cmd_oracle)
 

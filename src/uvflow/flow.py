@@ -55,8 +55,9 @@ _FD_STEP = _EPS ** (1.0 / 3.0)
 
 def _check_lam(lam: float) -> float:
     lam = float(lam)
-    if not lam > LAMBDA_FLOOR:
-        raise DomainError(f"cutoff {lam} is at or below the floor {LAMBDA_FLOOR}")
+    if not LAMBDA_FLOOR < lam < math.inf:
+        raise DomainError(f"cutoff {lam} is outside ({LAMBDA_FLOOR}, inf): "
+                          f"a cutoff is finite and above the floor")
     return lam
 
 

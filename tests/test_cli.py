@@ -263,10 +263,12 @@ def test_flow_on_fixed_point_conserves_energy(tmp_path):
 
 def test_kh_scan_limits(tmp_path):
     out = tmp_path / "scan.json"
-    res = run_cli(["kh-scan", "--eps-exp", "10", "--lambdas", "100,1000",
-                   "--format", "json", "--output", str(out)], tmp_path)
+    res = run_cli(["kh-scan", "--eps-exp", "10", "--lam0", "100", "--lam1", "1000",
+                   "--points", "2", "--format", "json", "--output", str(out)],
+                  tmp_path)
     assert res.returncode == 0, res.stderr
     payload = json.loads(out.read_text())
+    assert [row["lambda"] for row in payload["rows"]] == [100.0, 1000.0]
     for row in payload["rows"]:
         assert abs(row["small_field_energy"] + 0.49) < 1e-10
         assert 0.8 < row["c2_over_log"] < 1.2
@@ -282,80 +284,95 @@ def test_kh_scan_limits(tmp_path):
 
 
 def test_kh_scan_rejects_low_cutoffs(tmp_path):
-    res = run_cli(["kh-scan", "--lambdas", "1.5,100"], tmp_path)
+    res = run_cli(["kh-scan", "--lam0", "1.5"], tmp_path)
     assert res.returncode == 2
-    assert "config error" in res.stderr
+    assert "uvflow kh-scan: error: argument --lam0: " in res.stderr
 
 
 @pytest.mark.parametrize("args", [
     ["flow", "quartic", "--points", "0"],
-    ["kh-scan", "--lambdas", "1e2,abc"],
+    ["kh-scan", "--lam1", "1e2abc"],
 ])
 def test_malformed_numbers_exit_2(tmp_path, args):
     res = run_cli(args, tmp_path)
     assert res.returncode == 2, res.stderr
-    assert "config error" in res.stderr
+    option = next(arg for arg in args if arg.startswith("--"))
+    assert f"error: argument {option}: " in res.stderr
     assert "Traceback" not in res.stderr
 
 
-# bad-settings rows that argparse rejects: an unknown option, or a value
-# outside an option's type or choices
-ARGPARSE_REJECTS = {
-    "analyze-bogus-sign-policy", "analyze-models-string", "oracle-format-xml",
-    "oracle-params-list", "oracle-string-param", "oracle-null-param",
-    "flow-list-beta", "kh-scan-both-spellings"}
+# what rejects a bad setting, as its stderr says: argparse, for an option
+# outside its type or choices, or for an unknown or conflicting option; or
+# the command, for the rules that involve two settings or the file system.
+# An unknown option's value may be read as analyze's model, which argparse
+# then rejects first; whether it is depends on the Python version.
+UNKNOWN = "unrecognized arguments"
+CONFIG = "config error"
+
+
+def _arg(option):
+    return f"error: argument {option}: "
+
 
 HUGE = "1" + "0" * 30  # 10**30, past the largest array numpy can size
 
 
-@pytest.mark.parametrize("args, lines", [
-    (["oracle", "quartic", "--n", "4000"], None),
-    (["analyze", "--n", "4000"], None),
-    (["oracle", "quartic", "--half-width", "0"], None),
-    (["analyze", "quartic", "--half-width", "-3"], None),
-    (["oracle", "quartic", "--level", "-1"], None),
-    (["oracle", "quartic"], ["--level=-1"]),
-    (["analyze"], ["--sign-policy=bogus"]),
-    (["analyze"], ["--models=quartic"]),
-    (["oracle", "quartic"], ["--format=xml"]),
-    (["oracle", "quartic"], ["--params=1"]),
-    (["flow", "quartic", "--lam0", "1"], None),
-    (["flow", "quartic", "--lam1", "1"], None),
-    (["flow", "quartic", "--lam0", "100", "--lam1", "100"], None),
-    (["kh-scan", "--points", "0"], None),
-    (["kh-scan", "--lambdas", ",,"], None),
-    (["kh-scan", "--n-fit", "3"], None),
-    (["kh-scan", "--z-window", "0.5"], None),
-    (["kh-scan", "--eps-exp", "0"], None),
-    (["oracle", "quartic"], ["--g=x"]),
-    (["oracle", "quartic"], ["--g="]),
-    (["flow", "quartic"], ["--beta=closed,numeric"]),
-    (["kh-scan"], ["--eps-exp=2", "--eps_exp=3"]),
-    (["flow", "kh", "--g0", "5"], None),
-    (["flow", "kh", "--beta", "numeric"], None),
-    (["flow", "kh", "--start-on-fixed-point"], None),
-    (["flow", "kh", "--alpha", "2"], None),
-    (["flow", "kh"], ["--lam=100"]),
-    (["flow", "kh"], ["--start-on-fixed-point"]),
-    (["oracle", "quartic", "--K", "5", "--A", "3", "--eps-exp", "2"], None),
-    (["oracle", "quartic"], ["--K=5"]),
-    (["oracle", "morse", "--g", "5"], None),
-    (["oracle", "morse"], ["--g=5"]),
-    (["oracle", "kh", "--K", "2"], None),
-    (["flow", "quartic", "--alpha", "5"], None),
-    (["flow", "quartic"], ["--alpha=3"]),
-    (["analyze", "--lam", "100"], None),
-    (["analyze"], ["--lam=100"]),
-    (["analyze", "kh", "--alpha", "2"], None),
-    (["flow", "morse", "--points", HUGE], None),
-    (["flow", "morse", "--points", str(cli.MAX_COUNT + 1)], None),
-    (["kh-scan", "--points", HUGE], None),
-    (["kh-scan", "--n-fit", HUGE], None),
-    (["oracle", "quartic", "--n", HUGE + "1"], None),
-    (["oracle", "quartic", "--level", HUGE], None),
-    (["analyze", "quartic", "--n", HUGE + "1"], None),
-    (["oracle", "quartic"], ["--n=" + HUGE + "1"]),
-    (["flow", "morse", "--output", "."], None),
+@pytest.mark.parametrize("args, lines, expect", [
+    (["oracle", "quartic", "--n", "4000"], None, _arg("--n")),
+    (["analyze", "--n", "4000"], None,
+     UNKNOWN + ": --n 4000|" + _arg("model") + "invalid choice: '4000'"),
+    (["oracle", "quartic", "--half-width", "0"], None, _arg("--half-width")),
+    (["analyze", "quartic", "--half-width", "-3"], None, UNKNOWN),
+    (["oracle", "quartic", "--level", "-1"], None, _arg("--level")),
+    (["oracle", "quartic"], ["--level=-1"], _arg("--level")),
+    (["analyze"], ["--sign-policy=bogus"], UNKNOWN),
+    (["analyze"], ["--models=quartic"], UNKNOWN),
+    (["oracle", "quartic"], ["--format=xml"], _arg("--format")),
+    (["oracle", "quartic"], ["--params=1"], UNKNOWN),
+    (["flow", "quartic", "--lam0", "1"], None, _arg("--lam0")),
+    (["flow", "quartic", "--lam1", "1"], None, _arg("--lam1")),
+    (["flow", "quartic", "--lam0", "100", "--lam1", "100"], None, CONFIG),
+    (["kh-scan", "--points", "0"], None, _arg("--points")),
+    (["kh-scan", "--lambdas", ",,"], None, UNKNOWN),
+    (["kh-scan", "--n-fit", "3"], None, _arg("--n-fit")),
+    (["kh-scan", "--z-window", "0.5"], None, _arg("--z-window")),
+    (["kh-scan", "--eps-exp", "0"], None, _arg("--eps-exp")),
+    (["oracle", "quartic"], ["--g=x"], _arg("--g")),
+    (["oracle", "quartic"], ["--g="], _arg("--g")),
+    (["flow", "quartic"], ["--beta=closed,numeric"], _arg("--beta")),
+    (["kh-scan"], ["--eps-exp=2", "--eps_exp=3"], UNKNOWN),
+    (["flow", "kh", "--g0", "5"], None, CONFIG),
+    (["flow", "kh", "--beta", "numeric"], None, CONFIG),
+    (["flow", "kh", "--start-on-fixed-point"], None, CONFIG),
+    (["flow", "kh", "--alpha", "2"], None, CONFIG),
+    (["flow", "kh"], ["--lam=100"], CONFIG),
+    (["flow", "kh"], ["--start-on-fixed-point"], CONFIG),
+    (["oracle", "quartic", "--K", "5", "--A", "3", "--eps-exp", "2"], None,
+     CONFIG),
+    (["oracle", "quartic"], ["--K=5"], CONFIG),
+    (["oracle", "morse", "--g", "5"], None, CONFIG),
+    (["oracle", "morse"], ["--g=5"], CONFIG),
+    (["oracle", "kh", "--K", "2"], None, CONFIG),
+    (["flow", "quartic", "--alpha", "5"], None, CONFIG),
+    (["flow", "quartic"], ["--alpha=3"], CONFIG),
+    (["analyze", "--lam", "100"], None, CONFIG),
+    (["analyze"], ["--lam=100"], CONFIG),
+    (["analyze", "kh", "--alpha", "2"], None, CONFIG),
+    (["flow", "morse", "--points", HUGE], None, _arg("--points")),
+    (["flow", "morse", "--points", str(cli.MAX_COUNT + 1)], None,
+     _arg("--points")),
+    (["kh-scan", "--points", HUGE], None, _arg("--points")),
+    (["kh-scan", "--n-fit", HUGE], None, _arg("--n-fit")),
+    (["oracle", "quartic", "--n", HUGE + "1"], None, _arg("--n")),
+    (["oracle", "quartic", "--level", HUGE], None, _arg("--level")),
+    (["analyze", "quartic", "--n", HUGE + "1"], None, UNKNOWN),
+    (["oracle", "quartic"], ["--n=" + HUGE + "1"], _arg("--n")),
+    (["flow", "morse", "--output", "."], None, CONFIG),
+    (["kh-scan", "--lambdas", "1e2", "--points", "0", "--lam0", "1"], None,
+     _arg("--points")),
+    (["analyze", "kh", "--n", "101", "--half-width", "0.5"], None, UNKNOWN),
+    (["flow", "quartic", "--g0", "5", "--start-on-fixed-point"], None,
+     _arg("--start-on-fixed-point") + "not allowed with argument --g0"),
 ], ids=["oracle-even-n", "analyze-even-n", "oracle-zero-half-width",
         "analyze-negative-half-width", "oracle-negative-level",
         "oracle-negative-level-config", "analyze-bogus-sign-policy",
@@ -374,20 +391,21 @@ HUGE = "1" + "0" * 30  # 10**30, past the largest array numpy can size
         "analyze-unread-lam-config", "analyze-kh-unread-alpha",
         "flow-huge-points", "flow-points-above-cap", "kh-scan-huge-points",
         "kh-scan-huge-n-fit", "oracle-huge-n", "oracle-huge-level",
-        "analyze-huge-n", "oracle-huge-n-config", "flow-output-directory"])
-def test_bad_settings_exit_2(request, tmp_path, args, lines):
-    """Each setting is rejected before any report is written; a row with
-    ``lines`` gives its settings in an args file. argparse itself rejects
-    the rows in ARGPARSE_REJECTS; the command rejects every other row as a
-    config error, whether its setting came from a flag or a file."""
+        "analyze-huge-n", "oracle-huge-n-config", "flow-output-directory",
+        "kh-scan-lambdas-with-bad-range", "analyze-box",
+        "flow-g0-and-fixed-point"])
+def test_bad_settings_exit_2(tmp_path, args, lines, expect):
+    """Each setting is rejected before any report is written, and stderr
+    says what rejected it, matching ``expect``; a row with ``lines`` gives its
+    settings in an args file, which is rejected as the same flags are."""
     if lines is not None:
         (tmp_path / "run.args").write_text("".join(ln + "\n" for ln in lines))
         args = args + ["@run.args"]
     res = run_cli(args, tmp_path)
     assert res.returncode == 2, res.stdout + res.stderr
     assert ERROR_LINE.search(res.stderr)
-    config_error = "config error" in res.stderr
-    assert config_error != (request.node.callspec.id in ARGPARSE_REJECTS)
+    assert re.search(expect, res.stderr), res.stderr
+    assert (CONFIG in res.stderr) == (expect == CONFIG)
     assert "Traceback" not in res.stderr
     assert not list(tmp_path.glob("*.csv"))  # rejected before any report
     assert not list(tmp_path.glob("*.xml"))
@@ -551,8 +569,22 @@ def test_config_keys_match_flags(tmp_path):
     assert read_csv_rows(tmp_path / "file.csv")[0]["half_width"] == "5"
 
 
+def test_args_file_skips_blank_lines(tmp_path):
+    (tmp_path / "run.args").write_text("--g=8\n\n--half-width=5\n")
+    res = run_cli(["oracle", "quartic", "@run.args", "--output", "file.csv"],
+                  tmp_path)
+    assert res.returncode == 0, res.stderr
+    res = run_cli(["oracle", "quartic", "--g", "8", "--half-width", "5",
+                   "--output", "flags.csv"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    from_file = (tmp_path / "file.csv").read_text()
+    assert from_file == (tmp_path / "flags.csv").read_text()
+
+
 def test_count_cap_is_inclusive():
-    assert cli._integer("points", cli.MAX_COUNT, 2) == cli.MAX_COUNT
+    args = cli.build_parser().parse_args(
+        ["flow", "morse", "--points", str(cli.MAX_COUNT)])
+    assert args.points == cli.MAX_COUNT
 
 
 def test_oracle_morse(tmp_path):

@@ -49,16 +49,17 @@ def test_log_flow_derivative_matches_finite_difference():
     assert abs(flow.derivative_wrt_log(lam) - fd) < 1e-6 * abs(fd)
 
 
-@pytest.mark.parametrize("lam", [uf.LAMBDA_FLOOR, 1.0, 0.5, -3.0, math.nan])
+@pytest.mark.parametrize("lam", [uf.LAMBDA_FLOOR, 1.0, 0.5, -3.0, math.nan,
+                                 math.inf])
 def test_cutoff_floor_is_one_rule(lam):
-    """Every function of the cutoff takes it above the floor only, as the
-    betas and the CLI do."""
+    """Every function of the cutoff takes it finite and above the floor
+    only, as the betas and the CLI do."""
     calls = [uf.PowerLawFlow(0.5, 2.0), uf.LogFlow(1.0),
              uf.LogFlow(1.0).derivative_wrt_log,
              lambda lam: kh.scaled_ground_energy(1.0, lam, 1.0),
              lambda lam: uf.beta_closed_form(uf.quartic(1.0), 1.0, lam)]
     for call in calls:
-        with pytest.raises(uf.DomainError, match="at or below the floor"):
+        with pytest.raises(uf.DomainError, match=r"outside \(2\.0, inf\)"):
             call(lam)
 
 

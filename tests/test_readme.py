@@ -44,3 +44,35 @@ def test_readme_commands_run(tmp_path, monkeypatch):
         else:
             code = subprocess.run(line, shell=True).returncode
         assert code == 0, line
+
+
+def _subcommand_options():
+    """{subcommand: its long options but --help}, read from the parser."""
+    parser = cli.build_parser()
+    commands = next(a.choices for a in parser._actions
+                    if isinstance(a.choices, dict))
+    return {name: {opt for action in sub._actions
+                   for opt in action.option_strings
+                   if opt.startswith("--") and opt != "--help"}
+            for name, sub in commands.items()}
+
+
+# the README's synopses: fenced blocks without a language that start with
+# "uvflow <command>"
+SYNOPSES = re.findall(r"^```\n(uvflow [\w-]+.*?)^```", TEXT, re.M | re.S)
+
+
+def test_readme_synopses_list_only_parser_options():
+    options = _subcommand_options()
+    assert {block.split()[1] for block in SYNOPSES} == set(options)
+    for block in SYNOPSES:
+        command = block.split()[1]
+        listed = set(re.findall(r"--[\w-]+", block))
+        assert listed <= options[command], (command, listed - options[command])
+
+
+def test_readme_names_every_option():
+    for command, options in _subcommand_options().items():
+        for option in options:
+            assert re.search(rf"(?<![\w-]){option}(?![\w-])", TEXT), \
+                (command, option)
