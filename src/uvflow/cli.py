@@ -344,6 +344,10 @@ def cmd_oracle(args) -> int:
     half_width = dl if args.half_width is None else args.half_width
     n = dn if args.n is None else args.n
     parity = dparity if args.parity is None else args.parity
+    sector = {"even": (n - 1) // 2, "odd": (n - 3) // 2}.get(parity, n - 2)
+    if args.level >= sector:
+        raise ConfigError(f"--level {args.level} is past the last level: --n {n} "
+                          f"with --parity {parity or 'none'} holds {sector} levels")
     spec = build_spec(model, params)
     res = _grid_level(spec, half_width, n, args.level, parity)
     row = {"model": model, "half_width": half_width, "n": n,

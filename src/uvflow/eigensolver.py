@@ -14,17 +14,23 @@ Two deliberately independent routes:
 Brent's method is a port of scipy's ``brentq``, so that importing uvflow
 loads no ``scipy.optimize``.
 
-A grid level is found in a narrow energy window seeded by the same level
-on the next-coarser grid ((n + 1)/2 points, made odd), recursively down to
-a base grid of at most 1025 points, where LAPACK bisects for the level by
-index.  Exact Sturm counts widen the window until it holds level k and say
-which of its eigenvalues that is, so the seed sets the cost, never the
-answer; LAPACK then bisects the window and inverse iteration gives the
-vector.  Index bisection starts from the Gershgorin interval, which the
-Morse wall at x = -30 stretches to 1e27: on a 2-core Xeon one 31,999-row
-Morse solve takes about 50 ms that way and about 10 ms in a window.  The
-Richardson coarse companion is the first rung of the ladder, and the fine
-2n - 1 solve is seeded by the raw level; both are solved without
+A grid level is found in a narrow energy window seeded from the same
+level on the coarser grids of a ladder ((n + 1)/2 points, made odd, at
+each rung), recursively down to a base grid of at most 1025 points, where
+LAPACK bisects for the level by index.  Two coarser levels predict the
+next by h^2 (Richardson) extrapolation, and the window's half-width is an
+eighth of that correction; a grid with one coarser level is seeded at it,
+±1e-4 relative.  One exact Sturm count at the window's low end and one
+LAPACK bisection of the window say which of its eigenvalues is level k.
+A window that misses level k widens and halves by counts alone until it
+holds k, then is bisected once, so a seed never changes which level is
+found, and moves its value only within the 1e-13 bisection tolerance.
+Inverse iteration gives the vector.  Index bisection starts from the
+Gershgorin interval, which the Morse wall at x = -30 stretches to 1e27:
+on a 2-core Xeon one 31,999-row Morse ground level takes about 37 ms that
+way and about 7 ms in its predicted window.  The Richardson coarse
+companion is the first rung of the ladder, and the fine 2n - 1 solve is
+predicted from the raw level and that companion; both are solved without
 eigenvectors.
 
 Every tridiagonal solve passes an explicit absolute tolerance to LAPACK.
@@ -50,8 +56,9 @@ from .potentials import PotentialSpec
 _BOUNDARY_LEAK = 1.0e-10
 _EIG_TOL = 1.0e-13
 _BASE_N = 1025           # grids this small are solved by index, unseeded
-_WINDOW = 1.0e-4         # first half-width of a seeded window, times max(1, |seed|)
+_WINDOW = 1.0e-4         # half-width of a window seeded by one rung, times max(1, |seed|)
 _WINDOW_GROWTH = 8.0
+_PREDICTION_MARGIN = 8.0  # a predicted window's half-width is its correction over this
 
 
 class Parity(Enum):
@@ -132,21 +139,27 @@ def _sector_matrix(spec: PotentialSpec, grid: Grid,
     return d, e
 
 
-def _sturm_window(d: np.ndarray, e: np.ndarray, k: int,
-                  seed: float) -> Tuple[float, float, int, int]:
-    """(lo, hi, N(lo), N(hi)) with N(lo) <= k < N(hi), for level k near ``seed``.
+def _window_level(d: np.ndarray, e: np.ndarray, k: int, seed: float,
+                  width: float, vector: bool) -> Tuple[float, Optional[np.ndarray]]:
+    """Eigenvalue k of the tridiagonal (d, e), found in a window about
+    ``seed``, and with ``vector`` its eigenvector.
 
     N(x) is the exact Sturm count, the number of eigenvalues at or below
-    x, so the window holds level k whatever the seed; the seed only places
-    it.  The window [seed - w, seed + w] widens geometrically, one edge at a
-    time, until the counts straddle k; a window that then holds more levels
-    than k (a seed far off) is halved by counts until it holds only k, or
+    x; it alone decides which eigenvalue is level k.  The first window
+    [seed - width, seed + width] costs one count, N(lo), and one LAPACK
+    bisection (dstebz) over (lo, hi] to _EIG_TOL, whose m eigenvalues give
+    N(hi) = N(lo) + m.  If that window misses level k, the search falls back
+    to counts alone: the window widens geometrically, one edge at a time,
+    until the counts straddle k, then is halved until it holds only k, or
     until its ends are adjacent floats around a cluster, so that a midpoint
-    would round onto an end.  A count is LAPACK dstebz over
-    (floor, x] with an infinite tolerance: two Sturm sweeps at the ends and
-    one midpoint sweep, no bisection; 'B' ordering skips its sort.
+    would round onto an end; then it is bisected once.  So a bad seed costs
+    counts, never the bisection of far levels, and never changes which
+    level is found.  A count is dstebz over (floor, x] with an infinite
+    tolerance: two Sturm sweeps at the ends and one midpoint sweep, no
+    bisection; 'B' ordering skips its sort.  Inverse iteration (dstein)
+    gives the one vector asked for.
     """
-    stebz, = get_lapack_funcs(("stebz",), (d, e))
+    stebz, stein = get_lapack_funcs(("stebz", "stein"), (d, e))
     # below the Gershgorin interval, so N(floor) = 0
     floor = float(np.min(d)) - 2.0 * float(np.max(np.abs(e), initial=0.0)) - 1.0
 
@@ -158,77 +171,124 @@ def _sturm_window(d: np.ndarray, e: np.ndarray, k: int,
             raise IterationLimitError(f"Sturm count failed (dstebz info {info})")
         return int(m)
 
-    w = _WINDOW * max(1.0, abs(seed))
-    lo, hi = seed - w, seed + w
-    n_lo, n_hi = count(lo), count(hi)
-    while n_lo > k or n_hi <= k:
-        w *= _WINDOW_GROWTH
-        if n_lo > k:
-            hi, n_hi = lo, n_lo
-            lo = seed - w
-            n_lo = count(lo)
-        else:
-            lo, n_lo = hi, n_hi
-            hi = seed + w
-            n_hi = count(hi)
-    mid = 0.5 * (lo + hi)
-    while n_hi - n_lo > 1 and lo < mid < hi:
-        n_mid = count(mid)
-        if n_mid > k:
-            hi, n_hi = mid, n_mid
-        else:
-            lo, n_lo = mid, n_mid
+    def bisect(lo: float, hi: float):
+        m, ws, iblock, isplit, info = stebz(d, e, 1, lo, hi, 1, 1, _EIG_TOL, "B")
+        if info != 0:
+            raise IterationLimitError(f"tridiagonal eigensolve failed (dstebz info {info})")
+        return int(m), ws, iblock, isplit
+
+    lo, hi = seed - width, seed + width
+    n_lo = count(lo)
+    # N(hi) >= N(lo); past k the widening moves hi onto lo without reading it
+    n_hi = n_lo
+    if n_lo <= k:
+        found = bisect(lo, hi)
+        n_hi = n_lo + found[0]
+    if not n_lo <= k < n_hi:
+        w = width
+        while n_lo > k or n_hi <= k:
+            w *= _WINDOW_GROWTH
+            if n_lo > k:
+                hi, n_hi = lo, n_lo
+                lo = seed - w
+                n_lo = count(lo)
+            else:
+                lo, n_lo = hi, n_hi
+                hi = seed + w
+                n_hi = count(hi)
         mid = 0.5 * (lo + hi)
-    return lo, hi, n_lo, n_hi
+        while n_hi - n_lo > 1 and lo < mid < hi:
+            n_mid = count(mid)
+            if n_mid > k:
+                hi, n_hi = mid, n_mid
+            else:
+                lo, n_lo = mid, n_mid
+            mid = 0.5 * (lo + hi)
+        found = bisect(lo, hi)
+        if found[0] != n_hi - n_lo:
+            raise IterationLimitError("the window solve disagrees with its Sturm counts")
+    m, ws, iblock, isplit = found
+    # 'B' orders each split-off block on its own
+    j = int(np.argsort(ws[:m], kind="stable")[k - n_lo])
+    if not vector:
+        return float(ws[j]), None
+    z, info = stein(d, e, ws[j:j + 1], np.roll(iblock, -j), isplit)
+    if info != 0:
+        raise IterationLimitError(f"inverse iteration failed (dstein info {info})")
+    return float(ws[j]), z[:, 0]
 
 
-def _coarse_level(spec: PotentialSpec, grid: Grid, k: int,
-                  parity: Optional[Parity]) -> Optional[float]:
-    """Level k on the next-coarser grid, the seed for ``grid``; that level
-    is seeded the same way, so the ladder descends to _BASE_N points.
+def _seed_window(h: float, rungs: Tuple[Tuple[float, float], ...]
+                 ) -> Optional[Tuple[float, float]]:
+    """(seed, half-width) of the window for a level on spacing ``h``,
+    from the same level on the coarser rungs, ``(spacing, level)`` nearest
+    first; None, an index solve, without rungs.
 
-    None at or below _BASE_N points, and when the coarse odd sector, the
-    smallest, holds fewer than k + 1 levels.
+    Two rungs give the h^2 extrapolation through them (L. F. Richardson,
+    Phil. Trans. R. Soc. A 210, 307 (1911)), with the spacings of the
+    actual grids; the half-width is the size of its correction to the
+    nearer rung over _PREDICTION_MARGIN, and at least _EIG_TOL relative,
+    the noise of the bisected rungs.  One rung seeds at its level, with
+    the half-width _WINDOW relative.
+    """
+    if not rungs:
+        return None
+    h1, e1 = rungs[0]
+    if len(rungs) == 1:
+        return e1, _WINDOW * max(1.0, abs(e1))
+    h2, e2 = rungs[1]
+    correction = (e1 - e2) * (h1 * h1 - h * h) / (h2 * h2 - h1 * h1)
+    seed = e1 + correction
+    return seed, max(abs(correction) / _PREDICTION_MARGIN,
+                     _EIG_TOL * max(1.0, abs(seed)))
+
+
+def _coarse_levels(spec: PotentialSpec, grid: Grid, k: int,
+                   parity: Optional[Parity]) -> Tuple[Tuple[float, float], ...]:
+    """Level k on the next two coarser grids, ``(spacing, level)`` nearest
+    first, which seed the window for ``grid``.  Each rung is seeded the
+    same way, so the ladder descends to _BASE_N points.
+
+    Empty at or below _BASE_N points, and when the coarse odd sector, the
+    smallest, holds fewer than k + 1 levels; one rung just above that.
     """
     coarse = _coarser(grid)
     if grid.n <= _BASE_N or k >= (coarse.n - 3) // 2:
-        return None
-    seed = _coarse_level(spec, coarse, k, parity)
-    return _solve_sector(spec, coarse, k, parity, seed, vector=False)[0]
+        return ()
+    below = _coarse_levels(spec, coarse, k, parity)
+    level = _solve_sector(spec, coarse, k, parity,
+                          _seed_window(coarse.spacing, below), vector=False)[0]
+    return ((coarse.spacing, level),) + below[:1]
 
 
 def _solve_sector(spec: PotentialSpec, grid: Grid, k: int,
-                  parity: Optional[Parity], seed: Optional[float] = None,
+                  parity: Optional[Parity],
+                  window: Optional[Tuple[float, float]] = None,
                   vector: bool = True) -> Tuple[float, Optional[np.ndarray]]:
     """Eigenvalue k in the parity sector and, with ``vector``, its
     eigenvector on the full grid.
 
-    With a seed the level is found in a Sturm-count window around it;
-    without one LAPACK bisects for index k over the whole Gershgorin
-    interval.
+    With a ``(seed, half-width)`` window the level is found by
+    ``_window_level``; without one LAPACK bisects for index k over the
+    whole Gershgorin interval.
     """
     d, e = _sector_matrix(spec, grid, parity)
     if k >= len(d):
         raise DomainError(f"level index {k} exceeds the sector size {len(d)}")
     if not np.all(np.isfinite(d)):
         raise DomainError("the potential is not finite on the grid")
-    if seed is None:
-        select, bounds, first, size = "i", (k, k), k, 1
+    if window is not None:
+        w, vec = _window_level(d, e, k, *window, vector=vector)
     else:
-        lo, hi, first, last = _sturm_window(d, e, k, seed)
-        select, bounds, size = "v", (lo, hi), last - first
-    try:
-        found = eigh_tridiagonal(d, e, eigvals_only=not vector, select=select,
-                                 select_range=bounds, tol=_EIG_TOL)
-    except LinAlgError as exc:
-        raise IterationLimitError(f"tridiagonal eigensolve failed: {exc}") from exc
-    ws, vs = found if vector else (found, None)
-    if len(ws) != size:
-        raise IterationLimitError("the window solve disagrees with its Sturm counts")
-    w = float(ws[k - first])
+        try:
+            found = eigh_tridiagonal(d, e, eigvals_only=not vector, select="i",
+                                     select_range=(k, k), tol=_EIG_TOL)
+        except LinAlgError as exc:
+            raise IterationLimitError(f"tridiagonal eigensolve failed: {exc}") from exc
+        ws, vs = found if vector else (found, None)
+        w, vec = float(ws[0]), (vs[:, 0] if vector else None)
     if not vector:
         return w, None
-    vec = vs[:, k - first]
     if parity is None:
         psi = np.concatenate([[0.0], vec, [0.0]])
     elif parity is Parity.ODD:
@@ -275,8 +335,9 @@ def eigenvalue_by_index(spec: PotentialSpec, grid: Grid, k: int,
         raise SingularPointError(
             f"the {spec.family.name} shape is singular at the center node; "
             "solve the odd sector")
-    seed = _coarse_level(spec, grid, k, parity)
-    raw, psi = _solve_sector(spec, grid, k, parity, seed=seed)
+    rungs = _coarse_levels(spec, grid, k, parity)
+    raw, psi = _solve_sector(spec, grid, k, parity,
+                             _seed_window(grid.spacing, rungs))
     peak = float(np.max(np.abs(psi)))
     if max(abs(psi[1]), abs(psi[-2])) > _BOUNDARY_LEAK * peak:
         if _lowest_at_wall(spec, grid, parity):
@@ -291,11 +352,15 @@ def eigenvalue_by_index(spec: PotentialSpec, grid: Grid, k: int,
     found_parity = parity if parity is not None else _classify_parity(psi)
     refined, ratio = raw, math.nan
     if refine:
-        # a seed is the coarse companion, already solved
-        e_c = seed if seed is not None else _solve_sector(
-            spec, _coarser(grid), k, parity, vector=False)[0]
-        e_f, _ = _solve_sector(spec, Grid(grid.half_width, 2 * grid.n - 1), k,
-                               parity, seed=raw, vector=False)
+        # the first rung is the coarse companion, already solved
+        coarse = _coarser(grid)
+        e_c = rungs[0][1] if rungs else _solve_sector(
+            spec, coarse, k, parity, vector=False)[0]
+        fine = Grid(grid.half_width, 2 * grid.n - 1)
+        e_f, _ = _solve_sector(
+            spec, fine, k, parity,
+            _seed_window(fine.spacing, ((grid.spacing, raw), (coarse.spacing, e_c))),
+            vector=False)
         refined = (4.0 * e_f - raw) / 3.0
         denom = raw - e_f
         ratio = (e_c - raw) / denom if denom != 0.0 else math.nan

@@ -373,6 +373,10 @@ HUGE = "1" + "0" * 30  # 10**30, past the largest array numpy can size
     (["analyze", "kh", "--n", "101", "--half-width", "0.5"], None, UNKNOWN),
     (["flow", "quartic", "--g0", "5", "--start-on-fixed-point"], None,
      _arg("--start-on-fixed-point") + "not allowed with argument --g0"),
+    (["oracle", "quartic", "--n", "101", "--level", "99"], None,
+     CONFIG + r": --level 99 .* holds 99 levels"),
+    (["oracle", "coulomb", "--n", "101", "--level", "49"], None,
+     CONFIG + r": --level 49 .* holds 49 levels"),
 ], ids=["oracle-even-n", "analyze-even-n", "oracle-zero-half-width",
         "analyze-negative-half-width", "oracle-negative-level",
         "oracle-negative-level-config", "analyze-bogus-sign-policy",
@@ -393,7 +397,8 @@ HUGE = "1" + "0" * 30  # 10**30, past the largest array numpy can size
         "kh-scan-huge-n-fit", "oracle-huge-n", "oracle-huge-level",
         "analyze-huge-n", "oracle-huge-n-config", "flow-output-directory",
         "kh-scan-lambdas-with-bad-range", "analyze-box",
-        "flow-g0-and-fixed-point"])
+        "flow-g0-and-fixed-point", "oracle-level-past-full-line",
+        "oracle-level-past-odd-sector"])
 def test_bad_settings_exit_2(tmp_path, args, lines, expect):
     """Each setting is rejected before any report is written, and stderr
     says what rejected it, matching ``expect``; a row with ``lines`` gives its
@@ -405,7 +410,7 @@ def test_bad_settings_exit_2(tmp_path, args, lines, expect):
     assert res.returncode == 2, res.stdout + res.stderr
     assert ERROR_LINE.search(res.stderr)
     assert re.search(expect, res.stderr), res.stderr
-    assert (CONFIG in res.stderr) == (expect == CONFIG)
+    assert (CONFIG in res.stderr) == expect.startswith(CONFIG)
     assert "Traceback" not in res.stderr
     assert not list(tmp_path.glob("*.csv"))  # rejected before any report
     assert not list(tmp_path.glob("*.xml"))

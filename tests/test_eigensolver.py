@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -346,56 +347,104 @@ def sector_vector(psi, parity):
     return body
 
 
-def assert_same_level(spec, grid, parity, k, seed):
+def assert_same_level(spec, grid, parity, k, window):
     ref_w, ref_v = index_reference(spec, grid, parity, k)
-    w, psi = eigensolver._solve_sector(spec, grid, k, parity, seed)
+    w, psi = eigensolver._solve_sector(spec, grid, k, parity, window)
     assert abs(w - ref_w) <= 2.0 * eigensolver._EIG_TOL * max(1.0, abs(ref_w))
     v = sector_vector(psi, parity)
     assert min(np.max(np.abs(v - ref_v)), np.max(np.abs(v + ref_v))) < 1e-8
+
+
+# one LAPACK dstebz call: "index" is eigh_tridiagonal's bisection by index,
+# "count" a Sturm count (infinite tolerance) over ``window``, "bisect" a
+# bisection of the ``levels`` eigenvalues in ``window`` to _EIG_TOL
+Dstebz = namedtuple("Dstebz", "kind rows window levels")
+
+
+@pytest.fixture
+def dstebz_calls(monkeypatch):
+    """Every dstebz call of the grid route, in order, as ``Dstebz``."""
+    calls = []
+    get_lapack_funcs = eigensolver.get_lapack_funcs
+
+    def spied_funcs(names, arrays):
+        funcs = get_lapack_funcs(names, arrays)
+        stebz = funcs[names.index("stebz")]
+
+        def spied(d, e, rng, vl, vu, il, iu, tol, order):
+            found = stebz(d, e, rng, vl, vu, il, iu, tol, order)
+            calls.append(Dstebz("count" if tol == math.inf else "bisect",
+                                len(d), (vl, vu), int(found[0])))
+            return found
+        return tuple(spied if name == "stebz" else f for name, f in zip(names, funcs))
+
+    def spied_index(d, e, **kwargs):
+        calls.append(Dstebz("index", len(d), kwargs["select_range"], 1))
+        return eigh_tridiagonal(d, e, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "get_lapack_funcs", spied_funcs)
+    monkeypatch.setattr(eigensolver, "eigh_tridiagonal", spied_index)
+    return calls
 
 
 @pytest.mark.parametrize("k", range(4))
 @pytest.mark.parametrize("sector", sorted(WINDOW_SECTORS))
 def test_window_solve_matches_index_solve(sector, k):
     spec, half_width, parity = WINDOW_SECTORS[sector]
-    # 4001 points seed from 2001, which seeds from the 1001-point base grid
+    # 4001 points are predicted from 2001 and the 1001-point base grid
     grid = uf.Grid(half_width, 4001)
+    rungs = eigensolver._coarse_levels(spec, grid, k, parity)
+    assert len(rungs) == 2
     assert_same_level(spec, grid, parity, k,
-                      eigensolver._coarse_level(spec, grid, k, parity))
+                      eigensolver._seed_window(grid.spacing, rungs))
 
 
 @pytest.mark.parametrize("sector", sorted(WINDOW_SECTORS))
-def test_window_solve_ignores_a_bad_seed(sector):
+def test_window_solve_ignores_a_bad_seed(sector, dstebz_calls):
     spec, half_width, parity = WINDOW_SECTORS[sector]
     grid = uf.Grid(half_width, 2001)
     levels = [index_reference(spec, grid, parity, k)[0] for k in range(4)]
     for k in range(4):
-        # far above, far below, and on every other level
+        # far above, far below, and on every other level, in a window as
+        # wide as one rung gives and in one as narrow as a prediction
         for seed in [levels[k] + 1.0e3, levels[k] - 1.0e3] + levels[:k] + levels[k + 1:]:
-            assert_same_level(spec, grid, parity, k, seed)
+            for width in (eigensolver._WINDOW * max(1.0, abs(seed)), 1.0e-9):
+                assert_same_level(spec, grid, parity, k, (seed, width))
+    # a bad seed costs counts, not the bisection of the levels it skips
+    assert max(c.levels for c in dstebz_calls if c.kind == "bisect") <= 2
 
 
 @pytest.mark.parametrize("k", [0, 1])
-def test_window_stops_at_adjacent_floats(k):
+def test_window_stops_at_adjacent_floats(k, dstebz_calls):
     """Levels closer than one ulp of their size: halving stops once the
     midpoint would round onto an end, with both levels in the window."""
-    window = eigensolver._sturm_window(np.array([1000.0, 1000.0]),
-                                       np.array([1.0e-14]), k, 1000.0)
-    assert window == (999.9999999999999, 1000.0, 0, 2)
+    d, e = np.array([1000.0, 1000.0]), np.array([1.0e-14])
+    # the first window, (1000.5, 1001.5], misses both levels
+    w, v = eigensolver._window_level(d, e, k, 1001.0, 0.5, vector=True)
+    assert dstebz_calls[-1] == Dstebz("bisect", 2, (999.9999999999999, 1000.0), 2)
+    ref = eigh_tridiagonal(d, e, eigvals_only=True)[k]
+    assert abs(w - ref) <= 2.0 * eigensolver._EIG_TOL * abs(ref)
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
-def test_only_base_size_grids_are_solved_by_index(monkeypatch):
-    calls = []
-
-    def recorded(d, e, **kwargs):
-        calls.append((len(d), kwargs["select"]))
-        return eigh_tridiagonal(d, e, **kwargs)
-
-    monkeypatch.setattr(eigensolver, "eigh_tridiagonal", recorded)
+def test_only_base_size_grids_are_solved_by_index(dstebz_calls):
     uf.ground_state(uf.morse(4.0), uf.Grid(30.0, 8001))
-    # 1001 (index) -> 2001 -> 4001 (the coarse companion) -> 8001 -> 15001
-    assert calls == [(999, "i"), (1999, "v"), (3999, "v"), (7999, "v"),
-                     (15999, "v")]
+    # 1001 (index) -> 2001 -> 4001 (the coarse companion) -> 8001 -> 16001
+    assert [c.rows for c in dstebz_calls if c.kind == "index"] == [999]
+    assert sorted({c.rows for c in dstebz_calls if c.kind == "bisect"}) == [
+        1999, 3999, 7999, 15999]
+
+
+@pytest.mark.parametrize("spec, half_width, most", [
+    (uf.morse(4.0), 30.0, 11), (uf.quartic(1.0), 6.0, 9)],
+    ids=["morse", "quartic"])
+def test_refined_ground_state_dstebz_calls(spec, half_width, most, dstebz_calls):
+    """The work of a refined 8001-point ground state, as LAPACK calls: one
+    index solve on the base grid, then one count and one bisection per
+    window (2001, 4001, 8001 and 16001 points), plus the counts and the
+    second bisection of a window that misses."""
+    uf.ground_state(spec, uf.Grid(half_width, 8001))
+    assert len(dstebz_calls) <= most
 
 
 def test_non_finite_potential_is_a_domain_error():
@@ -419,5 +468,5 @@ def test_level_beyond_the_sector_is_a_domain_error():
             uf.eigenvalue_by_index(uf.coulomb(1.0), grid, 1999,
                                    parity=uf.Parity.ODD, refine=refine)
     # a level the coarse sector lacks is solved by index, unseeded
-    assert eigensolver._coarse_level(uf.coulomb(1.0), grid, 1500, uf.Parity.ODD) is None
+    assert eigensolver._coarse_levels(uf.coulomb(1.0), grid, 1500, uf.Parity.ODD) == ()
     assert_same_level(uf.coulomb(1.0), grid, uf.Parity.ODD, 1500, None)
