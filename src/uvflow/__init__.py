@@ -23,8 +23,8 @@ from .potentials import (PotentialSpec, coulomb, custom,
 from .reduction import (GaussianState, GroundStateEstimate,
                         QuadraticReduction, expand_at_cutoff,
                         ho_ground_energy, ho_ground_wavefunction)
-from .flow import (LAMBDA_FLOOR, LogFlow, PowerLawFlow, TabulatedFlow,
-                   beta_closed_form, beta_numeric, integrate_flow,
+from .flow import (LAMBDA_FLOOR, LogFlow, PointwiseFlow, PowerLawFlow,
+                   Trajectory, beta_closed_form, beta_numeric, integrate_flow,
                    pipeline_ground_energy, solve_fixed_point, uv_energy_law,
                    uv_limit_energy)
 
@@ -36,8 +36,8 @@ __all__ = [
     "GaussianState", "Grid", "GroundStateEstimate", "IntegrationAbortError",
     "IterationLimitError", "LAMBDA_FLOOR", "LogFlow", "NoBoundStateError",
     "NoFixedPointError", "NoUVLimitError", "OracleResult", "Parity",
-    "PotentialSpec", "PowerLawFlow", "QuadraticReduction",
-    "SingularPointError", "TabulatedFlow", "UVFlowError",
+    "PointwiseFlow", "PotentialSpec", "PowerLawFlow", "QuadraticReduction",
+    "SingularPointError", "Trajectory", "UVFlowError",
     "beta_closed_form", "beta_numeric", "coulomb", "custom",
     "eigenvalue_by_index",
     "expand_at_cutoff", "ground_state", "ho_ground_energy",

@@ -282,9 +282,8 @@ def cmd_flow(args) -> int:
         row_beta = lambda g, lam: beta(spec, g, lam)
         row_energy = lambda g, lam: pipeline_ground_energy(spec, g, lam)
         try:
-            traj = integrate_flow(spec, g0, args.lam0, args.lam1,
-                                  n_points=args.points, beta=row_beta)
-            lams, gs = traj.lams, traj.couplings
+            lams, gs = integrate_flow(spec, g0, args.lam0, args.lam1,
+                                      n_points=args.points, beta=row_beta)
         except IntegrationAbortError as exc:
             lams, gs = exc.partial if exc.partial is not None else ([], [])
             errors.append(exc)

@@ -37,8 +37,8 @@ class NoFixedPointError(UVFlowError):
 class IntegrationAbortError(UVFlowError):
     """Flow integration aborted; carries what was sampled before the abort.
 
-    ``partial`` holds the (lams, couplings) arrays sampled before the
-    abort, when any were reached, so callers can still write a report.
+    ``partial`` holds the (lams, couplings) trajectory sampled before the
+    abort, when any was reached, so callers can still write a report.
     """
 
     def __init__(self, message, partial=None):

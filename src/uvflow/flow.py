@@ -23,22 +23,20 @@ attractive flag that picks the quoted branch of an ambiguous level are
 defined once per family, in the ``potentials.FamilyDef`` that each spec
 carries; this module reads that entry and never branches on the family.  A
 family with no law (every custom shape) uses the exact reduction, one with
-no closed-form beta has none, and one with no fixed-point power law has its
-fixed point tabulated.
+no closed-form beta has none, and one with no fixed-point power law has the
+pointwise fixed point kappa / (v''(1/Lambda)/2), evaluated at each cutoff.
 
-The two numerical tools the flows need, a scalar Dormand-Prince integrator
-and a monotone cubic interpolant, are written out here on Python floats
-rather than imported, so that importing uvflow loads only numpy and
-``scipy.linalg``.
+The scalar Dormand-Prince integrator the flows need is written out here on
+Python floats rather than imported, so that importing uvflow loads only
+numpy.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Sequence, Tuple
+from typing import Callable, Iterator, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -99,86 +97,43 @@ class LogFlow:
         return value
 
 
-def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
-    """One-sided three-point slope at an end knot, kept shape-preserving."""
-    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Knot slopes of the monotone piecewise cubic through (x, y).
-
-    Fritsch & Carlson (SIAM J. Numer. Anal. 17, 238 (1980)) with the
-    weighted harmonic mean of Fritsch & Butland at interior knots: zero
-    where the neighbouring secants differ in sign or one vanishes.  The
-    end slopes are the three-point formula of Moler's pchiptx, held to
-    the sign of the end secant.  Operation for operation this is scipy's
-    PchipInterpolator.
-    """
-    h = np.diff(x)
-    m = np.diff(y) / h
-    if len(m) == 1:
-        return np.array([m[0], m[0]])
-    d = np.zeros_like(y)
-    inner = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
-    w1 = (2.0 * h[1:] + h[:-1])[inner]
-    w2 = (h[1:] + 2.0 * h[:-1])[inner]
-    d[1:-1][inner] = 1.0 / ((w1 / m[:-1][inner] + w2 / m[1:][inner]) / (w1 + w2))
-    d[0] = _end_slope(h[0], h[1], m[0], m[1])
-    d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
-    return d
+def _canonical_coupling(spec: PotentialSpec, lam: float) -> float:
+    """kappa / (v''(1/Lambda)/2): the coupling that gives the reduced
+    oscillator at cutoff lam the canonical stiffness kappa."""
+    _, _, v2 = with_coupling_and_cutoff(spec, 1.0, lam).derivatives(1.0 / lam)
+    g = spec.kappa / (0.5 * v2) if v2 != 0.0 else math.inf
+    if not math.isfinite(g):
+        raise NoFixedPointError(f"the stiffness match is {g} at cutoff {lam}")
+    return g
 
 
 @dataclass(frozen=True)
-class TabulatedFlow:
-    """Sampled trajectory, interpolated monotonically in ln(Lambda).
+class PointwiseFlow:
+    """g(Lambda) = kappa / (v''(1/Lambda)/2), evaluated at each cutoff.
 
-    Between knots the coupling is the cubic Hermite polynomial on the
-    ``_pchip_slopes``, so it overshoots no sample.
+    The canonical fixed point of a shape with no closed power law.
+    ``lams`` and ``couplings`` are the law at the 201 geometric cutoffs
+    from LAMBDA_FLOOR to 1e8 where ``solve_fixed_point`` checks it; no
+    value is read from them, and they are kept only because the
+    benchmark's fixed-point operation (``bench/job.py``) reports them.
     """
+
+    spec: PotentialSpec
+    lams: np.ndarray
+    couplings: np.ndarray
+
+    def __call__(self, lam: float) -> float:
+        return _canonical_coupling(self.spec, _check_lam(lam))
+
+
+class Trajectory(NamedTuple):
+    """Couplings sampled along a flow, at the cutoffs ``lams``."""
 
     lams: np.ndarray
     couplings: np.ndarray
-    _knots: Tuple[list, list, list] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        lams = np.asarray(self.lams, dtype=float)
-        if lams.ndim != 1 or len(lams) < 2 or np.any(np.diff(lams) <= 0):
-            raise DomainError("tabulated flow needs strictly increasing cutoffs")
-        s = np.log(lams)
-        g = np.asarray(self.couplings, dtype=float)
-        knots = (s.tolist(), g.tolist(), _pchip_slopes(s, g).tolist())
-        object.__setattr__(self, "_knots", knots)
-
-    @property
-    def lam_min(self) -> float:
-        return float(self.lams[0])
-
-    @property
-    def lam_max(self) -> float:
-        return float(self.lams[-1])
-
-    def __call__(self, lam: float) -> float:
-        if not (self.lam_min <= lam <= self.lam_max):
-            raise DomainError(f"cutoff {lam} outside tabulated range "
-                              f"[{self.lam_min}, {self.lam_max}]")
-        s, g, d = self._knots
-        x = math.log(lam)
-        i = min(bisect_right(s, x), len(s) - 1) - 1  # x = s[-1] takes the last piece
-        # power-form coefficients of the Hermite cubic on [s_i, s_i+1]
-        h = s[i + 1] - s[i]
-        secant = (g[i + 1] - g[i]) / h
-        t = (d[i] + d[i + 1] - 2.0 * secant) / h
-        c3, c2 = t / h, (secant - d[i]) / h - t
-        u = x - s[i]
-        return g[i] + d[i] * u + c2 * (u * u) + c3 * (u * u * u)
 
 
-CouplingFlow = PowerLawFlow | LogFlow | TabulatedFlow
+CouplingFlow = PowerLawFlow | LogFlow | PointwiseFlow
 
 
 # -- energy laws ------------------------------------------------------------
@@ -237,27 +192,20 @@ def solve_fixed_point(spec: PotentialSpec) -> CouplingFlow:
     The canonical forms p^2 + x^2 (kappa = 1) and (p^2 + x^2)/2
     (kappa = 1/2) both have stiffness kappa, so pointwise
     g(Lambda) = kappa / (v''(1/Lambda)/2).  A family with a closed fixed
-    point returns that power law; any other shape gets the pointwise
-    solution tabulated from LAMBDA_FLOOR to 1e8.
+    point returns that power law; any other shape returns the pointwise
+    law, which holds at every cutoff above LAMBDA_FLOOR.  It is checked up
+    front at 201 geometric cutoffs from LAMBDA_FLOOR to 1e8: a flat or
+    non-finite match at any of them is a NoFixedPointError, as it is at
+    any cutoff the law is later called at.
     """
     if spec.kappa not in (0.5, 1.0):
         raise NoFixedPointError(
             f"no canonical oscillator with kinetic normalization {spec.kappa}")
     if spec.family.fixed_point is not None:
         return PowerLawFlow(*spec.family.fixed_point(spec.kappa))
-
-    def pointwise(lam: float) -> float:
-        moved = with_coupling_and_cutoff(spec, 1.0, lam)
-        _, _, v2 = moved.derivatives(1.0 / lam)
-        if v2 == 0.0:
-            raise NoFixedPointError(f"flat shape curvature at cutoff {lam}")
-        return spec.kappa / (0.5 * v2)
-
     lams = np.geomspace(LAMBDA_FLOOR, 1.0e8, 25 * 8 + 1)
-    vals = np.array([pointwise(l) for l in lams])
-    if np.any(~np.isfinite(vals)):
-        raise NoFixedPointError("pointwise stiffness match is not finite")
-    return TabulatedFlow(lams, vals)
+    couplings = np.array([_canonical_coupling(spec, lam) for lam in lams])
+    return PointwiseFlow(spec, lams, couplings)
 
 
 # -- flow integration -------------------------------------------------------
@@ -380,19 +328,23 @@ def _dormand_prince(rhs: Callable[[float, float], float], t0: float, y0: float,
 
 def integrate_flow(spec: PotentialSpec, g0: float, lam0: float, lam1: float,
                    beta: str | Callable[[float, float], float] = "closed-form",
-                   n_points: int = 129) -> TabulatedFlow:
+                   n_points: int = 129) -> Trajectory:
     """Integrate dg/ds = beta(g, e^s) in s = ln(Lambda) from lam0 to lam1.
 
-    The trajectory is sampled at n_points equally spaced in s.  A beta
-    that fails, or a coupling that leaves the float range, aborts with an
-    IntegrationAbortError whose ``partial`` holds the samples reached
-    before the failure, in integration order (None when there are none).
+    The trajectory is sampled at n_points >= 2 equally spaced in s and
+    returned in increasing cutoff order, with both endpoints exact.  A
+    beta that fails, or a coupling that leaves the float range, aborts
+    with an IntegrationAbortError whose ``partial`` is the Trajectory
+    reached before the failure, in integration order (None when there
+    are no samples).
     """
     lam0 = _check_lam(lam0)
     lam1 = _check_lam(lam1)
     s0, s1 = math.log(lam0), math.log(lam1)
     if s0 == s1:
         raise DomainError("integration endpoints coincide")
+    if n_points < 2:
+        raise DomainError(f"a trajectory needs at least 2 points, got {n_points}")
     if callable(beta):
         rhs_beta = beta
     elif beta == "closed-form":
@@ -417,16 +369,16 @@ def integrate_flow(spec: PotentialSpec, g0: float, lam0: float, lam1: float,
                 raise FlowUndefinedError(f"the coupling reached {g}")
             gs.append(g)
     except (FlowUndefinedError, DomainError, ValueError, OverflowError) as exc:
-        partial = (np.exp(s_eval[:len(gs)]), np.array(gs)) if gs else None
+        partial = Trajectory(np.exp(s_eval[:len(gs)]), np.array(gs)) if gs else None
         raise IntegrationAbortError(f"flow integration aborted: {exc}",
                                     partial=partial) from exc
     lams = np.exp(s_eval)
     gs = np.array(gs)
     if lams[0] > lams[-1]:
         lams, gs = lams[::-1], gs[::-1]
-    # exp(log(lam)) rounding must not shrink the range past the endpoints
+    # exp(log(lam)) rounding must not move the endpoints
     lams[0], lams[-1] = min(lam0, lam1), max(lam0, lam1)
-    return TabulatedFlow(lams, gs)
+    return Trajectory(lams, gs)
 
 
 # -- large-cutoff limit -----------------------------------------------------

@@ -50,8 +50,8 @@ class FamilyDef:
     ``fixed_point`` maps a target stiffness to the (coefficient, exponent)
     of the power law g(Lambda) that holds the reduced stiffness there.
     None for any of the three means no closed form: the law is the exact
-    reduction, there is no closed-form beta, and the fixed point is
-    tabulated.  An ``attractive`` family quotes the lower branch of an
+    reduction, there is no closed-form beta, and the fixed point is the
+    pointwise stiffness match, evaluated at each cutoff.  An ``attractive`` family quotes the lower branch of an
     ambiguous frequency root, the others the upper one.  A shape that is
     ``singular_at_origin`` has no value at x = 0, so the oracles solve only
     its odd sector.

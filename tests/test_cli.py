@@ -261,6 +261,19 @@ def test_flow_on_fixed_point_conserves_energy(tmp_path):
     assert max(energies) - min(energies) < 1e-4
 
 
+def test_flow_morse_starts_on_the_exact_fixed_point(tmp_path):
+    """The Morse fixed point is the pointwise stiffness match
+    1/(4 e^(-2/lam) - 2 e^(-1/lam)) for A = 4, read at lam0 = 10 itself."""
+    out = tmp_path / "fp.json"
+    res = run_cli(["flow", "morse", "--start-on-fixed-point", "--format", "json",
+                   "--output", str(out)], tmp_path)
+    assert res.returncode == 0, res.stderr
+    first = json.loads(out.read_text())["rows"][0]
+    exact = 1.0 / (4.0 * math.exp(-0.2) - 2.0 * math.exp(-0.1))
+    assert first["lambda"] == 10.0
+    assert abs(first["coupling"] - exact) < 1e-11 * exact
+
+
 def test_kh_scan_limits(tmp_path):
     out = tmp_path / "scan.json"
     res = run_cli(["kh-scan", "--eps-exp", "10", "--lam0", "100", "--lam1", "1000",

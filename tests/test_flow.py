@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
 
 import uvflow as uf
 from uvflow import kh
 from uvflow.flow import UV_SAMPLE_CUTOFFS
 
 MORSE_LAW_GAP_SLOPE = -1.5 * math.sqrt(2.0)  # A=4, a=1, m=1
-MORSE_FP_AT_1E3 = 0.50150276
+
+
+def morse_fixed_point(lam):
+    """kappa / (v''(1/lam)/2) for Morse A = 4, a = m = 1 (kappa = 1/2)."""
+    return 1.0 / (4.0 * math.exp(-2.0 / lam) - 2.0 * math.exp(-1.0 / lam))
 
 
 def kh_spec():
@@ -55,7 +58,7 @@ def test_cutoff_floor_is_one_rule(lam):
     """Every function of the cutoff takes it finite and above the floor
     only, as the betas and the CLI do."""
     calls = [uf.PowerLawFlow(0.5, 2.0), uf.LogFlow(1.0),
-             uf.LogFlow(1.0).derivative_wrt_log,
+             uf.LogFlow(1.0).derivative_wrt_log, uf.solve_fixed_point(uf.morse(4.0)),
              lambda lam: kh.scaled_ground_energy(1.0, lam, 1.0),
              lambda lam: uf.beta_closed_form(uf.quartic(1.0), 1.0, lam)]
     for call in calls:
@@ -70,19 +73,6 @@ def test_log_flow_out_of_float_range_is_a_domain_error():
     assert math.isfinite(flow(10.0))
     with pytest.raises(uf.DomainError):
         flow.derivative_wrt_log(2.5)
-
-
-def test_tabulated_flow():
-    lams = np.geomspace(10.0, 1.0e4, 41)
-    flow = uf.TabulatedFlow(lams, lams ** 2 / 6.0)
-    assert flow.lam_min == 10.0 and flow.lam_max == 1.0e4
-    # interpolation reproduces the nodes
-    for i in (0, 7, 40):
-        assert abs(flow(lams[i]) - lams[i] ** 2 / 6.0) < 1e-12 * lams[i] ** 2
-    with pytest.raises(uf.DomainError):
-        flow(5.0)
-    with pytest.raises(uf.DomainError):
-        uf.TabulatedFlow(np.array([10.0, 10.0, 20.0]), np.zeros(3))
 
 
 # -- energy laws --------------------------------------------------------------
@@ -219,10 +209,15 @@ def test_fixed_point_soft_coulomb():
 
 
 def test_fixed_point_morse_is_tabulated():
+    """The law is checked on a table of cutoffs, and read exactly at any."""
     flow = uf.solve_fixed_point(uf.morse(4.0))
-    assert isinstance(flow, uf.TabulatedFlow)
-    assert abs(flow(1.0e3) - MORSE_FP_AT_1E3) < 1e-6
-    assert abs(flow(1.0e8) - 0.5) < 1e-6
+    assert isinstance(flow, uf.PointwiseFlow)
+    assert len(flow.lams) == 201
+    assert flow.lams[0] == uf.LAMBDA_FLOOR and flow.lams[-1] == 1.0e8
+    assert np.array_equal(flow.couplings[1:], [flow(lam) for lam in flow.lams[1:]])
+    for lam in (10.0, 1.0e3, 1.0e8, 1.0e12):
+        exact = morse_fixed_point(lam)
+        assert abs(flow(lam) - exact) <= 4.0 * math.ulp(exact)
 
 
 def test_fixed_point_custom_is_tabulated():
@@ -230,8 +225,8 @@ def test_fixed_point_custom_is_tabulated():
     spec = uf.custom(lambda x: 0.5 * x * x, kappa=0.5,
                      d1=lambda x: x, d2=lambda x: 1.0 + 0.0 * x)
     flow = uf.solve_fixed_point(spec)
-    assert isinstance(flow, uf.TabulatedFlow)
-    for lam in (10.0, 1.0e3, 12345.6):
+    assert isinstance(flow, uf.PointwiseFlow)
+    for lam in (10.0, 1.0e3, 12345.6, 1.0e12):
         assert abs(flow(lam) - 1.0) < 1e-15
     assert abs(uf.uv_limit_energy(spec, flow).energy - 0.5) < 1e-12
 
@@ -241,6 +236,20 @@ def test_fixed_point_rejections():
         uf.solve_fixed_point(kh_spec())
     with pytest.raises(uf.NoFixedPointError):
         uf.solve_fixed_point(uf.custom(lambda x: x * x, kappa=0.7))
+
+
+def test_fixed_point_flat_curvature_is_no_fixed_point():
+    """A shape that flattens below x = 1e-9 passes the check up to 1e8 but
+    has no fixed point at a cutoff beyond it, nor does a flat shape."""
+    spec = uf.custom(lambda x: 0.5 * x * x, kappa=0.5, d1=lambda x: x,
+                     d2=lambda x: 1.0 if abs(x) > 1.0e-9 else 0.0)
+    flow = uf.solve_fixed_point(spec)
+    assert flow(1.0e8) == 1.0
+    with pytest.raises(uf.NoFixedPointError, match="match is inf at cutoff"):
+        flow(1.0e10)
+    flat = uf.custom(lambda x: x, kappa=0.5, d1=lambda x: 1.0, d2=lambda x: 0.0)
+    with pytest.raises(uf.NoFixedPointError):
+        uf.solve_fixed_point(flat)
 
 
 def test_fixed_point_law_is_self_consistent_with_beta():
@@ -257,46 +266,53 @@ def test_fixed_point_law_is_self_consistent_with_beta():
 
 def test_integrate_flow_kh_matches_log_solution():
     exact = uf.LogFlow(1.0)
-    flow = uf.integrate_flow(kh_spec(), exact(1.0e2), 1.0e2, 1.0e6)
-    assert flow.lam_min == 1.0e2 and flow.lam_max == 1.0e6
-    assert abs(flow(1.0e6) - exact(1.0e6)) < 1e-7 * exact(1.0e6)
-    assert abs(flow(1.0e4) - exact(1.0e4)) < 1e-6 * exact(1.0e4)
+    lams, gs = uf.integrate_flow(kh_spec(), exact(1.0e2), 1.0e2, 1.0e6)
+    assert lams[0] == 1.0e2 and lams[-1] == 1.0e6
+    assert abs(gs[-1] - exact(1.0e6)) < 1e-7 * exact(1.0e6)
+    assert abs(lams[64] / 1.0e4 - 1.0) < 1e-14  # the middle of 129 samples
+    assert abs(gs[64] - exact(lams[64])) < 1e-6 * exact(lams[64])
 
 
 def test_integrate_flow_accepts_callable_beta():
     exact = uf.LogFlow(1.0)
-    flow = uf.integrate_flow(kh_spec(), exact(1.0e2), 1.0e2, 1.0e6,
-                             beta=lambda g, lam: -g / math.log(lam))
-    assert abs(flow(1.0e6) - exact(1.0e6)) < 1e-7 * exact(1.0e6)
+    lams, gs = uf.integrate_flow(kh_spec(), exact(1.0e2), 1.0e2, 1.0e6,
+                                 beta=lambda g, lam: -g / math.log(lam))
+    assert lams[-1] == 1.0e6
+    assert abs(gs[-1] - exact(1.0e6)) < 1e-7 * exact(1.0e6)
 
 
 def test_integrate_flow_numeric_beta_route():
     a = uf.integrate_flow(uf.quartic(1.0), 1.0, 1.0e2, 1.0e3)
     b = uf.integrate_flow(uf.quartic(1.0), 1.0, 1.0e2, 1.0e3, beta="numeric")
-    assert abs(a(1.0e3) - b(1.0e3)) < 1e-4 * abs(a(1.0e3))
+    assert a.lams[-1] == b.lams[-1] == 1.0e3
+    assert abs(a.couplings[-1] - b.couplings[-1]) < 1e-4 * abs(a.couplings[-1])
 
 
 def test_integrate_flow_morse_conserves_law_level():
     spec = uf.morse(1.0)
     law = uf.uv_energy_law(spec)
-    flow = uf.integrate_flow(spec, 1.0, 1.0e3, 1.0e4)
+    lams, gs = uf.integrate_flow(spec, 1.0, 1.0e3, 1.0e4)
+    assert lams[-1] == 1.0e4
     e0 = law(1.0, 1.0e3)
-    e1 = law(flow(1.0e4), 1.0e4)
+    e1 = law(gs[-1], 1.0e4)
     assert abs(e1 - e0) < 1e-3 * abs(e0)
 
 
 def test_integrate_flow_quartic_keeps_reduced_stiffness():
     lam0, lam1 = 1.0e2, 1.0e3
-    flow = uf.integrate_flow(uf.quartic(1.0), lam0 ** 2 / 6.0, lam0, lam1)
-    c0 = 6.0 * flow(lam0) / lam0 ** 2
-    c1 = 6.0 * flow(lam1) / lam1 ** 2
+    lams, gs = uf.integrate_flow(uf.quartic(1.0), lam0 ** 2 / 6.0, lam0, lam1)
+    assert lams[0] == lam0 and lams[-1] == lam1
+    c0 = 6.0 * gs[0] / lam0 ** 2
+    c1 = 6.0 * gs[-1] / lam1 ** 2
     assert abs(c1 / c0 - 1.0) < 1e-2
 
 
 def test_integrate_flow_downward():
-    flow = uf.integrate_flow(uf.quartic(1.0), 1.0, 1.0e4, 1.0e2)
-    assert flow.lam_min == 1.0e2 and flow.lam_max == 1.0e4
-    assert flow(1.0e4) == 1.0
+    traj = uf.integrate_flow(uf.quartic(1.0), 1.0, 1.0e4, 1.0e2)
+    assert isinstance(traj, uf.Trajectory)
+    assert traj.lams[0] == 1.0e2 and traj.lams[-1] == 1.0e4
+    assert np.all(np.diff(traj.lams) > 0.0)
+    assert traj.couplings[-1] == 1.0
 
 
 def test_integrate_flow_abort_carries_no_partial_when_immediate():
@@ -313,6 +329,7 @@ def test_integrate_flow_abort_keeps_partial_trajectory():
 
     with pytest.raises(uf.IntegrationAbortError) as info:
         uf.integrate_flow(uf.quartic(1.0), 1.0, 10.0, 1.0e4, beta=beta)
+    assert isinstance(info.value.partial, uf.Trajectory)
     lams, gs = info.value.partial
     s_eval = np.linspace(math.log(10.0), math.log(1.0e4), 129)
     assert 10 < len(lams) < 129
@@ -353,23 +370,6 @@ def test_integrate_flow_matches_solve_ivp(spec, g0, lam0, lam1):
     assert len(calls) == evaluations  # the same steps, tried and taken
 
 
-@pytest.mark.parametrize("couplings", [
-    [1.0, 1.1, 2.0, 2.0, 5.0, 3.0, 3.5, -1.0, 0.0, 0.0, 4.0],
-    [0.3, 0.2, 1.5, 1.4, 9.0, 9.0, 8.0, 2.0, 2.5, 0.1],
-    [5.0, 1.0, 4.0],
-    [2.0, 7.0],
-], ids=["flat-and-turning", "end-slope-clamps", "three-knots", "two-knots"])
-def test_tabulated_flow_matches_scipy_pchip(couplings):
-    lams = np.geomspace(3.0, 2.0e4, len(couplings)) * np.linspace(
-        1.0, 1.3, len(couplings))  # uneven in ln(lam)
-    flow = uf.TabulatedFlow(lams, np.array(couplings))
-    reference = PchipInterpolator(np.log(lams), couplings)
-    probes = np.concatenate([lams, np.geomspace(lams[0], lams[-1], 997)[1:-1]])
-    for lam in probes:
-        expected = float(reference(math.log(lam)))
-        assert abs(flow(lam) - expected) <= 1e-15 * abs(expected)
-
-
 def test_integrate_flow_validation():
     with pytest.raises(uf.DomainError):
         uf.integrate_flow(uf.quartic(1.0), 1.0, 1.0e2, 1.0e2)
@@ -377,6 +377,9 @@ def test_integrate_flow_validation():
         uf.integrate_flow(uf.quartic(1.0), 1.0, 1.5, 1.0e2)
     with pytest.raises(uf.DomainError):
         uf.integrate_flow(uf.quartic(1.0), 1.0, 1.0e2, 1.0e4, beta="magic")
+    for n in (1, 0):
+        with pytest.raises(uf.DomainError, match="at least 2 points"):
+            uf.integrate_flow(uf.quartic(1.0), 1.0, 10.0, 1.0e4, n_points=n)
 
 
 # -- infinite-cutoff limit -------------------------------------------------------
@@ -417,8 +420,12 @@ def test_uv_limit_detects_drift():
 
 
 def test_uv_limit_needs_flow_up_to_samples():
-    flow = uf.integrate_flow(uf.quartic(1.0), 1.0, 1.0e2, 1.0e4)
-    with pytest.raises(uf.NoUVLimitError):
+    def flow(lam):  # defined up to 1e4 only, below the largest sample
+        if lam > 1.0e4:
+            raise uf.DomainError(f"cutoff {lam} is above 1e4")
+        return lam ** 2 / 6.0
+
+    with pytest.raises(uf.NoUVLimitError, match="not defined up to cutoff"):
         uf.uv_limit_energy(uf.quartic(1.0), flow)
 
 
