@@ -34,7 +34,7 @@ numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator, NamedTuple, Sequence, Tuple
 
@@ -116,11 +116,12 @@ class PointwiseFlow:
     from LAMBDA_FLOOR to 1e8 where ``solve_fixed_point`` checks it; no
     value is read from them, and they are kept only because the
     benchmark's fixed-point operation (``bench/job.py``) reports them.
+    Two laws are equal when their specs are.
     """
 
     spec: PotentialSpec
-    lams: np.ndarray
-    couplings: np.ndarray
+    lams: np.ndarray = field(compare=False)
+    couplings: np.ndarray = field(compare=False)
 
     def __call__(self, lam: float) -> float:
         return _canonical_coupling(self.spec, _check_lam(lam))
@@ -215,7 +216,8 @@ def solve_fixed_point(spec: PotentialSpec) -> CouplingFlow:
 # Ordinary Differential Equations I, Sec. II.4) and the pair's 4th-order
 # continuous extension, on Python floats for the one scalar equation.
 # Tableau, starting step, controller and interpolant are those of scipy's
-# RK45, so a trajectory matches solve_ivp(method="RK45") to rounding.
+# RK45, so a trajectory matches solve_ivp(method="RK45") on the same
+# equation, du/ds = beta(g, e^s)/g in u = ln|g|, to rounding.
 
 _DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
 _DP_A = ((1 / 5,),
@@ -331,12 +333,20 @@ def integrate_flow(spec: PotentialSpec, g0: float, lam0: float, lam1: float,
                    n_points: int = 129) -> Trajectory:
     """Integrate dg/ds = beta(g, e^s) in s = ln(Lambda) from lam0 to lam1.
 
-    The trajectory is sampled at n_points >= 2 equally spaced in s and
-    returned in increasing cutoff order, with both endpoints exact.  A
-    beta that fails, or a coupling that leaves the float range, aborts
-    with an IntegrationAbortError whose ``partial`` is the Trajectory
-    reached before the failure, in integration order (None when there
-    are no samples).
+    The equation is stepped in u = ln|g|, du/ds = beta(g, e^s)/g with
+    g = sign(g0) e^u, to a tolerance of 1e-9 on u: the coupling keeps its
+    sign, its relative error is controlled however small or large it runs,
+    and a power law g = c Lambda^p is a straight line that the steps
+    follow at almost no cost.  The trajectory is sampled at n_points >= 2
+    equally spaced in s and returned in increasing cutoff order, with both
+    cutoff endpoints exact and the first coupling exactly g0.
+
+    A beta that fails, a coupling that reaches 0 or leaves the float range,
+    and a step that shrinks below 10 ulp of s (as when beta drives g
+    towards 0 at a finite cutoff) abort with an IntegrationAbortError
+    whose ``partial`` is the Trajectory reached before the failure, in
+    integration order (None when there are no samples, as for a g0 that
+    is 0 or not finite).
     """
     lam0 = _check_lam(lam0)
     lam1 = _check_lam(lam1)
@@ -354,20 +364,35 @@ def integrate_flow(spec: PotentialSpec, g0: float, lam0: float, lam1: float,
     else:
         raise DomainError(f"unknown beta method {beta!r}")
 
-    def rhs(s: float, g: float) -> float:
+    g0 = float(g0)
+
+    def coupling(u: float) -> float:
+        try:
+            g = math.copysign(math.exp(u), g0)
+        except OverflowError:
+            g = math.copysign(math.inf, g0)
+        if g == 0.0 or not math.isfinite(g):
+            raise FlowUndefinedError(f"the coupling reached {g}")
+        return g
+
+    def rhs(s: float, u: float) -> float:
+        g = coupling(u)
         b = rhs_beta(g, math.exp(s))
-        if not math.isfinite(b):
+        du = b / g
+        if not math.isfinite(du):
             raise FlowUndefinedError(f"beta is {b} at (g={g}, lam={math.exp(s)})")
-        return b
+        return du
 
     s_eval = np.linspace(s0, s1, n_points)
     gs: list[float] = []
     try:
-        for g in _dormand_prince(rhs, s0, float(g0), s_eval.tolist(),
-                                 rtol=1.0e-8, atol=abs(g0) * 1.0e-8 * 1e-3 + 1e-300):
-            if not math.isfinite(g):
-                raise FlowUndefinedError(f"the coupling reached {g}")
-            gs.append(g)
+        if g0 == 0.0 or not math.isfinite(g0):
+            raise FlowUndefinedError(f"the coupling starts at {g0}, "
+                                     f"where ln|g| is not finite")
+        for u in _dormand_prince(rhs, s0, math.log(abs(g0)), s_eval.tolist(),
+                                 rtol=1.0e-9, atol=1.0e-9):
+            # exp(log(g0)) may differ from g0 in the last bit
+            gs.append(coupling(u) if gs else g0)
     except (FlowUndefinedError, DomainError, ValueError, OverflowError) as exc:
         partial = Trajectory(np.exp(s_eval[:len(gs)]), np.array(gs)) if gs else None
         raise IntegrationAbortError(f"flow integration aborted: {exc}",

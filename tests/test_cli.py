@@ -189,8 +189,33 @@ def test_flow_mid_flow_abort_writes_the_rows_reached(tmp_path, monkeypatch):
     assert res.returncode == 1
     assert "wrote partial trajectory" in res.stderr
     lams = [float(r["lambda"]) for r in read_csv_rows(out)]
-    assert lams[0] == 10.0 and 10 < len(lams) < 41
+    # 14 of the 41 samples lie below 100; the step that passes 100 fails
+    assert lams[0] == 10.0 and 1 < len(lams) <= 14
     assert lams[-1] <= 100.0
+
+
+def test_flow_zero_g0_writes_the_header_and_exits_1(tmp_path):
+    out = tmp_path / "q.csv"
+    res = run_cli(["flow", "quartic", "--g0", "0", "--output", str(out)],
+                  tmp_path)
+    assert res.returncode == 1
+    assert res.stderr.startswith("flow/quartic: IntegrationAbortError: ")
+    assert read_csv_rows(out) == []
+
+
+@pytest.mark.parametrize("model", ["coulomb", "soft-coulomb"])
+def test_flow_coulomb_shapes_reach_large_cutoffs(tmp_path, model):
+    """The coupling falls as Lambda^-3 towards 0 from below and the flow
+    follows it to 1e8, holding the family's energy law."""
+    out = tmp_path / "c.csv"
+    res = run_cli(["flow", model, "--lam1", "1e8", "--output", str(out)],
+                  tmp_path)
+    assert res.returncode == 0, res.stderr
+    rows = read_csv_rows(out)
+    assert len(rows) == 41 and float(rows[-1]["lambda"]) == 1.0e8
+    law = uvflow.uv_energy_law(cli.build_spec(model, {}))
+    levels = [law(float(r["coupling"]), float(r["lambda"])) for r in rows]
+    assert max(abs(e / levels[0] - 1.0) for e in levels) < 1e-7
 
 
 def test_flow_energy_failure_writes_the_rows_before_it(tmp_path):

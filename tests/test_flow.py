@@ -220,6 +220,12 @@ def test_fixed_point_morse_is_tabulated():
         assert abs(flow(lam) - exact) <= 4.0 * math.ulp(exact)
 
 
+def test_pointwise_fixed_points_compare_by_spec():
+    spec = uf.morse(4.0)
+    assert uf.solve_fixed_point(spec) == uf.solve_fixed_point(spec)
+    assert uf.solve_fixed_point(spec) != uf.solve_fixed_point(uf.morse(5.0))
+
+
 def test_fixed_point_custom_is_tabulated():
     # the custom (p^2 + x^2)/2 is already canonical: g = 1 at every cutoff
     spec = uf.custom(lambda x: 0.5 * x * x, kappa=0.5,
@@ -295,16 +301,32 @@ def test_integrate_flow_morse_conserves_law_level():
     assert lams[-1] == 1.0e4
     e0 = law(1.0, 1.0e3)
     e1 = law(gs[-1], 1.0e4)
-    assert abs(e1 - e0) < 1e-3 * abs(e0)
+    assert abs(e1 - e0) < 1e-7 * abs(e0)
 
 
 def test_integrate_flow_quartic_keeps_reduced_stiffness():
+    """From the fixed point g = Lambda^2/6 the reduced stiffness
+    c = 6g/Lambda^2 runs by d ln(c)/ds = beta/g - 2 = 2u/(9 Lambda^2 + u),
+    u = sqrt(c) = 1 to first order: ln(c1/c0) = (lam0^-2 - lam1^-2)/9,
+    1.1e-5 here."""
     lam0, lam1 = 1.0e2, 1.0e3
     lams, gs = uf.integrate_flow(uf.quartic(1.0), lam0 ** 2 / 6.0, lam0, lam1)
     assert lams[0] == lam0 and lams[-1] == lam1
     c0 = 6.0 * gs[0] / lam0 ** 2
     c1 = 6.0 * gs[-1] / lam1 ** 2
-    assert abs(c1 / c0 - 1.0) < 1e-2
+    assert abs(math.log(c1 / c0) - (lam0 ** -2 - lam1 ** -2) / 9.0) < 1e-7
+
+
+def test_integrate_flow_quartic_beta_calls():
+    """A near power law is a near straight line in (ln Lambda, ln g)."""
+    calls = []
+
+    def beta(g, lam):
+        calls.append(lam)
+        return uf.beta_closed_form(uf.quartic(1.0), g, lam)
+
+    uf.integrate_flow(uf.quartic(1.0), 1.0, 10.0, 1.0e4, beta=beta)
+    assert len(calls) < 100
 
 
 def test_integrate_flow_downward():
@@ -319,6 +341,56 @@ def test_integrate_flow_abort_carries_no_partial_when_immediate():
     with pytest.raises(uf.IntegrationAbortError) as info:
         uf.integrate_flow(uf.coulomb(1.0), 5.0, 1.0e2, 1.0e4)
     assert info.value.partial is None
+
+
+@pytest.mark.parametrize("g0", [0.0, -0.0, math.inf, -math.inf, math.nan])
+def test_integrate_flow_rejects_a_start_without_a_logarithm(g0):
+    with pytest.raises(uf.IntegrationAbortError, match="starts at") as info:
+        uf.integrate_flow(uf.quartic(1.0), g0, 10.0, 1.0e4)
+    assert info.value.partial is None
+
+
+def test_integrate_flow_first_sample_is_g0_exactly():
+    rng = np.random.default_rng(3)
+    g0s = 10.0 ** rng.uniform(-30.0, 30.0, 40)
+    # the logarithm does not round-trip for most of them
+    assert sum(math.exp(math.log(g)) != g for g in g0s) > 10
+    for g0 in g0s:
+        traj = uf.integrate_flow(uf.quartic(1.0), g0, 10.0, 100.0, n_points=2)
+        assert traj.couplings[0] == g0
+
+
+@pytest.mark.parametrize("p, reached", [(-400.0, "0.0"), (400.0, "inf")])
+def test_integrate_flow_coupling_out_of_range_aborts(p, reached):
+    """beta = p g moves ln g by p per e-fold of the cutoff, so the coupling
+    underflows to 0 or overflows to inf within two e-folds."""
+    with pytest.raises(uf.IntegrationAbortError,
+                       match=f"coupling reached {reached}") as info:
+        uf.integrate_flow(uf.quartic(1.0), 1.0, 10.0, 1.0e4,
+                          beta=lambda g, lam: p * g)
+    lams, gs = info.value.partial
+    assert 1 < len(lams) < 129 and lams[-1] < 10.0 * math.e ** 2
+    assert np.allclose(gs, (lams / 10.0) ** p, rtol=1e-6, atol=0.0)
+
+
+def test_integrate_flow_beta_over_g_out_of_range_aborts():
+    with pytest.raises(uf.IntegrationAbortError, match="beta is 1e[+]300") as info:
+        uf.integrate_flow(uf.quartic(1.0), 1.0e-10, 10.0, 1.0e4,
+                          beta=lambda g, lam: 1.0e300 if lam > 20.0 else 0.0)
+    lams, gs = info.value.partial
+    assert lams[-1] <= 20.0 and np.allclose(gs, 1.0e-10, rtol=1e-14, atol=0.0)
+
+
+def test_integrate_flow_through_zero_aborts():
+    """beta = -1 from g0 = 1 at Lambda = 10 reaches g = 0 at 10 e; the
+    flow cannot cross it and stops just before."""
+    with pytest.raises(uf.IntegrationAbortError) as info:
+        uf.integrate_flow(uf.quartic(1.0), 1.0, 10.0, 1.0e4,
+                          beta=lambda g, lam: -1.0)
+    lams, gs = info.value.partial
+    assert len(lams) == 19 and 26.0 < lams[-1] < 10.0 * math.e
+    assert np.all(gs > 0.0)
+    assert np.allclose(gs, 1.0 - np.log(lams / 10.0), rtol=1e-6, atol=0.0)
 
 
 def test_integrate_flow_abort_keeps_partial_trajectory():
@@ -339,14 +411,19 @@ def test_integrate_flow_abort_keeps_partial_trajectory():
 
 
 def _solve_ivp_flow(spec, g0, lam0, lam1):
-    """(couplings, beta evaluations) of integrate_flow through scipy's RK45."""
+    """(couplings, beta evaluations) of integrate_flow through scipy's RK45
+    on the same equation, d ln|g| / d ln(Lambda) = beta / g."""
     s0, s1 = math.log(lam0), math.log(lam1)
-    sol = solve_ivp(
-        lambda s, y: [uf.beta_closed_form(spec, float(y[0]), math.exp(s))],
-        (s0, s1), [g0], t_eval=np.linspace(s0, s1, 129), rtol=1.0e-8,
-        atol=abs(g0) * 1.0e-11 + 1e-300, method="RK45")
+
+    def rhs(s, u):
+        g = math.copysign(math.exp(float(u[0])), g0)
+        return [uf.beta_closed_form(spec, g, math.exp(s)) / g]
+
+    sol = solve_ivp(rhs, (s0, s1), [math.log(abs(g0))],
+                    t_eval=np.linspace(s0, s1, 129), rtol=1.0e-9, atol=1.0e-9,
+                    method="RK45")
     assert sol.success
-    return sol.y[0], sol.nfev
+    return np.copysign(np.exp(sol.y[0]), g0), sol.nfev
 
 
 @pytest.mark.parametrize("spec, g0, lam0, lam1", [
@@ -354,7 +431,10 @@ def _solve_ivp_flow(spec, g0, lam0, lam1):
     (uf.morse(9.0, 2.0, 3.0), 9.0, 1.0e4, 3.0),
     (uf.quartic(1.0), 1.0, 10.0, 1.0e4),
     (uf.quartic(1.0), 50.0, 1.0e4, 10.0),
-], ids=["morse-up", "morse-down", "quartic-up", "quartic-down"])
+    (uf.coulomb(1.0), -1.0, 10.0, 1.0e8),
+    (uf.soft_coulomb(1.0, 1000.0), -1.0, 10.0, 1.0e8),
+], ids=["morse-up", "morse-down", "quartic-up", "quartic-down", "coulomb-up",
+        "soft-coulomb-up"])
 def test_integrate_flow_matches_solve_ivp(spec, g0, lam0, lam1):
     calls = []
 
