@@ -189,15 +189,13 @@ def build_spec(model: str, params: dict) -> PotentialSpec:
     return make(**{k: params.get(k, v) for k, v in defaults.items()})
 
 
-def _grid_level(spec: PotentialSpec, half_width: float, n: int, level: int,
-                parity: Optional[str]):
-    """The oracle's ``level`` on the grid, in the sector ``parity`` spelled
-    as --parity takes it.  Only grid commands get here, so only they load
-    the eigensolver, and with it scipy.linalg."""
-    from .eigensolver import Grid, Parity, eigenvalue_by_index
+def _grid_sector(half_width: float, n: int, parity: Optional[str]):
+    """The oracle's grid, and the sector ``parity`` spelled as --parity
+    takes it.  Only grid commands get here, so only they load the
+    eigensolver, and with it scipy.linalg."""
+    from .eigensolver import Grid, Parity
 
-    parity = None if parity in (None, "none") else Parity(parity)
-    return eigenvalue_by_index(spec, Grid(half_width, n), level, parity=parity)
+    return Grid(half_width, n), None if parity in (None, "none") else Parity(parity)
 
 
 # -- analyze -----------------------------------------------------------------
@@ -218,8 +216,10 @@ def _analyze_row(model: str, params: dict) -> dict:
     else:
         flow = solve_fixed_point(spec)
     est = uv_limit_energy(spec, flow)
-    half_width, n, parity = _MODELS[model][2]
-    oracle = _grid_level(spec, half_width, n, 0, parity).refinement_estimate
+    from .eigensolver import eigenvalue_by_index
+
+    grid, sector = _grid_sector(*_MODELS[model][2])
+    oracle = eigenvalue_by_index(spec, grid, 0, parity=sector).refinement_estimate
     rel = abs(est.energy - oracle) / abs(oracle)
     notes = (f"oracle minus flow limit = {oracle - est.energy:.12g}"
              if model == "morse" else "")
@@ -343,12 +343,15 @@ def cmd_oracle(args) -> int:
     half_width = dl if args.half_width is None else args.half_width
     n = dn if args.n is None else args.n
     parity = dparity if args.parity is None else args.parity
-    sector = {"even": (n - 1) // 2, "odd": (n - 3) // 2}.get(parity, n - 2)
-    if args.level >= sector:
+    from .eigensolver import eigenvalue_by_index
+
+    grid, sector = _grid_sector(half_width, n, parity)
+    size = grid.sector(sector)[1]
+    if args.level >= size:
         raise ConfigError(f"--level {args.level} is past the last level: --n {n} "
-                          f"with --parity {parity or 'none'} holds {sector} levels")
+                          f"with --parity {parity or 'none'} holds {size} levels")
     spec = build_spec(model, params)
-    res = _grid_level(spec, half_width, n, args.level, parity)
+    res = eigenvalue_by_index(spec, grid, args.level, parity=sector)
     row = {"model": model, "half_width": half_width, "n": n,
            "parity": res.parity.value if res.parity else "none",
            "level": args.level, "eigenvalue": res.eigenvalue,

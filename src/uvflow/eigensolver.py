@@ -14,24 +14,27 @@ Two deliberately independent routes:
 Brent's method is a port of scipy's ``brentq``, so that importing uvflow
 loads no ``scipy.optimize``.
 
-A grid level is found in a narrow energy window seeded from the same
-level on the coarser grids of a ladder ((n + 1)/2 points, made odd, at
-each rung), recursively down to a base grid of at most 1025 points, where
-LAPACK bisects for the level by index.  Two coarser levels predict the
-next by h^2 (Richardson) extrapolation, and the window's half-width is an
-eighth of that correction; a grid with one coarser level is seeded at it,
-±1e-4 relative.  One exact Sturm count at the window's low end and one
-LAPACK bisection of the window say which of its eigenvalues is level k.
-A window that misses level k widens and halves by counts alone until it
-holds k, then is bisected once, so a seed never changes which level is
-found, and moves its value only within the 1e-13 bisection tolerance.
-Inverse iteration gives the vector.  Index bisection starts from the
-Gershgorin interval, which the Morse wall at x = -30 stretches to 1e27:
-on a 2-core Xeon one 31,999-row Morse ground level takes about 37 ms that
-way and about 7 ms in its predicted window.  The Richardson coarse
-companion is the first rung of the ladder, and the fine 2n - 1 solve is
-predicted from the raw level and that companion; both are solved without
-eigenvectors.
+Every grid level is found by one routine, ``_level``, on a ladder of
+grids solved coarsest first: the requested grid and its halvings
+((n + 1)/2 points, made odd, at each rung) down to a base grid of at most
+1025 points, taken while the coarser odd sector still holds the level,
+and with Richardson refinement at least the coarse companion.  A grid at
+or below the base size, or with no coarser level, is bisected by index
+over the whole Gershgorin interval.  Each larger grid is solved in a
+narrow energy window seeded from the levels below it: two coarser levels
+predict the next by h^2 (Richardson) extrapolation, and the window's
+half-width is an eighth of that correction; one coarser level is the
+seed itself, ±1e-4 relative.  The fine 2n - 1 solve is predicted from
+the top two rungs, the requested grid and its companion.  One exact
+Sturm count at the window's low end and one LAPACK bisection of the
+window say which of its eigenvalues is level k.  A window that misses
+level k widens and halves by counts alone until it holds k, then is
+bisected once, so a seed never changes which level is found, and moves
+its value only within the 1e-13 bisection tolerance.  Inverse iteration
+gives the vector of the requested grid alone.  Index bisection starts
+from the Gershgorin interval, which the Morse wall at x = -30 stretches
+to 1e27: on a 2-core Xeon one 31,999-row Morse ground level takes about
+37 ms that way and about 7 ms in its predicted window.
 
 Every tridiagonal solve passes an explicit absolute tolerance to LAPACK.
 The default (norm-relative) tolerance is useless for potentials with
@@ -47,7 +50,7 @@ from enum import Enum
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 
 from .errors import (DomainError, DomainTooSmallError, IterationLimitError,
                      NoBoundStateError, SingularPointError)
@@ -94,6 +97,18 @@ class Grid:
     def nodes(self) -> np.ndarray:
         return np.linspace(-self.half_width, self.half_width, self.n)
 
+    def sector(self, parity: Optional[Parity]) -> Tuple[slice, int]:
+        """The slice of ``nodes`` that the parity sector solves for, and
+        its size: every interior node on the full line; from the center
+        node (even) or the node after it (odd) to the last interior node.
+
+        The sectors split at the center index: linspace can leave the
+        center node at +-2e-15 rather than 0, so a sign test would
+        misplace it.
+        """
+        start = 1 if parity is None else self.n // 2 + (parity is Parity.ODD)
+        return slice(start, self.n - 1), self.n - 1 - start
+
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -118,20 +133,13 @@ def _coarser(grid: Grid) -> Grid:
 
 def _sector_matrix(spec: PotentialSpec, grid: Grid,
                    parity: Optional[Parity]) -> Tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the parity-sector Hamiltonian."""
+    """Diagonal and off-diagonal of the parity-sector Hamiltonian.
+
+    The odd sector is the positive-side block, Dirichlet at 0; the even
+    sector adds the center node with a sqrt(2)-symmetrized first coupling.
+    """
     t = spec.kappa / grid.spacing ** 2
-    inner = grid.nodes[1:-1]
-    # the sectors split at the center index: linspace can leave the center
-    # node at +-2e-15 rather than 0, so a sign test would misplace it
-    center = (grid.n - 3) // 2
-    if parity is None:
-        xs = inner
-    elif parity is Parity.ODD:
-        # Dirichlet at 0: the positive-side block is already the odd sector
-        xs = inner[center + 1:]
-    else:
-        # even sector: center node with a sqrt(2)-symmetrized first coupling
-        xs = inner[center:]
+    xs = grid.nodes[grid.sector(parity)[0]]
     d = 2.0 * t + _potential_on(spec, xs)
     e = np.full(len(xs) - 1, -t)
     if parity is Parity.EVEN:
@@ -139,74 +147,77 @@ def _sector_matrix(spec: PotentialSpec, grid: Grid,
     return d, e
 
 
-def _window_level(d: np.ndarray, e: np.ndarray, k: int, seed: float,
-                  width: float, vector: bool) -> Tuple[float, Optional[np.ndarray]]:
-    """Eigenvalue k of the tridiagonal (d, e), found in a window about
-    ``seed``, and with ``vector`` its eigenvector.
+def _level(d: np.ndarray, e: np.ndarray, k: int,
+           window: Optional[Tuple[float, float]],
+           vector: bool) -> Tuple[float, Optional[np.ndarray]]:
+    """Eigenvalue k of the tridiagonal (d, e), found by LAPACK bisection
+    (dstebz) to _EIG_TOL, and with ``vector`` its eigenvector.
 
-    N(x) is the exact Sturm count, the number of eigenvalues at or below
-    x; it alone decides which eigenvalue is level k.  The first window
-    [seed - width, seed + width] costs one count, N(lo), and one LAPACK
-    bisection (dstebz) over (lo, hi] to _EIG_TOL, whose m eigenvalues give
-    N(hi) = N(lo) + m.  If that window misses level k, the search falls back
-    to counts alone: the window widens geometrically, one edge at a time,
-    until the counts straddle k, then is halved until it holds only k, or
-    until its ends are adjacent floats around a cluster, so that a midpoint
-    would round onto an end; then it is bisected once.  So a bad seed costs
-    counts, never the bisection of far levels, and never changes which
-    level is found.  A count is dstebz over (floor, x] with an infinite
-    tolerance: two Sturm sweeps at the ends and one midpoint sweep, no
-    bisection; 'B' ordering skips its sort.  Inverse iteration (dstein)
-    gives the one vector asked for.
+    Without a window dstebz bisects for index k (range 'I') over the whole
+    Gershgorin interval.
+
+    With a ``(seed, half-width)`` window, N(x), the exact Sturm count of
+    eigenvalues at or below x, alone decides which eigenvalue is level k.
+    The window [lo, hi] costs one count, N(lo), and one bisection over
+    (lo, hi], whose m eigenvalues give N(hi) = N(lo) + m.  If it misses
+    level k, the search falls back to counts alone: the window widens
+    geometrically, one edge at a time, until the counts straddle k, then
+    is halved until it holds only k, or until its ends are adjacent floats
+    around a cluster, so that a midpoint would round onto an end; then it
+    is bisected once.  So a bad seed costs counts, never the bisection of
+    far levels, and never changes which level is found.  A count is
+    dstebz over (floor, x] with an infinite tolerance: two Sturm sweeps at
+    the ends and one midpoint sweep, no bisection; 'B' ordering skips its
+    sort.  Inverse iteration (dstein) gives the one vector asked for.
     """
     stebz, stein = get_lapack_funcs(("stebz", "stein"), (d, e))
     # below the Gershgorin interval, so N(floor) = 0
     floor = float(np.min(d)) - 2.0 * float(np.max(np.abs(e), initial=0.0)) - 1.0
 
-    def count(x: float) -> int:
-        if x <= floor:
-            return 0
-        m, _, _, _, info = stebz(d, e, 1, floor, x, 1, 1, math.inf, "B")
-        if info != 0:
-            raise IterationLimitError(f"Sturm count failed (dstebz info {info})")
-        return int(m)
-
-    def bisect(lo: float, hi: float):
-        m, ws, iblock, isplit, info = stebz(d, e, 1, lo, hi, 1, 1, _EIG_TOL, "B")
+    # select 1 bisects the eigenvalues in (lo, hi], select 2 level k alone
+    def bisect(select: int, lo: float, hi: float, tol: float = _EIG_TOL):
+        m, ws, iblock, isplit, info = stebz(d, e, select, lo, hi, k + 1, k + 1, tol, "B")
         if info != 0:
             raise IterationLimitError(f"tridiagonal eigensolve failed (dstebz info {info})")
         return int(m), ws, iblock, isplit
 
-    lo, hi = seed - width, seed + width
-    n_lo = count(lo)
-    # N(hi) >= N(lo); past k the widening moves hi onto lo without reading it
-    n_hi = n_lo
-    if n_lo <= k:
-        found = bisect(lo, hi)
-        n_hi = n_lo + found[0]
-    if not n_lo <= k < n_hi:
-        w = width
-        while n_lo > k or n_hi <= k:
-            w *= _WINDOW_GROWTH
-            if n_lo > k:
-                hi, n_hi = lo, n_lo
-                lo = seed - w
-                n_lo = count(lo)
-            else:
-                lo, n_lo = hi, n_hi
-                hi = seed + w
-                n_hi = count(hi)
-        mid = 0.5 * (lo + hi)
-        while n_hi - n_lo > 1 and lo < mid < hi:
-            n_mid = count(mid)
-            if n_mid > k:
-                hi, n_hi = mid, n_mid
-            else:
-                lo, n_lo = mid, n_mid
+    def count(x: float) -> int:
+        return bisect(1, floor, x, math.inf)[0] if x > floor else 0
+
+    if window is None:
+        n_lo, found = k, bisect(2, 0.0, 1.0)
+    else:
+        seed, width = window
+        lo, hi = seed - width, seed + width
+        n_lo = count(lo)
+        # N(hi) >= N(lo); past k the widening moves hi onto lo without reading it
+        n_hi = n_lo
+        if n_lo <= k:
+            found = bisect(1, lo, hi)
+            n_hi = n_lo + found[0]
+        if not n_lo <= k < n_hi:
+            w = width
+            while n_lo > k or n_hi <= k:
+                w *= _WINDOW_GROWTH
+                if n_lo > k:
+                    hi, n_hi = lo, n_lo
+                    lo = seed - w
+                    n_lo = count(lo)
+                else:
+                    lo, n_lo = hi, n_hi
+                    hi = seed + w
+                    n_hi = count(hi)
             mid = 0.5 * (lo + hi)
-        found = bisect(lo, hi)
-        if found[0] != n_hi - n_lo:
-            raise IterationLimitError("the window solve disagrees with its Sturm counts")
+            while n_hi - n_lo > 1 and lo < mid < hi:
+                n_mid = count(mid)
+                if n_mid > k:
+                    hi, n_hi = mid, n_mid
+                else:
+                    lo, n_lo = mid, n_mid
+                mid = 0.5 * (lo + hi)
+            found = bisect(1, lo, hi)
+            if found[0] != n_hi - n_lo:
+                raise IterationLimitError("the window solve disagrees with its Sturm counts")
     m, ws, iblock, isplit = found
     # 'B' orders each split-off block on its own
     j = int(np.argsort(ws[:m], kind="stable")[k - n_lo])
@@ -243,67 +254,32 @@ def _seed_window(h: float, rungs: Tuple[Tuple[float, float], ...]
                      _EIG_TOL * max(1.0, abs(seed)))
 
 
-def _coarse_levels(spec: PotentialSpec, grid: Grid, k: int,
-                   parity: Optional[Parity]) -> Tuple[Tuple[float, float], ...]:
-    """Level k on the next two coarser grids, ``(spacing, level)`` nearest
-    first, which seed the window for ``grid``.  Each rung is seeded the
-    same way, so the ladder descends to _BASE_N points.
-
-    Empty at or below _BASE_N points, and when the coarse odd sector, the
-    smallest, holds fewer than k + 1 levels; one rung just above that.
-    """
-    coarse = _coarser(grid)
-    if grid.n <= _BASE_N or k >= (coarse.n - 3) // 2:
-        return ()
-    below = _coarse_levels(spec, coarse, k, parity)
-    level = _solve_sector(spec, coarse, k, parity,
-                          _seed_window(coarse.spacing, below), vector=False)[0]
-    return ((coarse.spacing, level),) + below[:1]
-
-
 def _solve_sector(spec: PotentialSpec, grid: Grid, k: int,
                   parity: Optional[Parity],
                   window: Optional[Tuple[float, float]] = None,
                   vector: bool = True) -> Tuple[float, Optional[np.ndarray]]:
-    """Eigenvalue k in the parity sector and, with ``vector``, its
-    eigenvector on the full grid.
-
-    With a ``(seed, half-width)`` window the level is found by
-    ``_window_level``; without one LAPACK bisects for index k over the
-    whole Gershgorin interval.
-    """
+    """Eigenvalue k in the parity sector by ``_level``, in ``window`` or by
+    index, and with ``vector`` its eigenvector on the full grid."""
     d, e = _sector_matrix(spec, grid, parity)
-    if k >= len(d):
-        raise DomainError(f"level index {k} exceeds the sector size {len(d)}")
     if not np.all(np.isfinite(d)):
         raise DomainError("the potential is not finite on the grid")
-    if window is not None:
-        w, vec = _window_level(d, e, k, *window, vector=vector)
-    else:
-        try:
-            found = eigh_tridiagonal(d, e, eigvals_only=not vector, select="i",
-                                     select_range=(k, k), tol=_EIG_TOL)
-        except LinAlgError as exc:
-            raise IterationLimitError(f"tridiagonal eigensolve failed: {exc}") from exc
-        ws, vs = found if vector else (found, None)
-        w, vec = float(ws[0]), (vs[:, 0] if vector else None)
+    w, vec = _level(d, e, k, window, vector)
     if not vector:
         return w, None
-    if parity is None:
-        psi = np.concatenate([[0.0], vec, [0.0]])
-    elif parity is Parity.ODD:
-        psi = np.concatenate([[0.0], -vec[::-1], [0.0], vec, [0.0]])
-    else:
-        body = vec.copy()
-        body[0] *= math.sqrt(2.0)
-        psi = np.concatenate([[0.0], body[1:][::-1], [body[0]], body[1:], [0.0]])
+    part, _ = grid.sector(parity)
+    psi = np.zeros(grid.n)
+    psi[part] = vec
+    if parity is Parity.EVEN:
+        psi[part.start] *= math.sqrt(2.0)
+    if parity is not None:
+        # mirror the positive side, with a sign for odd levels
+        c = grid.n // 2
+        psi[1:c] = psi[-2:c:-1] if parity is Parity.EVEN else -psi[-2:c:-1]
     return w, psi
 
 
 def _classify_parity(psi: np.ndarray) -> Optional[Parity]:
     scale = float(np.max(np.abs(psi)))
-    if scale == 0.0:
-        return None
     if np.max(np.abs(psi - psi[::-1])) < 1.0e-6 * scale:
         return Parity.EVEN
     if np.max(np.abs(psi + psi[::-1])) < 1.0e-6 * scale:
@@ -313,10 +289,9 @@ def _classify_parity(psi: np.ndarray) -> Optional[Parity]:
 
 def _lowest_at_wall(spec: PotentialSpec, grid: Grid,
                     parity: Optional[Parity]) -> bool:
-    """Whether V, over the nodes of the sector, is lowest at x = +-half_width."""
-    x = grid.nodes
-    if parity is not None:
-        x = x[grid.n // 2 + (parity is Parity.ODD):]
+    """Whether V, over the nodes of the sector and its walls, is lowest at
+    x = +-half_width."""
+    x = grid.nodes[0 if parity is None else grid.sector(parity)[0].start:]
     return abs(x[np.argmin(_potential_on(spec, x))]) == grid.half_width
 
 
@@ -335,9 +310,23 @@ def eigenvalue_by_index(spec: PotentialSpec, grid: Grid, k: int,
         raise SingularPointError(
             f"the {spec.family.name} shape is singular at the center node; "
             "solve the odd sector")
-    rungs = _coarse_levels(spec, grid, k, parity)
-    raw, psi = _solve_sector(spec, grid, k, parity,
-                             _seed_window(grid.spacing, rungs))
+    # the ladder, coarsest first: halvings while the coarser odd sector,
+    # the smallest, holds level k, and the coarse companion for refining
+    grids = [grid]
+    while grids[0].n > _BASE_N and k < _coarser(grids[0]).sector(Parity.ODD)[1]:
+        grids.insert(0, _coarser(grids[0]))
+    if refine and len(grids) == 1:
+        grids.insert(0, _coarser(grid))
+    # the requested grid first, then a coarse companion that refining adds
+    for g in (grid, grids[0]):
+        size = g.sector(parity)[1]
+        if k >= size:
+            raise DomainError(f"level index {k} exceeds the sector size {size}")
+    rungs = ()
+    for g in grids:
+        window = _seed_window(g.spacing, rungs) if g.n > _BASE_N else None
+        raw, psi = _solve_sector(spec, g, k, parity, window, vector=g is grid)
+        rungs = ((g.spacing, raw),) + rungs[:1]
     peak = float(np.max(np.abs(psi)))
     if max(abs(psi[1]), abs(psi[-2])) > _BOUNDARY_LEAK * peak:
         if _lowest_at_wall(spec, grid, parity):
@@ -352,18 +341,12 @@ def eigenvalue_by_index(spec: PotentialSpec, grid: Grid, k: int,
     found_parity = parity if parity is not None else _classify_parity(psi)
     refined, ratio = raw, math.nan
     if refine:
-        # the first rung is the coarse companion, already solved
-        coarse = _coarser(grid)
-        e_c = rungs[0][1] if rungs else _solve_sector(
-            spec, coarse, k, parity, vector=False)[0]
         fine = Grid(grid.half_width, 2 * grid.n - 1)
-        e_f, _ = _solve_sector(
-            spec, fine, k, parity,
-            _seed_window(fine.spacing, ((grid.spacing, raw), (coarse.spacing, e_c))),
-            vector=False)
+        e_f, _ = _solve_sector(spec, fine, k, parity,
+                               _seed_window(fine.spacing, rungs), vector=False)
         refined = (4.0 * e_f - raw) / 3.0
         denom = raw - e_f
-        ratio = (e_c - raw) / denom if denom != 0.0 else math.nan
+        ratio = (rungs[1][1] - raw) / denom if denom != 0.0 else math.nan
     return OracleResult(raw, psi, found_parity, refined, ratio)
 
 

@@ -80,7 +80,7 @@ class PotentialSpec:
     family: FamilyDef
     coupling: float
     kappa: float
-    shape: dict = field(default_factory=dict)
+    shape: dict = field(default_factory=dict, hash=False)
 
     def __call__(self, x):
         """V(x) = g * v(x) for a scalar or ndarray argument."""
@@ -93,7 +93,7 @@ class PotentialSpec:
             v, d1, d2 = self.family.derivatives(self.shape, float(x0))
         except (OverflowError, ZeroDivisionError) as exc:
             raise DomainError(f"the {self.family.name} shape leaves the float "
-                              f"range at x0 = {float(x0)!r}: {exc}") from None
+                              f"range at x0 = {float(x0)!r}: {exc.args[-1]}") from None
         g = self.coupling
         return g * v, g * d1, g * d2
 
@@ -189,7 +189,7 @@ def _soft_coulomb_value(s, x):
 def _soft_coulomb_derivatives(s, x0):
     d2 = _softening(s)
     u = x0 * x0 + d2
-    return -u ** -0.5, x0 * u ** -1.5, (d2 - 2.0 * x0 * x0) * u ** -2.5
+    return -u ** -0.5, x0 * u ** -1.5, ((d2 - 2.0 * x0 * x0) / u) * u ** -1.5
 
 
 def _soft_coulomb_law(s, alpha, lam):

@@ -218,6 +218,17 @@ def test_flow_coulomb_shapes_reach_large_cutoffs(tmp_path, model):
     assert max(abs(e / levels[0] - 1.0) for e in levels) < 1e-7
 
 
+def test_flow_soft_coulomb_reaches_cutoffs_where_its_curvature_is_finite(tmp_path):
+    """V'' of the softened shape grows as Lambda^3 and stays finite to
+    about 8e102, so the flow reaches 1e100."""
+    out = tmp_path / "s.csv"
+    res = run_cli(["flow", "soft-coulomb", "--lam1", "1e100", "--output", str(out)],
+                  tmp_path)
+    assert res.returncode == 0, res.stderr
+    rows = read_csv_rows(out)
+    assert len(rows) == 41 and float(rows[-1]["lambda"]) == 1.0e100
+
+
 def test_flow_energy_failure_writes_the_rows_before_it(tmp_path):
     """A row whose reduced level leaves the float range ends the report
     there, and an integration abort before it is still reported."""
@@ -468,7 +479,7 @@ def test_bad_settings_exit_2(tmp_path, args, lines, expect):
     ["flow", "kh", "--K", "1e200"],
     ["flow", "kh", "--K", "1e150", "--eps-exp", "1e-10"],
     ["flow", "coulomb", "--lam0", "1e200", "--lam1", "1e201"],
-    ["flow", "soft-coulomb", "--lam0", "1e70", "--lam1", "1e71"],
+    ["flow", "soft-coulomb", "--lam0", "1e103", "--lam1", "1e104"],
 ], ids=["kh-scan-tiny-eps-exp", "kh-scan-huge-eps-exp",
         "oracle-tiny-half-width", "oracle-huge-half-width", "flow-huge-g0",
         "flow-overflowing-offset", "flow-offset-overflows-mid-trajectory",

@@ -1,3 +1,4 @@
+import contextlib
 import math
 from collections import namedtuple
 
@@ -355,9 +356,10 @@ def assert_same_level(spec, grid, parity, k, window):
     assert min(np.max(np.abs(v - ref_v)), np.max(np.abs(v + ref_v))) < 1e-8
 
 
-# one LAPACK dstebz call: "index" is eigh_tridiagonal's bisection by index,
-# "count" a Sturm count (infinite tolerance) over ``window``, "bisect" a
-# bisection of the ``levels`` eigenvalues in ``window`` to _EIG_TOL
+# one LAPACK dstebz call: "index" a bisection by index (range 'I') for the
+# levels ``window``, counted from 0, "count" a Sturm count (infinite
+# tolerance) over ``window``, "bisect" a bisection of the ``levels``
+# eigenvalues in ``window`` to _EIG_TOL
 Dstebz = namedtuple("Dstebz", "kind rows window levels")
 
 
@@ -373,30 +375,44 @@ def dstebz_calls(monkeypatch):
 
         def spied(d, e, rng, vl, vu, il, iu, tol, order):
             found = stebz(d, e, rng, vl, vu, il, iu, tol, order)
-            calls.append(Dstebz("count" if tol == math.inf else "bisect",
-                                len(d), (vl, vu), int(found[0])))
+            if rng == 2:
+                calls.append(Dstebz("index", len(d), (il - 1, iu - 1), int(found[0])))
+            else:
+                calls.append(Dstebz("count" if tol == math.inf else "bisect",
+                                    len(d), (vl, vu), int(found[0])))
             return found
         return tuple(spied if name == "stebz" else f for name, f in zip(names, funcs))
 
-    def spied_index(d, e, **kwargs):
-        calls.append(Dstebz("index", len(d), kwargs["select_range"], 1))
-        return eigh_tridiagonal(d, e, **kwargs)
-
     monkeypatch.setattr(eigensolver, "get_lapack_funcs", spied_funcs)
-    monkeypatch.setattr(eigensolver, "eigh_tridiagonal", spied_index)
     return calls
+
+
+def ladder_windows(spec, grid, parity, k, monkeypatch):
+    """The window of each grid that eigenvalue_by_index solves for level k,
+    unrefined, keyed by grid size; None for an index solve."""
+    windows = {}
+    solve = eigensolver._solve_sector
+
+    def spied(spec, g, k, parity, window=None, vector=True):
+        windows[g.n] = window
+        return solve(spec, g, k, parity, window, vector)
+
+    monkeypatch.setattr(eigensolver, "_solve_sector", spied)
+    # a level that the box does not confine is still solved first
+    with contextlib.suppress(uf.DomainTooSmallError, uf.NoBoundStateError):
+        uf.eigenvalue_by_index(spec, grid, k, parity=parity, refine=False)
+    return windows
 
 
 @pytest.mark.parametrize("k", range(4))
 @pytest.mark.parametrize("sector", sorted(WINDOW_SECTORS))
-def test_window_solve_matches_index_solve(sector, k):
+def test_window_solve_matches_index_solve(sector, k, monkeypatch):
     spec, half_width, parity = WINDOW_SECTORS[sector]
     # 4001 points are predicted from 2001 and the 1001-point base grid
     grid = uf.Grid(half_width, 4001)
-    rungs = eigensolver._coarse_levels(spec, grid, k, parity)
-    assert len(rungs) == 2
-    assert_same_level(spec, grid, parity, k,
-                      eigensolver._seed_window(grid.spacing, rungs))
+    windows = ladder_windows(spec, grid, parity, k, monkeypatch)
+    assert sorted(windows) == [1001, 2001, 4001] and windows[1001] is None
+    assert_same_level(spec, grid, parity, k, windows[4001])
 
 
 @pytest.mark.parametrize("sector", sorted(WINDOW_SECTORS))
@@ -420,7 +436,7 @@ def test_window_stops_at_adjacent_floats(k, dstebz_calls):
     midpoint would round onto an end, with both levels in the window."""
     d, e = np.array([1000.0, 1000.0]), np.array([1.0e-14])
     # the first window, (1000.5, 1001.5], misses both levels
-    w, v = eigensolver._window_level(d, e, k, 1001.0, 0.5, vector=True)
+    w, v = eigensolver._level(d, e, k, (1001.0, 0.5), vector=True)
     assert dstebz_calls[-1] == Dstebz("bisect", 2, (999.9999999999999, 1000.0), 2)
     ref = eigh_tridiagonal(d, e, eigvals_only=True)[k]
     assert abs(w - ref) <= 2.0 * eigensolver._EIG_TOL * abs(ref)
@@ -433,6 +449,17 @@ def test_only_base_size_grids_are_solved_by_index(dstebz_calls):
     assert [c.rows for c in dstebz_calls if c.kind == "index"] == [999]
     assert sorted({c.rows for c in dstebz_calls if c.kind == "bisect"}) == [
         1999, 3999, 7999, 15999]
+
+
+def test_coarse_companion_is_made_odd(dstebz_calls):
+    # n = 3 (mod 4): (n + 1)/2 = 2002 is even, so the companion has 2003 points
+    grid = uf.Grid(12.0, 4003)
+    assert eigensolver._coarser(grid) == uf.Grid(12.0, 2003)
+    res = uf.ground_state(half_oscillator(), grid)
+    assert abs(res.refinement_estimate - 0.5) < 1e-8
+    assert 3.5 < res.convergence_ratio < 4.5
+    # 1003 (index) -> 2003 (the companion) -> 4003 -> 8005, interior rows
+    assert sorted({c.rows for c in dstebz_calls}) == [1001, 2001, 4001, 8003]
 
 
 @pytest.mark.parametrize("spec, half_width, most", [
@@ -460,13 +487,17 @@ def test_non_finite_potential_is_a_domain_error():
         uf.ground_state(fine_nan, uf.Grid(12.0, 4001))
 
 
-def test_level_beyond_the_sector_is_a_domain_error():
+def test_level_beyond_the_sector_is_a_domain_error(dstebz_calls):
     grid = uf.Grid(30.0, 4001)
     for refine in (False, True):
         with pytest.raises(uf.DomainError,
                            match=r"^level index 1999 exceeds the sector size 1999$"):
             uf.eigenvalue_by_index(uf.coulomb(1.0), grid, 1999,
                                    parity=uf.Parity.ODD, refine=refine)
+    assert dstebz_calls == []
     # a level the coarse sector lacks is solved by index, unseeded
-    assert eigensolver._coarse_levels(uf.coulomb(1.0), grid, 1500, uf.Parity.ODD) == ()
+    with pytest.raises(uf.DomainTooSmallError):
+        uf.eigenvalue_by_index(uf.coulomb(1.0), grid, 1500,
+                               parity=uf.Parity.ODD, refine=False)
+    assert dstebz_calls == [Dstebz("index", 1999, (1500, 1500), 1)]
     assert_same_level(uf.coulomb(1.0), grid, uf.Parity.ODD, 1500, None)

@@ -143,13 +143,16 @@ def test_family_table_entry(name):
 @pytest.mark.parametrize("call", [
     lambda: uf.soft_coulomb(1.0, 1.0e300)(np.array([0.5])),
     lambda: uf.soft_coulomb(1.0, 1.0e300).derivatives(0.5),
-    lambda: uf.soft_coulomb(-1.0, 1.0e70).derivatives(1.0e-70),
+    # u^-1.5 = (x0^2 + 1/lam^2)^-1.5, in V' and V'', overflows past about 8e102
+    lambda: uf.soft_coulomb(-1.0, 1.0e103).derivatives(1.0e-103),
     lambda: uf.coulomb(1.0).derivatives(1.0e-200),
 ], ids=["soft-coulomb-value", "soft-coulomb-derivatives",
         "soft-coulomb-curvature", "coulomb-curvature"])
 def test_shape_out_of_float_range_is_a_domain_error(call):
-    with pytest.raises(uf.DomainError):
+    with pytest.raises(uf.DomainError) as err:
         call()
+    # the message names the point, not the errno tuple of an OverflowError
+    assert "(34, " not in str(err.value)
 
 
 def test_with_coupling_and_cutoff():
@@ -165,6 +168,16 @@ def test_spec_is_immutable():
     spec = uf.quartic(1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         spec.coupling = 5.0
+
+
+def test_specs_hash_as_they_compare():
+    # the shape dict is left out of the hash, so equal specs hash equal
+    assert hash(uf.morse(4.0)) == hash(uf.morse(4.0))
+    assert len({uf.morse(4.0), uf.morse(4.0), uf.quartic(1.0)}) == 2
+    assert hash(uf.soft_coulomb(1.0, 10.0)) == hash(uf.soft_coulomb(1.0, 10.0))
+    law = uf.solve_fixed_point(uf.morse(4.0))
+    assert isinstance(law, uf.PointwiseFlow)
+    assert hash(law) == hash(uf.solve_fixed_point(uf.morse(4.0)))
 
 
 def test_constructor_validation():
