@@ -65,6 +65,8 @@ _PARAMS = {"A": "Morse well depth", "a": "Morse range parameter",
            "lam": "shape cutoff (soft-coulomb, kh)",
            "eps_exp": "drive-strength parameter",
            "K": "log-flow integration constant"}
+# the model parameters that take only numbers above 0
+_POSITIVE = ("a", "m", "lam", "eps_exp")
 
 ANALYZE_COLUMNS = ("model", "rg_energy", "oracle_energy", "rel_error",
                    "sign_branch", "flow_law", "notes")
@@ -343,13 +345,13 @@ def cmd_oracle(args) -> int:
     half_width = dl if args.half_width is None else args.half_width
     n = dn if args.n is None else args.n
     parity = dparity if args.parity is None else args.parity
-    from .eigensolver import eigenvalue_by_index
+    from .eigensolver import _level_count, eigenvalue_by_index
 
     grid, sector = _grid_sector(half_width, n, parity)
-    size = grid.sector(sector)[1]
-    if args.level >= size:
+    count = _level_count(grid, sector, refine=True)
+    if args.level >= count:
         raise ConfigError(f"--level {args.level} is past the last level: --n {n} "
-                          f"with --parity {parity or 'none'} holds {size} levels")
+                          f"with --parity {parity or 'none'} refines {count} levels")
     spec = build_spec(model, params)
     res = eigenvalue_by_index(spec, grid, args.level, parity=sector)
     row = {"model": model, "half_width": half_width, "n": n,
@@ -387,7 +389,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_params(p: argparse.ArgumentParser) -> None:
     for key, text in _PARAMS.items():
-        p.add_argument("--" + key.replace("_", "-"), type=_real(), help=text)
+        p.add_argument("--" + key.replace("_", "-"), help=text,
+                       type=_real(0.0) if key in _POSITIVE else _real())
 
 
 def _model(name: str) -> str:

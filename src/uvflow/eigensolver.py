@@ -14,23 +14,24 @@ Two deliberately independent routes:
 Brent's method is a port of scipy's ``brentq``, so that importing uvflow
 loads no ``scipy.optimize``.
 
-Every grid level is found by one routine, ``_level``, on a ladder of
-grids solved coarsest first: the requested grid and its halvings
-((n + 1)/2 points, made odd, at each rung) down to a base grid of at most
-1025 points, taken while the coarser odd sector still holds the level,
-and with Richardson refinement at least the coarse companion.  A grid at
-or below the base size, or with no coarser level, is bisected by index
-over the whole Gershgorin interval.  Each larger grid is solved in a
-narrow energy window seeded from the levels below it: two coarser levels
-predict the next by h^2 (Richardson) extrapolation, and the window's
-half-width is an eighth of that correction; one coarser level is the
-seed itself, ±1e-4 relative.  The fine 2n - 1 solve is predicted from
-the top two rungs, the requested grid and its companion.  One exact
-Sturm count at the window's low end and one LAPACK bisection of the
-window say which of its eigenvalues is level k.  A window that misses
-level k widens and halves by counts alone until it holds k, then is
-bisected once, so a seed never changes which level is found, and moves
-its value only within the 1e-13 bisection tolerance.  Inverse iteration
+Every grid level is found by one routine, ``_level``, on a fixed ladder
+of grids solved coarsest first: the base, the requested grid halved
+((n + 1)/2 points, made odd, at each halving) to at most 1025 points
+while the coarser odd sector still holds the level; with Richardson
+refinement the coarse companion, the grid halved once; the requested
+grid; and with refinement the fine 2n - 1 grid.  No other halving is
+solved.  A grid at or below the base size, or with no coarser rung, is
+bisected by index over the whole Gershgorin interval.  Each larger grid
+is solved in a narrow energy window seeded from the rungs below it: the
+first from the base alone, at its level, ±0.5% relative; every later one
+from the two rungs below it, whose h^2 (Richardson) extrapolation
+predicts its level, with an eighth of that correction as the window's
+half-width.  One exact Sturm count at the window's low end and one
+LAPACK bisection of the window say which of its eigenvalues is level k.
+A window that misses level k widens by counts alone until it holds k,
+then is bisected if k is its one level, and level k is found by index
+otherwise; so a seed never changes which level is found, and moves its
+value only within the 1e-13 bisection tolerance.  Inverse iteration
 gives the vector of the requested grid alone.  Index bisection starts
 from the Gershgorin interval, which the Morse wall at x = -30 stretches
 to 1e27: on a 2-core Xeon one 31,999-row Morse ground level takes about
@@ -59,7 +60,10 @@ from .potentials import PotentialSpec
 _BOUNDARY_LEAK = 1.0e-10
 _EIG_TOL = 1.0e-13
 _BASE_N = 1025           # grids this small are solved by index, unseeded
-_WINDOW = 1.0e-4         # half-width of a window seeded by one rung, times max(1, |seed|)
+# half-width of a window seeded by one rung, times max(1, |seed|): 2.5 times
+# the largest distance measured from the 1001-point base level to a seeded
+# level, 2.0e-3 (odd Coulomb, from 16001 points to its 8001-point companion)
+_WINDOW = 5.0e-3
 _WINDOW_GROWTH = 8.0
 _PREDICTION_MARGIN = 8.0  # a predicted window's half-width is its correction over this
 
@@ -74,8 +78,10 @@ class Grid:
     """n points spanning [-half_width, half_width], Dirichlet at the ends.
 
     ``n`` must be odd so x = 0 is a node; spacing is 2 half_width/(n-1).
-    Use n = 1 (mod 4) when the convergence-ratio diagnostic matters, so the
-    coarse companion grid is odd as well.
+    The coarse companion that refining solves has (n + 1)/2 points, made
+    odd, so it is exactly twice as coarse only for n = 1 (mod 4): for
+    n = 3 (mod 4) the convergence ratio reads off 4 (quartic, 3.9948 at
+    n = 4003 against 4.00007 at n = 4001).
     """
 
     half_width: float
@@ -131,6 +137,13 @@ def _coarser(grid: Grid) -> Grid:
     return Grid(grid.half_width, nc)
 
 
+def _level_count(grid: Grid, parity: Optional[Parity], refine: bool) -> int:
+    """How many levels a solve on ``grid`` can return: those of its parity
+    sector, and when refining those of the coarse companion's, which is
+    never larger."""
+    return (_coarser(grid) if refine else grid).sector(parity)[1]
+
+
 def _sector_matrix(spec: PotentialSpec, grid: Grid,
                    parity: Optional[Parity]) -> Tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the parity-sector Hamiltonian.
@@ -143,7 +156,7 @@ def _sector_matrix(spec: PotentialSpec, grid: Grid,
     d = 2.0 * t + _potential_on(spec, xs)
     e = np.full(len(xs) - 1, -t)
     if parity is Parity.EVEN:
-        e[0] = -math.sqrt(2.0) * t
+        e[:1] = -math.sqrt(2.0) * t
     return d, e
 
 
@@ -160,16 +173,19 @@ def _level(d: np.ndarray, e: np.ndarray, k: int,
     eigenvalues at or below x, alone decides which eigenvalue is level k.
     The window [lo, hi] costs one count, N(lo), and one bisection over
     (lo, hi], whose m eigenvalues give N(hi) = N(lo) + m.  If it misses
-    level k, the search falls back to counts alone: the window widens
-    geometrically, one edge at a time, until the counts straddle k, then
-    is halved until it holds only k, or until its ends are adjacent floats
-    around a cluster, so that a midpoint would round onto an end; then it
-    is bisected once.  So a bad seed costs counts, never the bisection of
-    far levels, and never changes which level is found.  A count is
-    dstebz over (floor, x] with an infinite tolerance: two Sturm sweeps at
-    the ends and one midpoint sweep, no bisection; 'B' ordering skips its
-    sort.  Inverse iteration (dstein) gives the one vector asked for.
+    level k, the window widens geometrically by counts alone, one edge at
+    a time, until the counts straddle k.  It is then bisected if k is its
+    one level, and level k is bisected by index otherwise.  So a bad seed
+    costs counts, never the bisection of far levels, and never changes
+    which level is found.  A count is dstebz over (floor, x] with an
+    infinite tolerance: two Sturm sweeps at the ends and one midpoint
+    sweep, no bisection; 'B' ordering skips its sort.  A one-row matrix
+    is its own level, with the unit vector.  Inverse iteration (dstein)
+    gives the one vector asked for.
     """
+    if len(d) == 1:
+        # the dstebz wrapper rejects an empty off-diagonal
+        return float(d[0]), np.ones(1) if vector else None
     stebz, stein = get_lapack_funcs(("stebz", "stein"), (d, e))
     # below the Gershgorin interval, so N(floor) = 0
     floor = float(np.min(d)) - 2.0 * float(np.max(np.abs(e), initial=0.0)) - 1.0
@@ -200,24 +216,17 @@ def _level(d: np.ndarray, e: np.ndarray, k: int,
             while n_lo > k or n_hi <= k:
                 w *= _WINDOW_GROWTH
                 if n_lo > k:
-                    hi, n_hi = lo, n_lo
-                    lo = seed - w
+                    lo, hi, n_hi = seed - w, lo, n_lo
                     n_lo = count(lo)
                 else:
-                    lo, n_lo = hi, n_hi
-                    hi = seed + w
+                    lo, hi, n_lo = hi, seed + w, n_hi
                     n_hi = count(hi)
-            mid = 0.5 * (lo + hi)
-            while n_hi - n_lo > 1 and lo < mid < hi:
-                n_mid = count(mid)
-                if n_mid > k:
-                    hi, n_hi = mid, n_mid
-                else:
-                    lo, n_lo = mid, n_mid
-                mid = 0.5 * (lo + hi)
-            found = bisect(1, lo, hi)
-            if found[0] != n_hi - n_lo:
-                raise IterationLimitError("the window solve disagrees with its Sturm counts")
+            if n_hi - n_lo > 1:
+                n_lo, found = k, bisect(2, 0.0, 1.0)
+            else:
+                found = bisect(1, lo, hi)
+                if found[0] != 1:
+                    raise IterationLimitError("the window solve disagrees with its Sturm counts")
     m, ws, iblock, isplit = found
     # 'B' orders each split-off block on its own
     j = int(np.argsort(ws[:m], kind="stable")[k - n_lo])
@@ -300,9 +309,10 @@ def eigenvalue_by_index(spec: PotentialSpec, grid: Grid, k: int,
                         refine: bool = True) -> OracleResult:
     """Level k (within the parity sector if one is given), grid route.
 
-    A level that has not decayed at the box edge is a DomainTooSmallError,
-    or a NoBoundStateError when V is lowest at the wall, where no larger
-    box would confine it.
+    k must be below ``_level_count``: the size of the sector, and when
+    refining also of the coarse companion's.  A level that has not decayed
+    at the box edge is a DomainTooSmallError, or a NoBoundStateError when V
+    is lowest at the wall, where no larger box would confine it.
     """
     if k < 0:
         raise DomainError("level index must be nonnegative")
@@ -310,22 +320,19 @@ def eigenvalue_by_index(spec: PotentialSpec, grid: Grid, k: int,
         raise SingularPointError(
             f"the {spec.family.name} shape is singular at the center node; "
             "solve the odd sector")
-    # the ladder, coarsest first: halvings while the coarser odd sector,
-    # the smallest, holds level k, and the coarse companion for refining
-    grids = [grid]
-    while grids[0].n > _BASE_N and k < _coarser(grids[0]).sector(Parity.ODD)[1]:
-        grids.insert(0, _coarser(grids[0]))
-    if refine and len(grids) == 1:
-        grids.insert(0, _coarser(grid))
-    # the requested grid first, then a coarse companion that refining adds
-    for g in (grid, grids[0]):
-        size = g.sector(parity)[1]
-        if k >= size:
-            raise DomainError(f"level index {k} exceeds the sector size {size}")
+    count = _level_count(grid, parity, refine)
+    if k >= count:
+        raise DomainError(f"level index {k} exceeds the sector size {count}")
+    # the ladder, coarsest first: the base, the grid halved while the
+    # coarser odd sector, the smallest, holds level k; the coarse companion
+    # when refining; the grid
+    base = grid
+    while base.n > _BASE_N and k < _coarser(base).sector(Parity.ODD)[1]:
+        base = _coarser(base)
     rungs = ()
-    for g in grids:
+    for g in sorted({base, _coarser(grid) if refine else base, grid}, key=lambda g: g.n):
         window = _seed_window(g.spacing, rungs) if g.n > _BASE_N else None
-        raw, psi = _solve_sector(spec, g, k, parity, window, vector=g is grid)
+        raw, psi = _solve_sector(spec, g, k, parity, window, vector=g == grid)
         rungs = ((g.spacing, raw),) + rungs[:1]
     peak = float(np.max(np.abs(psi)))
     if max(abs(psi[1]), abs(psi[-2])) > _BOUNDARY_LEAK * peak:

@@ -422,10 +422,19 @@ HUGE = "1" + "0" * 30  # 10**30, past the largest array numpy can size
     (["analyze", "kh", "--n", "101", "--half-width", "0.5"], None, UNKNOWN),
     (["flow", "quartic", "--g0", "5", "--start-on-fixed-point"], None,
      _arg("--start-on-fixed-point") + "not allowed with argument --g0"),
-    (["oracle", "quartic", "--n", "101", "--level", "99"], None,
-     CONFIG + r": --level 99 .* holds 99 levels"),
-    (["oracle", "coulomb", "--n", "101", "--level", "49"], None,
-     CONFIG + r": --level 49 .* holds 49 levels"),
+    (["oracle", "quartic", "--n", "101", "--level", "49"], None,
+     CONFIG + r": --level 49 .* refines 49 levels"),
+    (["oracle", "coulomb", "--n", "101", "--level", "24"], None,
+     CONFIG + r": --level 24 .* refines 24 levels"),
+    (["oracle", "quartic", "--level", "1999"], None,
+     CONFIG + r": --level 1999 .* refines 1999 levels"),
+    (["oracle", "coulomb", "--n", "4001", "--level", "1500"], None,
+     CONFIG + r": --level 1500 .* refines 999 levels"),
+    (["oracle", "morse", "--a", "-1"], None, _arg("--a")),
+    (["oracle", "morse", "--m", "0"], None, _arg("--m")),
+    (["oracle", "soft-coulomb", "--lam", "0"], None, _arg("--lam")),
+    (["flow", "kh", "--eps-exp", "-1"], None, _arg("--eps-exp")),
+    (["analyze", "kh", "--eps-exp", "0"], None, _arg("--eps-exp")),
 ], ids=["oracle-even-n", "analyze-even-n", "oracle-zero-half-width",
         "analyze-negative-half-width", "oracle-negative-level",
         "oracle-negative-level-config", "analyze-bogus-sign-policy",
@@ -447,7 +456,10 @@ HUGE = "1" + "0" * 30  # 10**30, past the largest array numpy can size
         "analyze-huge-n", "oracle-huge-n-config", "flow-output-directory",
         "kh-scan-lambdas-with-bad-range", "analyze-box",
         "flow-g0-and-fixed-point", "oracle-level-past-full-line",
-        "oracle-level-past-odd-sector"])
+        "oracle-level-past-odd-sector", "oracle-level-past-companion",
+        "oracle-level-past-odd-companion", "oracle-negative-morse-a",
+        "oracle-zero-morse-m", "oracle-zero-soft-coulomb-lam",
+        "flow-kh-negative-eps-exp", "analyze-kh-zero-eps-exp"])
 def test_bad_settings_exit_2(tmp_path, args, lines, expect):
     """Each setting is rejected before any report is written, and stderr
     says what rejected it, matching ``expect``; a row with ``lines`` gives its
@@ -527,6 +539,20 @@ def test_oracle_without_bound_state_says_so(tmp_path, args):
     assert res.returncode == 1, res.stdout + res.stderr
     assert "NoBoundStateError" in res.stderr
     assert "enlarge half_width" not in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["oracle", "quartic", "--n", "3"],
+    ["oracle", "quartic", "--n", "5"],
+    ["oracle", "quartic", "--n", "3", "--parity", "even"],
+], ids=["n-3", "n-5", "n-3-even"])
+def test_oracle_on_one_row_sectors_exits_1(tmp_path, args):
+    """A grid whose sector, or whose companion's, has one row is solved,
+    and on so coarse a grid the level has not decayed at the box edge."""
+    res = run_cli(args, tmp_path)
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert "DomainTooSmallError" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def run_python(code, args=(), cwd=None):

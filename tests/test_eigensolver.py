@@ -389,7 +389,7 @@ def dstebz_calls(monkeypatch):
 
 def ladder_windows(spec, grid, parity, k, monkeypatch):
     """The window of each grid that eigenvalue_by_index solves for level k,
-    unrefined, keyed by grid size; None for an index solve."""
+    refined, keyed by grid size; None for an index solve."""
     windows = {}
     solve = eigensolver._solve_sector
 
@@ -400,7 +400,7 @@ def ladder_windows(spec, grid, parity, k, monkeypatch):
     monkeypatch.setattr(eigensolver, "_solve_sector", spied)
     # a level that the box does not confine is still solved first
     with contextlib.suppress(uf.DomainTooSmallError, uf.NoBoundStateError):
-        uf.eigenvalue_by_index(spec, grid, k, parity=parity, refine=False)
+        uf.eigenvalue_by_index(spec, grid, k, parity=parity)
     return windows
 
 
@@ -408,11 +408,16 @@ def ladder_windows(spec, grid, parity, k, monkeypatch):
 @pytest.mark.parametrize("sector", sorted(WINDOW_SECTORS))
 def test_window_solve_matches_index_solve(sector, k, monkeypatch):
     spec, half_width, parity = WINDOW_SECTORS[sector]
-    # 4001 points are predicted from 2001 and the 1001-point base grid
+    # the 1001-point base by index, the 2001-point companion seeded from the
+    # base alone, 4001 points predicted from both; the fine 8001 points are
+    # solved only for a level that the box confines
     grid = uf.Grid(half_width, 4001)
     windows = ladder_windows(spec, grid, parity, k, monkeypatch)
-    assert sorted(windows) == [1001, 2001, 4001] and windows[1001] is None
-    assert_same_level(spec, grid, parity, k, windows[4001])
+    assert sorted(windows)[:3] == [1001, 2001, 4001] and windows[1001] is None
+    seed, width = windows[2001]
+    assert width == eigensolver._WINDOW * max(1.0, abs(seed))
+    for n in (2001, 4001):
+        assert_same_level(spec, uf.Grid(half_width, n), parity, k, windows[n])
 
 
 @pytest.mark.parametrize("sector", sorted(WINDOW_SECTORS))
@@ -431,24 +436,30 @@ def test_window_solve_ignores_a_bad_seed(sector, dstebz_calls):
 
 
 @pytest.mark.parametrize("k", [0, 1])
-def test_window_stops_at_adjacent_floats(k, dstebz_calls):
-    """Levels closer than one ulp of their size: halving stops once the
-    midpoint would round onto an end, with both levels in the window."""
+def test_widened_window_holding_a_cluster_takes_the_index_solve(k, dstebz_calls):
+    """Levels closer than one ulp of their size: the widened window holds
+    both, so level k is found by index instead."""
     d, e = np.array([1000.0, 1000.0]), np.array([1.0e-14])
-    # the first window, (1000.5, 1001.5], misses both levels
+    # the first window, (1000.5, 1001.5], lies above both levels; widening
+    # once to (997, 1000.5] takes both in, and the count at 997, below the
+    # Gershgorin interval, needs no call
     w, v = eigensolver._level(d, e, k, (1001.0, 0.5), vector=True)
-    assert dstebz_calls[-1] == Dstebz("bisect", 2, (999.9999999999999, 1000.0), 2)
+    floor = dstebz_calls[0].window[0]
+    assert dstebz_calls == [Dstebz("count", 2, (floor, 1000.5), 2),
+                            Dstebz("index", 2, (k, k), 1)]
     ref = eigh_tridiagonal(d, e, eigvals_only=True)[k]
     assert abs(w - ref) <= 2.0 * eigensolver._EIG_TOL * abs(ref)
     assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
 def test_only_base_size_grids_are_solved_by_index(dstebz_calls):
-    uf.ground_state(uf.morse(4.0), uf.Grid(30.0, 8001))
-    # 1001 (index) -> 2001 -> 4001 (the coarse companion) -> 8001 -> 16001
-    assert [c.rows for c in dstebz_calls if c.kind == "index"] == [999]
-    assert sorted({c.rows for c in dstebz_calls if c.kind == "bisect"}) == [
-        1999, 3999, 7999, 15999]
+    # refined: 1001 (index) -> 4001 (the coarse companion) -> 8001 -> 16001
+    # (fine); raw: 1001 (index) -> 8001; no other halving is solved
+    for refine, bisected in ((True, [3999, 7999, 15999]), (False, [7999])):
+        dstebz_calls.clear()
+        uf.ground_state(uf.morse(4.0), uf.Grid(30.0, 8001), refine=refine)
+        assert [c.rows for c in dstebz_calls if c.kind == "index"] == [999]
+        assert sorted({c.rows for c in dstebz_calls if c.kind == "bisect"}) == bisected
 
 
 def test_coarse_companion_is_made_odd(dstebz_calls):
@@ -462,16 +473,22 @@ def test_coarse_companion_is_made_odd(dstebz_calls):
     assert sorted({c.rows for c in dstebz_calls}) == [1001, 2001, 4001, 8003]
 
 
-@pytest.mark.parametrize("spec, half_width, most", [
-    (uf.morse(4.0), 30.0, 11), (uf.quartic(1.0), 6.0, 9)],
-    ids=["morse", "quartic"])
-def test_refined_ground_state_dstebz_calls(spec, half_width, most, dstebz_calls):
-    """The work of a refined 8001-point ground state, as LAPACK calls: one
-    index solve on the base grid, then one count and one bisection per
-    window (2001, 4001, 8001 and 16001 points), plus the counts and the
-    second bisection of a window that misses."""
-    uf.ground_state(spec, uf.Grid(half_width, 8001))
-    assert len(dstebz_calls) <= most
+@pytest.mark.parametrize("spec, half_width, parity", [
+    (uf.morse(4.0), 30.0, None), (uf.quartic(1.0), 6.0, None),
+    (uf.coulomb(1.0), 30.0, uf.Parity.ODD)],
+    ids=["morse", "quartic", "odd-coulomb"])
+def test_refined_ground_state_dstebz_calls(spec, half_width, parity, dstebz_calls):
+    """The work of a refined 8001- or 16001-point ground state, as LAPACK
+    calls: one index solve on the 1001-point base grid, then one count and
+    one bisection per window (the coarse companion, the grid and the fine
+    grid); every window holds the level, so none widens."""
+    for n in (8001, 16001):
+        dstebz_calls.clear()
+        uf.ground_state(spec, uf.Grid(half_width, n), parity=parity)
+        rows = [uf.Grid(half_width, m).sector(parity)[1]
+                for m in (1001, (n + 1) // 2, n, 2 * n - 1)]
+        assert [(c.kind, c.rows) for c in dstebz_calls] == [("index", rows[0])] + [
+            (kind, r) for r in rows[1:] for kind in ("count", "bisect")]
 
 
 def test_non_finite_potential_is_a_domain_error():
@@ -489,10 +506,12 @@ def test_non_finite_potential_is_a_domain_error():
 
 def test_level_beyond_the_sector_is_a_domain_error(dstebz_calls):
     grid = uf.Grid(30.0, 4001)
-    for refine in (False, True):
+    # refining needs the level on the 2001-point companion as well
+    for refine, size in ((False, 1999), (True, 999)):
+        assert eigensolver._level_count(grid, uf.Parity.ODD, refine) == size
         with pytest.raises(uf.DomainError,
-                           match=r"^level index 1999 exceeds the sector size 1999$"):
-            uf.eigenvalue_by_index(uf.coulomb(1.0), grid, 1999,
+                           match=rf"^level index {size} exceeds the sector size {size}$"):
+            uf.eigenvalue_by_index(uf.coulomb(1.0), grid, size,
                                    parity=uf.Parity.ODD, refine=refine)
     assert dstebz_calls == []
     # a level the coarse sector lacks is solved by index, unseeded
@@ -501,3 +520,22 @@ def test_level_beyond_the_sector_is_a_domain_error(dstebz_calls):
                                parity=uf.Parity.ODD, refine=False)
     assert dstebz_calls == [Dstebz("index", 1999, (1500, 1500), 1)]
     assert_same_level(uf.coulomb(1.0), grid, uf.Parity.ODD, 1500, None)
+
+
+@pytest.mark.parametrize("n, parity", [(3, None), (3, uf.Parity.EVEN), (5, None)],
+                         ids=["3-full-line", "3-even", "5-full-line"])
+def test_one_row_sector_is_solved_directly(n, parity, dstebz_calls):
+    """A one-row sector, on 3 points or as the companion of 5, holds one
+    level: its diagonal entry, with the unit vector.  It calls no LAPACK
+    routine, whose dstebz wrapper rejects an empty off-diagonal."""
+    spec, grid = uf.quartic(1.0), uf.Grid(6.0, n)
+    d, e = eigensolver._sector_matrix(spec, uf.Grid(6.0, 3), parity)
+    assert len(d) == 1 and len(e) == 0
+    w, v = eigensolver._level(d, e, 0, None, vector=True)
+    assert w == d[0] and v.tolist() == [1.0]
+    assert dstebz_calls == []
+    # every interior node of so coarse a grid is next to a wall
+    with pytest.raises(uf.DomainTooSmallError):
+        uf.ground_state(spec, grid, parity=parity)
+    with pytest.raises(uf.DomainError, match=r"^level index 0 exceeds the sector size 0$"):
+        uf.ground_state(spec, uf.Grid(6.0, 3), parity=uf.Parity.ODD)
