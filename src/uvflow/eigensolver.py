@@ -21,24 +21,34 @@ while the coarser odd sector still holds the level; with Richardson
 refinement the coarse companion, the grid halved once; the requested
 grid; and with refinement the fine 2n - 1 grid.  No other halving is
 solved.  A grid at or below the base size, or with no coarser rung, is
-bisected by index over the whole Gershgorin interval.  Each larger grid
+bisected by index over the whole Gershgorin interval, and the bisected
+value refined as below.  Each larger grid
 is solved in a narrow energy window seeded from the rungs below it: the
 first from the base alone, at its level, ±0.5% relative; every later one
 from the two rungs below it, whose h^2 (Richardson) extrapolation
 predicts its level, with an eighth of that correction as the window's
-half-width.  One exact Sturm count at the window's low end and one
-LAPACK bisection of the window say which of its eigenvalues is level k.
-A window that misses level k widens by counts alone until it holds k,
-then is bisected if k is its one level, and level k is found by index
-otherwise; so a seed never changes which level is found, and moves its
-value only within the 1e-13 bisection tolerance.  Inverse iteration
-gives the vector of the requested grid alone.  Index bisection starts
-from the Gershgorin interval, which the Morse wall at x = -30 stretches
-to 1e27: on a 2-core Xeon one 31,999-row Morse ground level takes about
-37 ms that way and about 7 ms in its predicted window.
+half-width.  Exact Sturm counts say whether the window holds level k
+alone: one at its high end for a ground state, whose window reaches down
+to the Gershgorin floor, one at each end otherwise.  The level is then
+found by Rayleigh-quotient iteration from the seed, each step a LAPACK
+dgtsv solve, and stands if its value, give or take its residual, lies in
+the window.  A window that misses level k, or whose level does not stand,
+widens by counts alone until it holds k; it is then bisected to 1e-13 if
+k is its one level, and level k is bisected by index otherwise, and the
+bisected value is refined in the same way.  So a seed never changes which
+level is found.  The quotient is t sum (u_{i+1} - u_i)^2 + sum V_i u_i^2
+for a unit vector u, t = kappa/h^2: it never forms the stored diagonal
+fl(2t + V), whose rounding of V moves the levels of a 32,001-row matrix
+by up to 1.4e-10 relative.  The last solve starts from the vector and
+the quotient rounded (to four decimals and ten significant digits), so
+that neither a level nor any printed digit depends on the window or seed
+that found it.  Index bisection starts from the Gershgorin interval,
+which the Morse wall at x = -30 stretches to 1e27: on a 2-core Xeon one
+31,999-row Morse ground level takes about 44 ms that way and about 6 ms
+in its predicted window.
 
-Every tridiagonal solve passes an explicit absolute tolerance to LAPACK.
-The default (norm-relative) tolerance is useless for potentials with
+Every bisection passes an explicit absolute tolerance to LAPACK.  The
+default (norm-relative) tolerance is useless for potentials with
 enormous walls, e.g. the exponential wall of a Morse well sampled at
 x = -30 dwarfs a ground level of order one and costs eight digits.
 """
@@ -66,6 +76,7 @@ _BASE_N = 1025           # grids this small are solved by index, unseeded
 _WINDOW = 5.0e-3
 _WINDOW_GROWTH = 8.0
 _PREDICTION_MARGIN = 8.0  # a predicted window's half-width is its correction over this
+_RQI_STEPS = 10          # Rayleigh-quotient steps before a refinement fails
 
 
 class Parity(Enum):
@@ -144,98 +155,156 @@ def _level_count(grid: Grid, parity: Optional[Parity], refine: bool) -> int:
     return (_coarser(grid) if refine else grid).sector(parity)[1]
 
 
-def _sector_matrix(spec: PotentialSpec, grid: Grid,
-                   parity: Optional[Parity]) -> Tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the parity-sector Hamiltonian.
+def _sector_matrix(spec: PotentialSpec, grid: Grid, parity: Optional[Parity]
+                   ) -> Tuple[np.ndarray, np.ndarray, Callable]:
+    """Diagonal and off-diagonal of the parity-sector Hamiltonian, and its
+    Rayleigh quotient.
 
     The odd sector is the positive-side block, Dirichlet at 0; the even
     sector adds the center node with a sqrt(2)-symmetrized first coupling.
+    With t = kappa/h^2, the quotient of a unit sector vector u is
+
+        t sum (u_{i+1} - u_i)^2 + sum V_i u_i^2,
+
+    the differences running over u with the Dirichlet zero added at each
+    end; in the even sector the head is sqrt(2) u_0, the center node's
+    value, in place of the zero and u_0.  The quotient never forms the
+    stored diagonal fl(2t + V), which rounds V's low bits away once t is
+    large: the bisected levels of that matrix sit 5e-12 to 1.4e-10,
+    relative, from those of the exact one on 32,001 rows.  V is evaluated
+    again at the quotient's first call, after the Sturm counts, so that no
+    count runs while both the diagonal and V are held.  The sums are numpy
+    reductions, not dot products: the first BLAS call of a process sets up
+    OpenBLAS's buffer, 0.13 to 0.16 MB of resident memory that the grid
+    route has no other use for.
     """
-    t = spec.kappa / grid.spacing ** 2
-    xs = grid.nodes[grid.sector(parity)[0]]
-    d = 2.0 * t + _potential_on(spec, xs)
-    e = np.full(len(xs) - 1, -t)
+    t, part = spec.kappa / grid.spacing ** 2, grid.sector(parity)[0]
+    d = 2.0 * t + _potential_on(spec, grid.nodes[part])
+    e = np.full(len(d) - 1, -t)
     if parity is Parity.EVEN:
-        e[:1] = -math.sqrt(2.0) * t
-    return d, e
+        e[:1] *= math.sqrt(2.0)
+    v = None
+
+    def rayleigh(u):
+        nonlocal v
+        if v is None:
+            v = _potential_on(spec, grid.nodes[part])
+        du = np.diff(u, prepend=0.0, append=0.0)
+        if parity is Parity.EVEN:
+            du[:2] = 0.0, u[1] - math.sqrt(2.0) * u[0]
+        return float(t * np.sum(du * du) + np.sum(v * u * u))
+    return d, e, rayleigh
 
 
-def _level(d: np.ndarray, e: np.ndarray, k: int,
-           window: Optional[Tuple[float, float]],
-           vector: bool) -> Tuple[float, Optional[np.ndarray]]:
-    """Eigenvalue k of the tridiagonal (d, e), found by LAPACK bisection
-    (dstebz) to _EIG_TOL, and with ``vector`` its eigenvector.
+def _level(d: np.ndarray, e: np.ndarray, k: int, window: Optional[Tuple[float, float]],
+           rayleigh: Callable) -> Tuple[float, np.ndarray]:
+    """Eigenvalue k of the tridiagonal T = (d, e), and its unit eigenvector.
 
-    Without a window dstebz bisects for index k (range 'I') over the whole
-    Gershgorin interval.
+    N(x), the exact Sturm count of eigenvalues at or below x, alone decides
+    which eigenvalue is level k; Rayleigh-quotient iteration (B. N. Parlett,
+    The Symmetric Eigenvalue Problem (SIAM, 1998), ch. 4) then finds it, its
+    quotients taken by ``rayleigh``.  floor lies below the Gershgorin
+    interval, so N(floor) = 0.
 
-    With a ``(seed, half-width)`` window, N(x), the exact Sturm count of
-    eigenvalues at or below x, alone decides which eigenvalue is level k.
-    The window [lo, hi] costs one count, N(lo), and one bisection over
-    (lo, hi], whose m eigenvalues give N(hi) = N(lo) + m.  If it misses
-    level k, the window widens geometrically by counts alone, one edge at
-    a time, until the counts straddle k.  It is then bisected if k is its
-    one level, and level k is bisected by index otherwise.  So a bad seed
-    costs counts, never the bisection of far levels, and never changes
-    which level is found.  A count is dstebz over (floor, x] with an
-    infinite tolerance: two Sturm sweeps at the ends and one midpoint
-    sweep, no bisection; 'B' ordering skips its sort.  A one-row matrix
-    is its own level, with the unit vector.  Inverse iteration (dstein)
-    gives the one vector asked for.
+    A ``(seed, half-width)`` window is the bracket (lo, hi]; a ground
+    state's reaches down to floor, so that one count, N(hi) = 1, certifies
+    it, and any other level's takes N(lo) = k and N(hi) = k + 1 (a low end
+    already past k leaves hi uncounted: N(hi) >= N(lo)).  A certified level
+    is refined from the seed, and the refinement stands if its value, give
+    or take its residual, lies in the bracket.  Otherwise, the miss path,
+    the bracket widens geometrically by counts alone, one edge at a time,
+    until the counts straddle k; it is then bisected to _EIG_TOL if k is
+    its one level, and level k is bisected by index (dstebz range 'I') over
+    the whole Gershgorin interval otherwise, and the bisected value is
+    refined.  So a bad seed costs counts, never the bisection of far levels,
+    and never changes which level is found.  Without a window the bracket
+    is the whole spectrum, N = 0 to len(d), and takes the index bisection.
+    A count is dstebz over (floor, x] with an infinite tolerance: two Sturm
+    sweeps at the ends and one midpoint sweep, no bisection.
+
+    A refinement from the shift sigma solves (T - sigma) y = u with dgtsv,
+    from u = linspace(1, 2), which is neither even nor odd, sets u to y/|y|
+    and sigma to the quotient of u, until that moves sigma by _EIG_TOL
+    relative or less; 1/|y| + |value - sigma| is then its residual, since
+    |(T - sigma) u| = 1/|y|.  Not settling in _RQI_STEPS steps fails the
+    refinement: a window takes the miss path, the index and miss paths
+    raise IterationLimitError.  Each solve overwrites u, so that no second
+    vector is held.  The last solve starts
+    from u rounded to four decimals, at the quotient rounded to ten
+    significant digits, and the level is the quotient of its vector: both
+    roundings hide the last bits in which the iterates of different
+    windows and seeds differ, so that the level and vector depend on the
+    matrix alone, and every printed digit with them.  A one-row matrix is
+    its own level, with the unit vector.
     """
     if len(d) == 1:
         # the dstebz wrapper rejects an empty off-diagonal
-        return float(d[0]), np.ones(1) if vector else None
-    stebz, stein = get_lapack_funcs(("stebz", "stein"), (d, e))
-    # below the Gershgorin interval, so N(floor) = 0
-    floor = float(np.min(d)) - 2.0 * float(np.max(np.abs(e), initial=0.0)) - 1.0
+        return float(d[0]), np.ones(1)
+    stebz, gtsv = get_lapack_funcs(("stebz", "gtsv"), (d, e))
+    floor = np.min(d) - 2.0 * np.max(np.abs(e)) - 1.0
 
-    # select 1 bisects the eigenvalues in (lo, hi], select 2 level k alone
-    def bisect(select: int, lo: float, hi: float, tol: float = _EIG_TOL):
-        m, ws, iblock, isplit, info = stebz(d, e, select, lo, hi, k + 1, k + 1, tol, "B")
-        if info != 0:
+    def bisect(select, lo, hi, tol=_EIG_TOL):
+        """Select 1 bisects the eigenvalues in (lo, hi], select 2 level k
+        alone: their number, and the lowest."""
+        m, w, *_, info = stebz(d, e, select, lo, hi, k + 1, k + 1, tol, "B")
+        if info:
             raise IterationLimitError(f"tridiagonal eigensolve failed (dstebz info {info})")
-        return int(m), ws, iblock, isplit
+        return m, w[0]
 
-    def count(x: float) -> int:
+    def count(x):
         return bisect(1, floor, x, math.inf)[0] if x > floor else 0
 
-    if window is None:
-        n_lo, found = k, bisect(2, 0.0, 1.0)
-    else:
-        seed, width = window
-        lo, hi = seed - width, seed + width
+    def solve(sigma, u):
+        """Overwrite u with y solving (T - sigma) y = u, normalized (by a
+        numpy sum, as the quotient is), and return 1/|y|.  A zero pivot means that sigma is an eigenvalue to
+        working precision: the solve is repeated one float above it, from
+        the u that the failed solve left."""
+        while gtsv(e.copy(), d - sigma, e.copy(), u, 1, 1, 1, 1)[4]:
+            sigma = np.nextafter(sigma, math.inf)
+        r = np.sum(u * u) ** -0.5
+        u *= r
+        return r
+
+    def refine(sigma):
+        """(value, residual, unit vector) refined from the shift sigma."""
+        u = np.linspace(1.0, 2.0, len(d))
+        for _ in range(_RQI_STEPS):
+            r = solve(sigma, u)
+            rho = rayleigh(u)
+            if abs(rho - sigma) <= _EIG_TOL * max(1.0, abs(rho)):
+                break
+            sigma = rho
+        else:
+            r = math.inf
+        solve(float(f"{rho:.9e}"), u.round(4, out=u))
+        value = rayleigh(u)
+        return value, r + abs(value - sigma), u
+
+    lo = hi = value = r = math.inf
+    n_lo, n_hi = 0, len(d)
+    if window:
+        seed, w = window
+        lo, hi = seed - w if k else floor, seed + w
         n_lo = count(lo)
-        # N(hi) >= N(lo); past k the widening moves hi onto lo without reading it
-        n_hi = n_lo
-        if n_lo <= k:
-            found = bisect(1, lo, hi)
-            n_hi = n_lo + found[0]
-        if not n_lo <= k < n_hi:
-            w = width
-            while n_lo > k or n_hi <= k:
-                w *= _WINDOW_GROWTH
-                if n_lo > k:
-                    lo, hi, n_hi = seed - w, lo, n_lo
-                    n_lo = count(lo)
-                else:
-                    lo, hi, n_lo = hi, seed + w, n_hi
-                    n_hi = count(hi)
-            if n_hi - n_lo > 1:
-                n_lo, found = k, bisect(2, 0.0, 1.0)
+        n_hi = count(hi) if n_lo <= k else n_lo
+        if n_lo == k == n_hi - 1:
+            value, r, u = refine(seed)
+    if not lo < value - r <= value + r <= hi:
+        while n_lo > k or n_hi <= k:
+            w *= _WINDOW_GROWTH
+            if n_lo > k:
+                lo, hi, n_hi = seed - w, lo, n_lo
+                n_lo = count(lo)
             else:
-                found = bisect(1, lo, hi)
-                if found[0] != 1:
-                    raise IterationLimitError("the window solve disagrees with its Sturm counts")
-    m, ws, iblock, isplit = found
-    # 'B' orders each split-off block on its own
-    j = int(np.argsort(ws[:m], kind="stable")[k - n_lo])
-    if not vector:
-        return float(ws[j]), None
-    z, info = stein(d, e, ws[j:j + 1], np.roll(iblock, -j), isplit)
-    if info != 0:
-        raise IterationLimitError(f"inverse iteration failed (dstein info {info})")
-    return float(ws[j]), z[:, 0]
+                lo, hi, n_lo = hi, seed + w, n_hi
+                n_hi = count(hi)
+        m, x = bisect(2, 0.0, 1.0) if n_hi - n_lo > 1 else bisect(1, lo, hi)
+        if m != 1:
+            raise IterationLimitError("the window solve disagrees with its Sturm counts")
+        value, r, u = refine(x)
+    if r == math.inf:
+        raise IterationLimitError(f"no Rayleigh quotient settled in {_RQI_STEPS} steps")
+    return value, u
 
 
 def _seed_window(h: float, rungs: Tuple[Tuple[float, float], ...]
@@ -248,8 +317,8 @@ def _seed_window(h: float, rungs: Tuple[Tuple[float, float], ...]
     Phil. Trans. R. Soc. A 210, 307 (1911)), with the spacings of the
     actual grids; the half-width is the size of its correction to the
     nearer rung over _PREDICTION_MARGIN, and at least _EIG_TOL relative,
-    the noise of the bisected rungs.  One rung seeds at its level, with
-    the half-width _WINDOW relative.
+    so that a prediction that happens to be exact still leaves a window.
+    One rung seeds at its level, with the half-width _WINDOW relative.
     """
     if not rungs:
         return None
@@ -265,26 +334,14 @@ def _seed_window(h: float, rungs: Tuple[Tuple[float, float], ...]
 
 def _solve_sector(spec: PotentialSpec, grid: Grid, k: int,
                   parity: Optional[Parity],
-                  window: Optional[Tuple[float, float]] = None,
-                  vector: bool = True) -> Tuple[float, Optional[np.ndarray]]:
+                  window: Optional[Tuple[float, float]] = None
+                  ) -> Tuple[float, np.ndarray]:
     """Eigenvalue k in the parity sector by ``_level``, in ``window`` or by
-    index, and with ``vector`` its eigenvector on the full grid."""
-    d, e = _sector_matrix(spec, grid, parity)
+    index, and its unit eigenvector on the sector's nodes."""
+    d, e, rayleigh = _sector_matrix(spec, grid, parity)
     if not np.all(np.isfinite(d)):
         raise DomainError("the potential is not finite on the grid")
-    w, vec = _level(d, e, k, window, vector)
-    if not vector:
-        return w, None
-    part, _ = grid.sector(parity)
-    psi = np.zeros(grid.n)
-    psi[part] = vec
-    if parity is Parity.EVEN:
-        psi[part.start] *= math.sqrt(2.0)
-    if parity is not None:
-        # mirror the positive side, with a sign for odd levels
-        c = grid.n // 2
-        psi[1:c] = psi[-2:c:-1] if parity is Parity.EVEN else -psi[-2:c:-1]
-    return w, psi
+    return _level(d, e, k, window, rayleigh)
 
 
 def _classify_parity(psi: np.ndarray) -> Optional[Parity]:
@@ -332,8 +389,15 @@ def eigenvalue_by_index(spec: PotentialSpec, grid: Grid, k: int,
     rungs = ()
     for g in sorted({base, _coarser(grid) if refine else base, grid}, key=lambda g: g.n):
         window = _seed_window(g.spacing, rungs) if g.n > _BASE_N else None
-        raw, psi = _solve_sector(spec, g, k, parity, window, vector=g == grid)
+        raw, psi = _solve_sector(spec, g, k, parity, window)
         rungs = ((g.spacing, raw),) + rungs[:1]
+    # on the full grid, the positive side mirrored with a sign for odd levels
+    c = grid.n // 2
+    psi = np.pad(psi, (grid.n - 1 - len(psi), 1))
+    if parity is Parity.EVEN:
+        psi[c] *= math.sqrt(2.0)
+    if parity is not None:
+        psi[1:c] = psi[-2:c:-1] if parity is Parity.EVEN else -psi[-2:c:-1]
     peak = float(np.max(np.abs(psi)))
     if max(abs(psi[1]), abs(psi[-2])) > _BOUNDARY_LEAK * peak:
         if _lowest_at_wall(spec, grid, parity):
@@ -341,7 +405,8 @@ def eigenvalue_by_index(spec: PotentialSpec, grid: Grid, k: int,
                 f"level {k} sits against the box wall, where the potential "
                 "is lowest: no box confines it")
         raise DomainTooSmallError(
-            "eigenfunction has not decayed at the box edge; enlarge half_width")
+            "eigenfunction has not decayed at the box edge: enlarge half_width, "
+            f"or n if the grid spacing {grid.spacing:.6g} is too coarse for the level")
     psi = psi / math.sqrt(float(np.sum(psi ** 2)) * grid.spacing)
     if psi[np.argmax(np.abs(psi))] < 0.0:
         psi = -psi
@@ -349,8 +414,7 @@ def eigenvalue_by_index(spec: PotentialSpec, grid: Grid, k: int,
     refined, ratio = raw, math.nan
     if refine:
         fine = Grid(grid.half_width, 2 * grid.n - 1)
-        e_f, _ = _solve_sector(spec, fine, k, parity,
-                               _seed_window(fine.spacing, rungs), vector=False)
+        e_f, _ = _solve_sector(spec, fine, k, parity, _seed_window(fine.spacing, rungs))
         refined = (4.0 * e_f - raw) / 3.0
         denom = raw - e_f
         ratio = (rungs[1][1] - raw) / denom if denom != 0.0 else math.nan

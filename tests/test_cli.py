@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -116,6 +117,58 @@ def test_analyze_output_is_deterministic(tmp_path):
     first = (tmp_path / "det.json").read_bytes()
     assert run_cli_process(args, tmp_path).returncode == 0
     assert (tmp_path / "det.json").read_bytes() == first
+
+
+# the reference reports: the file each writes, or None for its stdout
+REFERENCE_REPORTS = [("analyze.csv", ["analyze"]),
+                     ("analyze.json", ["analyze", "--format", "json"])] + [
+    (f"oracle_{model}.csv", ["oracle", model])
+    for model in ("morse", "quartic", "coulomb", "soft-coulomb")] + [
+    (None, ["paper-suite"])]
+
+
+def reference_reports(tmp_path):
+    """The bytes of every reference report, keyed by command line."""
+    reports = {}
+    for name, args in REFERENCE_REPORTS:
+        res = run_cli(args, tmp_path)
+        assert res.returncode == 0, res.stdout + res.stderr
+        reports[" ".join(args)] = (res.stdout.encode() if name is None
+                                   else (tmp_path / name).read_bytes())
+    return reports
+
+
+def test_reports_do_not_depend_on_how_levels_are_bracketed(tmp_path, monkeypatch):
+    """Every reference report prints the same bytes whether each grid level
+    is found in its predicted window, bisected by index, or found from a
+    deliberately bad seed: the predicted window moved by three half-widths,
+    alternately above and below, so that it holds its level off center or
+    misses it."""
+    from uvflow import eigensolver
+
+    predicted = eigensolver._seed_window
+    flips = itertools.count()
+
+    def by_index(h, rungs):
+        return None
+
+    def bad_seed(h, rungs):
+        window = predicted(h, rungs)
+        if window is None:
+            return None
+        seed, width = window
+        return seed + (3.0 if next(flips) % 2 == 0 else -3.0) * width, width
+
+    reports = {}
+    for route, seeding in (("predicted", predicted), ("index", by_index),
+                           ("bad seed", bad_seed)):
+        monkeypatch.setattr(eigensolver, "_seed_window", seeding)
+        reports[route] = reference_reports(tmp_path)
+    assert reports["index"] == reports["predicted"]
+    assert reports["bad seed"] == reports["predicted"]
+    # the digit that the level of the exact finite-difference matrix rounds to
+    row = read_csv_rows(tmp_path / "oracle_soft-coulomb.csv")[0]
+    assert row["eigenvalue"] == "-0.499964844036"
 
 
 def test_unknown_model_exits_2(tmp_path):
@@ -548,10 +601,15 @@ def test_oracle_without_bound_state_says_so(tmp_path, args):
 ], ids=["n-3", "n-5", "n-3-even"])
 def test_oracle_on_one_row_sectors_exits_1(tmp_path, args):
     """A grid whose sector, or whose companion's, has one row is solved,
-    and on so coarse a grid the level has not decayed at the box edge."""
+    and on so coarse a grid the level has not decayed at the box edge; the
+    message names the spacing and both remedies, a wider box or a finer
+    grid."""
     res = run_cli(args, tmp_path)
     assert res.returncode == 1, res.stdout + res.stderr
     assert "DomainTooSmallError" in res.stderr
+    spacing = 12.0 / (int(args[3]) - 1)
+    assert (f"enlarge half_width, or n if the grid spacing {spacing:.6g} is too "
+            "coarse for the level") in res.stderr
     assert "Traceback" not in res.stderr
 
 

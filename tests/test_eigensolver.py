@@ -1,4 +1,6 @@
 import contextlib
+import functools
+import itertools
 import math
 from collections import namedtuple
 
@@ -328,32 +330,37 @@ WINDOW_SECTORS = {
 }
 
 
-def index_reference(spec, grid, parity, k):
-    """Level k by LAPACK index bisection on the same sector matrix."""
-    d, e = eigensolver._sector_matrix(spec, grid, parity)
-    w, v = eigh_tridiagonal(d, e, select="i", select_range=(k, k),
-                            tol=eigensolver._EIG_TOL)
-    return float(w[0]), v[:, 0]
-
-
-def sector_vector(psi, parity):
-    """The unit sector eigenvector inside a full-grid eigenfunction."""
-    center = len(psi) // 2
-    if parity is None:
-        return psi[1:-1]
-    if parity is uf.Parity.ODD:
-        return psi[center + 1:-1]
-    body = psi[center:-1].copy()
-    body[0] /= math.sqrt(2.0)
-    return body
+def index_route(spec, grid, parity, k):
+    """Level k and its unit sector vector by the index route: bisected by
+    index over the whole spectrum, then refined."""
+    return eigensolver._solve_sector(spec, grid, k, parity)
 
 
 def assert_same_level(spec, grid, parity, k, window):
-    ref_w, ref_v = index_reference(spec, grid, parity, k)
-    w, psi = eigensolver._solve_sector(spec, grid, k, parity, window)
-    assert abs(w - ref_w) <= 2.0 * eigensolver._EIG_TOL * max(1.0, abs(ref_w))
-    v = sector_vector(psi, parity)
+    """The solve in ``window`` agrees with the index route to 1e-14 of the
+    level, and on the eigenvector up to its sign."""
+    ref_w, ref_v = index_route(spec, grid, parity, k)
+    w, v = eigensolver._solve_sector(spec, grid, k, parity, window)
+    assert abs(w - ref_w) <= 1e-14 * max(1.0, abs(ref_w))
     assert min(np.max(np.abs(v - ref_v)), np.max(np.abs(v + ref_v))) < 1e-8
+
+
+# dgtsv solves that refine one seeded level, at most: up to four
+# Rayleigh-quotient steps and the last solve
+MAX_SOLVES = 5
+
+
+def spy_lapack(monkeypatch, name, spied):
+    """Route the grid route's calls of LAPACK routine ``name`` through
+    ``spied(routine, *args)``; spies of different routines compose."""
+    get_lapack_funcs = eigensolver.get_lapack_funcs
+
+    def spied_funcs(names, arrays):
+        funcs = get_lapack_funcs(names, arrays)
+        return tuple(functools.partial(spied, f) if n == name else f
+                     for n, f in zip(names, funcs))
+
+    monkeypatch.setattr(eigensolver, "get_lapack_funcs", spied_funcs)
 
 
 # one LAPACK dstebz call: "index" a bisection by index (range 'I') for the
@@ -367,23 +374,30 @@ Dstebz = namedtuple("Dstebz", "kind rows window levels")
 def dstebz_calls(monkeypatch):
     """Every dstebz call of the grid route, in order, as ``Dstebz``."""
     calls = []
-    get_lapack_funcs = eigensolver.get_lapack_funcs
 
-    def spied_funcs(names, arrays):
-        funcs = get_lapack_funcs(names, arrays)
-        stebz = funcs[names.index("stebz")]
+    def spied(stebz, d, e, rng, vl, vu, il, iu, tol, order):
+        found = stebz(d, e, rng, vl, vu, il, iu, tol, order)
+        if rng == 2:
+            calls.append(Dstebz("index", len(d), (il - 1, iu - 1), int(found[0])))
+        else:
+            calls.append(Dstebz("count" if tol == math.inf else "bisect",
+                                len(d), (vl, vu), int(found[0])))
+        return found
 
-        def spied(d, e, rng, vl, vu, il, iu, tol, order):
-            found = stebz(d, e, rng, vl, vu, il, iu, tol, order)
-            if rng == 2:
-                calls.append(Dstebz("index", len(d), (il - 1, iu - 1), int(found[0])))
-            else:
-                calls.append(Dstebz("count" if tol == math.inf else "bisect",
-                                    len(d), (vl, vu), int(found[0])))
-            return found
-        return tuple(spied if name == "stebz" else f for name, f in zip(names, funcs))
+    spy_lapack(monkeypatch, "stebz", spied)
+    return calls
 
-    monkeypatch.setattr(eigensolver, "get_lapack_funcs", spied_funcs)
+
+@pytest.fixture
+def gtsv_calls(monkeypatch):
+    """The number of rows of every dgtsv solve of the grid route, in order."""
+    calls = []
+
+    def spied(gtsv, dl, d, du, b, *overwrite):
+        calls.append(len(d))
+        return gtsv(dl, d, du, b, *overwrite)
+
+    spy_lapack(monkeypatch, "gtsv", spied)
     return calls
 
 
@@ -393,9 +407,9 @@ def ladder_windows(spec, grid, parity, k, monkeypatch):
     windows = {}
     solve = eigensolver._solve_sector
 
-    def spied(spec, g, k, parity, window=None, vector=True):
+    def spied(spec, g, k, parity, window=None):
         windows[g.n] = window
-        return solve(spec, g, k, parity, window, vector)
+        return solve(spec, g, k, parity, window)
 
     monkeypatch.setattr(eigensolver, "_solve_sector", spied)
     # a level that the box does not confine is still solved first
@@ -424,42 +438,70 @@ def test_window_solve_matches_index_solve(sector, k, monkeypatch):
 def test_window_solve_ignores_a_bad_seed(sector, dstebz_calls):
     spec, half_width, parity = WINDOW_SECTORS[sector]
     grid = uf.Grid(half_width, 2001)
-    levels = [index_reference(spec, grid, parity, k)[0] for k in range(4)]
+    levels = [index_route(spec, grid, parity, k)[0] for k in range(4)]
     for k in range(4):
         # far above, far below, and on every other level, in a window as
         # wide as one rung gives and in one as narrow as a prediction
         for seed in [levels[k] + 1.0e3, levels[k] - 1.0e3] + levels[:k] + levels[k + 1:]:
             for width in (eigensolver._WINDOW * max(1.0, abs(seed)), 1.0e-9):
                 assert_same_level(spec, grid, parity, k, (seed, width))
-    # a bad seed costs counts, not the bisection of the levels it skips
-    assert max(c.levels for c in dstebz_calls if c.kind == "bisect") <= 2
+    # a bad seed costs counts, not the bisection of the levels it skips: a
+    # window is bisected only when it holds level k alone
+    assert {c.levels for c in dstebz_calls if c.kind == "bisect"} <= {1}
 
 
 @pytest.mark.parametrize("k", [0, 1])
 def test_widened_window_holding_a_cluster_takes_the_index_solve(k, dstebz_calls):
-    """Levels closer than one ulp of their size: the widened window holds
-    both, so level k is found by index instead."""
+    """Levels closer than one ulp of their size: once the window holds
+    both, level k is found by index instead."""
     d, e = np.array([1000.0, 1000.0]), np.array([1.0e-14])
-    # the first window, (1000.5, 1001.5], lies above both levels; widening
-    # once to (997, 1000.5] takes both in, and the count at 997, below the
-    # Gershgorin interval, needs no call
-    w, v = eigensolver._level(d, e, k, (1001.0, 0.5), vector=True)
+
+    def quotient(u):
+        return float(d @ (u * u) + 2.0 * e[0] * u[0] * u[1])
+
+    # the ground state's window, (floor, 1001.5], holds both at once; level
+    # 1's, (1000.5, 1001.5], lies above both, widening once to (997, 1000.5]
+    # takes both in, and the count at 997, below the Gershgorin interval,
+    # needs no call
+    w, v = eigensolver._level(d, e, k, (1001.0, 0.5), quotient)
     floor = dstebz_calls[0].window[0]
-    assert dstebz_calls == [Dstebz("count", 2, (floor, 1000.5), 2),
+    assert dstebz_calls == [Dstebz("count", 2, (floor, 1000.5 + (k == 0)), 2),
                             Dstebz("index", 2, (k, k), 1)]
     ref = eigh_tridiagonal(d, e, eigvals_only=True)[k]
     assert abs(w - ref) <= 2.0 * eigensolver._EIG_TOL * abs(ref)
     assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
-def test_only_base_size_grids_are_solved_by_index(dstebz_calls):
+def test_a_shift_on_a_level_is_solved_one_float_above():
+    """A shift that is an eigenvalue to working precision stops dgtsv at a
+    zero pivot; the solve is repeated one float above it, and the
+    refinement still finds the level and its vector."""
+    d, e = np.full(3, 2.0), np.full(2, -1.0)
+    gtsv = eigensolver.get_lapack_funcs("gtsv", (d, e))
+    assert gtsv(e.copy(), d - 2.0, e.copy(), np.ones(3))[4] == 3
+
+    def quotient(u):
+        return float(d @ (u * u) + 2.0 * (e @ (u[:-1] * u[1:])))
+
+    # levels 2 - sqrt(2), 2 and 2 + sqrt(2); level 1 seeded exactly on it
+    w, v = eigensolver._level(d, e, 1, (2.0, 0.1), quotient)
+    assert abs(w - 2.0) <= 4.0 * np.finfo(float).eps
+    assert np.allclose(np.abs(v), [math.sqrt(0.5), 0.0, math.sqrt(0.5)], atol=1e-12)
+
+
+def test_only_base_size_grids_are_solved_by_index(dstebz_calls, gtsv_calls):
     # refined: 1001 (index) -> 4001 (the coarse companion) -> 8001 -> 16001
-    # (fine); raw: 1001 (index) -> 8001; no other halving is solved
-    for refine, bisected in ((True, [3999, 7999, 15999]), (False, [7999])):
+    # (fine); raw: 1001 (index) -> 8001; no other halving is solved, and
+    # each window holds the level, so it is counted and refined, never
+    # bisected
+    for refine, counted in ((True, [3999, 7999, 15999]), (False, [7999])):
         dstebz_calls.clear()
+        gtsv_calls.clear()
         uf.ground_state(uf.morse(4.0), uf.Grid(30.0, 8001), refine=refine)
         assert [c.rows for c in dstebz_calls if c.kind == "index"] == [999]
-        assert sorted({c.rows for c in dstebz_calls if c.kind == "bisect"}) == bisected
+        assert sorted({c.rows for c in dstebz_calls if c.kind == "count"}) == counted
+        assert [c for c in dstebz_calls if c.kind == "bisect"] == []
+        assert sorted(set(gtsv_calls)) == [999] + counted
 
 
 def test_coarse_companion_is_made_odd(dstebz_calls):
@@ -477,18 +519,23 @@ def test_coarse_companion_is_made_odd(dstebz_calls):
     (uf.morse(4.0), 30.0, None), (uf.quartic(1.0), 6.0, None),
     (uf.coulomb(1.0), 30.0, uf.Parity.ODD)],
     ids=["morse", "quartic", "odd-coulomb"])
-def test_refined_ground_state_dstebz_calls(spec, half_width, parity, dstebz_calls):
+def test_refined_ground_state_dstebz_calls(spec, half_width, parity, dstebz_calls,
+                                           gtsv_calls):
     """The work of a refined 8001- or 16001-point ground state, as LAPACK
-    calls: one index solve on the 1001-point base grid, then one count and
-    one bisection per window (the coarse companion, the grid and the fine
-    grid); every window holds the level, so none widens."""
+    calls: one index bisection on the 1001-point base grid, then one count
+    per window (the coarse companion, the grid and the fine grid); every
+    window holds the level, so none is bisected or widened.  Each grid is
+    refined by MAX_SOLVES dgtsv solves or fewer, in ladder order."""
     for n in (8001, 16001):
         dstebz_calls.clear()
+        gtsv_calls.clear()
         uf.ground_state(spec, uf.Grid(half_width, n), parity=parity)
         rows = [uf.Grid(half_width, m).sector(parity)[1]
                 for m in (1001, (n + 1) // 2, n, 2 * n - 1)]
         assert [(c.kind, c.rows) for c in dstebz_calls] == [("index", rows[0])] + [
-            (kind, r) for r in rows[1:] for kind in ("count", "bisect")]
+            ("count", r) for r in rows[1:]]
+        assert [r for r, _ in itertools.groupby(gtsv_calls)] == rows
+        assert max(gtsv_calls.count(r) for r in rows) <= MAX_SOLVES
 
 
 def test_non_finite_potential_is_a_domain_error():
@@ -519,23 +566,84 @@ def test_level_beyond_the_sector_is_a_domain_error(dstebz_calls):
         uf.eigenvalue_by_index(uf.coulomb(1.0), grid, 1500,
                                parity=uf.Parity.ODD, refine=False)
     assert dstebz_calls == [Dstebz("index", 1999, (1500, 1500), 1)]
-    assert_same_level(uf.coulomb(1.0), grid, uf.Parity.ODD, 1500, None)
+    # and refined to the stored matrix's level 1500, bisected by LAPACK
+    d, e, _ = eigensolver._sector_matrix(uf.coulomb(1.0), grid, uf.Parity.ODD)
+    ref = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                           select_range=(1500, 1500), tol=eigensolver._EIG_TOL)[0]
+    w, _ = index_route(uf.coulomb(1.0), grid, uf.Parity.ODD, 1500)
+    assert abs(w - ref) <= 2.0 * eigensolver._EIG_TOL * max(1.0, abs(ref))
 
 
 @pytest.mark.parametrize("n, parity", [(3, None), (3, uf.Parity.EVEN), (5, None)],
                          ids=["3-full-line", "3-even", "5-full-line"])
-def test_one_row_sector_is_solved_directly(n, parity, dstebz_calls):
+def test_one_row_sector_is_solved_directly(n, parity, dstebz_calls, gtsv_calls):
     """A one-row sector, on 3 points or as the companion of 5, holds one
     level: its diagonal entry, with the unit vector.  It calls no LAPACK
     routine, whose dstebz wrapper rejects an empty off-diagonal."""
     spec, grid = uf.quartic(1.0), uf.Grid(6.0, n)
-    d, e = eigensolver._sector_matrix(spec, uf.Grid(6.0, 3), parity)
+    d, e, rayleigh = eigensolver._sector_matrix(spec, uf.Grid(6.0, 3), parity)
     assert len(d) == 1 and len(e) == 0
-    w, v = eigensolver._level(d, e, 0, None, vector=True)
+    w, v = eigensolver._level(d, e, 0, None, rayleigh)
     assert w == d[0] and v.tolist() == [1.0]
-    assert dstebz_calls == []
+    assert dstebz_calls == [] and gtsv_calls == []
     # every interior node of so coarse a grid is next to a wall
     with pytest.raises(uf.DomainTooSmallError):
         uf.ground_state(spec, grid, parity=parity)
     with pytest.raises(uf.DomainError, match=r"^level index 0 exceeds the sector size 0$"):
         uf.ground_state(spec, uf.Grid(6.0, 3), parity=uf.Parity.ODD)
+
+
+# -- the refined level against an extended-precision reference --------------
+
+def long_double_level(spec, grid, parity, k):
+    """Level k of the exact finite-difference matrix, diagonal 2t + V and
+    off-diagonal -t (the even sector's first one -sqrt(2) t), built in long
+    double from the program's own float64 t, V and sqrt(2), and located by
+    Sturm multisection: 255 counts a sweep, vectorized over the shifts,
+    from a bracket around LAPACK's level of the stored matrix."""
+    ld = np.longdouble
+    t = ld(spec.kappa / grid.spacing ** 2)
+    v = eigensolver._potential_on(spec, grid.nodes[grid.sector(parity)[0]])
+    d = 2 * t + v.astype(ld)
+    e2 = np.full(len(d) - 1, t * t)
+    if parity is uf.Parity.EVEN:
+        e2[0] = (t * ld(math.sqrt(2.0))) ** 2
+
+    def counts(x):
+        """N(x), the number of levels at or below each shift in x."""
+        q = d[0] - x
+        below = (q <= 0).astype(int)
+        for d_i, e2_i in zip(d[1:], e2):
+            q = d_i - x - e2_i / q
+            below += q <= 0
+        return below
+
+    e32 = np.full(len(d) - 1, -float(t))
+    if parity is uf.Parity.EVEN:
+        e32[0] *= math.sqrt(2.0)
+    stored = eigh_tridiagonal(d.astype(float), e32, eigvals_only=True,
+                              select="i", select_range=(k, k))[0]
+    lo, hi = ld(stored) - ld(1e-9) * max(1.0, abs(stored)), ld(stored) + ld(1e-9) * max(1.0, abs(stored))
+    assert counts(np.array([lo, hi])).tolist() == [k, k + 1]
+    while hi - lo > ld(1e-18) * max(1.0, abs(stored)):
+        x = np.linspace(lo, hi, 257)[1:-1]
+        n = counts(x)
+        lo = max([lo] + [xi for xi, ni in zip(x, n) if ni <= k])
+        hi = min([hi] + [xi for xi, ni in zip(x, n) if ni > k])
+    return float((lo + hi) / 2)
+
+
+@pytest.mark.parametrize("spec, half_width, parity, k", [
+    (uf.quartic(1.0), 6.0, None, 0),
+    (uf.coulomb(1.0), 30.0, uf.Parity.ODD, 0),
+    (uf.quartic(1.0), 6.0, uf.Parity.EVEN, 1),
+], ids=["quartic-full-line", "coulomb-odd", "quartic-even-1"])
+def test_raw_level_matches_a_long_double_reference(spec, half_width, parity, k):
+    """The raw level is the exact finite-difference level, not that of the
+    stored diagonal fl(2t + V), to 1e-13 relative: on the full line (the
+    paper suite's quartic grid), with the Dirichlet zero at the center in
+    the odd sector, and with the sqrt(2) head of the even sector."""
+    grid = uf.Grid(half_width, 4001)
+    ref = long_double_level(spec, grid, parity, k)
+    raw = uf.eigenvalue_by_index(spec, grid, k, parity=parity, refine=False).eigenvalue
+    assert abs(raw - ref) <= 1e-13 * max(1.0, abs(ref))
