@@ -4,7 +4,8 @@ The pipeline: pick a potential family (``potentials``), Taylor-expand it at
 the point 1/Lambda set by a short-distance cutoff and complete the square
 (``reduction``), demand cutoff independence of the reduced oscillator level
 to obtain a running coupling (``flow``), and compare the infinite-cutoff
-level against an independent eigensolver (``eigensolver``).  The dressed
+level against two independent oracles: a finite-difference grid
+(``eigensolver``) and Numerov shooting (``shooting``).  The dressed
 driven-atom application lives in ``kh``; ``suite`` bundles the acceptance
 checks the CLI exposes as ``uvflow paper-suite``.  Of these, only
 ``eigensolver`` and ``suite`` need scipy (``scipy.linalg``), so neither is
@@ -17,7 +18,7 @@ from .errors import (ConfigError, DegenerateExpansionError, DomainError,
                      IterationLimitError, NoBoundStateError,
                      NoFixedPointError, NoUVLimitError, SingularPointError,
                      UVFlowError)
-from .potentials import (PotentialSpec, coulomb, custom,
+from .potentials import (Parity, PotentialSpec, coulomb, custom,
                          kramers_henneberger, morse, quartic, soft_coulomb,
                          with_coupling_and_cutoff)
 from .reduction import (GaussianState, GroundStateEstimate,
@@ -27,6 +28,7 @@ from .flow import (LAMBDA_FLOOR, LogFlow, PointwiseFlow, PowerLawFlow,
                    Trajectory, beta_closed_form, beta_numeric, integrate_flow,
                    pipeline_ground_energy, solve_fixed_point, uv_energy_law,
                    uv_limit_energy)
+from .shooting import shooting_ground_energy
 
 __version__ = "0.1.0"
 
@@ -49,8 +51,7 @@ __all__ = [
 
 # the grid oracle needs scipy.linalg, so its names load it on first use
 # and every other import stays on numpy alone
-_EIGENSOLVER_NAMES = ("Grid", "OracleResult", "Parity", "eigenvalue_by_index",
-                      "ground_state", "shooting_ground_energy")
+_EIGENSOLVER_NAMES = ("Grid", "OracleResult", "eigenvalue_by_index", "ground_state")
 
 
 def __getattr__(name):

@@ -41,8 +41,8 @@ from .errors import ConfigError, IntegrationAbortError, UVFlowError
 from .flow import (LAMBDA_FLOOR, LogFlow, PowerLawFlow, beta_closed_form,
                    beta_numeric, integrate_flow, pipeline_ground_energy,
                    solve_fixed_point, uv_limit_energy)
-from .potentials import (PotentialSpec, coulomb, kramers_henneberger, morse,
-                         quartic, soft_coulomb)
+from .potentials import (Parity, PotentialSpec, coulomb, kramers_henneberger,
+                         morse, quartic, soft_coulomb)
 
 CASE_STUDIES = ("morse", "quartic", "coulomb", "kh")
 
@@ -195,7 +195,7 @@ def _grid_sector(half_width: float, n: int, parity: Optional[str]):
     """The oracle's grid, and the sector ``parity`` spelled as --parity
     takes it.  Only grid commands get here, so only they load the
     eigensolver, and with it scipy.linalg."""
-    from .eigensolver import Grid, Parity
+    from .eigensolver import Grid
 
     return Grid(half_width, n), None if parity in (None, "none") else Parity(parity)
 

@@ -14,8 +14,9 @@ Each family is defined once, as a ``FamilyDef``: its name, shape and
 derivatives, printed energy law, closed-form beta, fixed-point power law
 and the two flags that pick the quoted branch of a sign-ambiguous level
 and set its parity guard.
-A ``PotentialSpec`` carries its family's entry, so ``flow`` and
-``eigensolver`` read it directly and never branch on the family.  The
+A ``PotentialSpec`` carries its family's entry, so ``flow``,
+``eigensolver`` and ``shooting`` read it directly and never branch on the
+family.  ``Parity`` names the sectors that the two oracles solve.  The
 builtin entries are in ``FAMILIES``, keyed by name; ``custom`` builds one
 for a user shape, with no energy law, beta or fixed-point power law.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from enum import Enum
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -37,6 +39,14 @@ _EPS = float(np.finfo(float).eps)
 # derivative stencil
 _H1_SCALE = _EPS ** (1.0 / 3.0)
 _H2_SCALE = _EPS ** 0.25
+
+
+class Parity(Enum):
+    """A parity sector, of a symmetric potential, that both oracles can
+    restrict a solve to."""
+
+    EVEN = "even"
+    ODD = "odd"
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kh
-from .eigensolver import Grid, Parity, ground_state, shooting_ground_energy
+from .eigensolver import Grid, ground_state
 from .flow import (LogFlow, beta_closed_form, beta_numeric,
                    pipeline_ground_energy, solve_fixed_point, uv_limit_energy)
-from .potentials import coulomb, custom, morse, quartic, soft_coulomb
+from .potentials import Parity, coulomb, custom, morse, quartic, soft_coulomb
+from .shooting import shooting_ground_energy
 
 
 @dataclass(frozen=True)

@@ -37,14 +37,14 @@ def run_cli(args, cwd, env_extra=None):
     return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
-def run_cli_process(args, cwd):
+def run_cli_process(args, cwd, timeout=None):
     """``python -m uvflow.cli <args>`` in a fresh interpreter."""
     env = dict(os.environ)
     env.pop("UVFLOW_OUTPUT_DIR", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     return subprocess.run(CLI + args, cwd=cwd, env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 # the line an exit-2 run ends on: argparse's usage errors and the CLI's
@@ -613,6 +613,23 @@ def test_oracle_on_one_row_sectors_exits_1(tmp_path, args):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["oracle", "quartic", "--g", "1e170"],
+    ["oracle", "quartic", "--g", "1e300"],
+    ["oracle", "morse", "--A", "1e200"],
+], ids=["quartic-g-1e170", "quartic-g-1e300", "morse-A-1e200"])
+def test_oracle_on_a_huge_potential_exits_1(tmp_path, args):
+    """A base level that refines to NaN fails the solve, naming the value,
+    rather than seeding the next rung's window with it: no Sturm count
+    straddles NaN, so that window widened forever.  In a fresh interpreter,
+    where numpy's overflow warnings stay warnings."""
+    res = run_cli_process(args, tmp_path, timeout=60)
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert "IterationLimitError" in res.stderr
+    assert "level nan, residual nan" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def run_python(code, args=(), cwd=None):
     """``python -c <code> <args>`` in a fresh interpreter; returns the JSON
     object the code prints on its last stdout line."""
@@ -639,12 +656,30 @@ def test_cli_import_loads_no_scipy():
     assert loaded == [[], []]
 
 
+def test_shooting_runs_without_scipy(tmp_path):
+    """With scipy unimportable, the shooting oracle returns the same level
+    to the bit, and the commands that solve no grid still run."""
+    commands = ["flow morse", "kh-scan", "analyze kh"]
+    level, codes = run_python(
+        "import json, sys; sys.modules['scipy'] = None; "
+        "from uvflow import Parity, cli, quartic, shooting; "
+        "e = shooting.shooting_ground_energy(quartic(1.0), 6.0, parity=Parity.EVEN); "
+        "codes = [cli.main(c.split()) for c in sys.argv[1:]]; "
+        "print(json.dumps([e.hex(), codes]))", commands, cwd=tmp_path)
+    here = uvflow.shooting_ground_energy(uvflow.quartic(1.0), 6.0,
+                                         parity=uvflow.Parity.EVEN)
+    assert level == here.hex()
+    assert codes == [0] * len(commands)
+
+
 def test_public_surface_is_unchanged():
     """The grid oracle's names load on first use, yet read as before."""
     namespace = {}
     exec("from uvflow import *", namespace)
     assert set(uvflow.__all__) <= set(namespace)
     assert uvflow.Grid is uvflow.eigensolver.Grid
+    assert uvflow.Parity is uvflow.potentials.Parity is uvflow.eigensolver.Parity
+    assert uvflow.shooting_ground_energy is uvflow.shooting.shooting_ground_energy
     assert set(uvflow.__all__) <= set(dir(uvflow))
     with pytest.raises(AttributeError):
         uvflow.no_such_name

@@ -10,7 +10,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 import uvflow as uf
-from uvflow import eigensolver
+from uvflow import eigensolver, shooting
 
 MORSE_EXACT = -4.0 + math.sqrt(2.0) - 0.125  # A=4, a=1, m=1
 QUARTIC_GROUND = 1.0603620904
@@ -132,6 +132,8 @@ def test_negative_level_index_raises():
         uf.eigenvalue_by_index(half_oscillator(), uf.Grid(12.0, 4001), -1)
 
 
+# -- Numerov shooting (uvflow.shooting) -----------------------------------------
+
 def test_shooting_oscillator():
     assert abs(uf.shooting_ground_energy(half_oscillator(), 12.0) - 0.5) < 1e-9
     assert abs(uf.shooting_ground_energy(half_oscillator(), 12.0,
@@ -166,10 +168,10 @@ def test_shooting_matches_closed_form(spec, half_width, kwargs, exact):
 def test_shooting_sweep_count(monkeypatch):
     sweeps = []
     for name in ("_numerov_nodes", "_numerov_mismatch"):
-        def counted(*args, _sweep=getattr(eigensolver, name)):
+        def counted(*args, _sweep=getattr(shooting, name)):
             sweeps.append(_sweep)
             return _sweep(*args)
-        monkeypatch.setattr(eigensolver, name, counted)
+        monkeypatch.setattr(shooting, name, counted)
     uf.shooting_ground_energy(uf.quartic(1.0), 6.0, parity=uf.Parity.EVEN)
     assert 0 < len(sweeps) <= 16
 
@@ -182,11 +184,11 @@ def test_shooting_halves_a_multi_level_step(monkeypatch, parity, levels):
     # count must isolate the lowest before Brent runs
     counts = []
 
-    def counted(w, sector, _nodes=eigensolver._numerov_nodes):
+    def counted(w, sector, _nodes=shooting._numerov_nodes):
         counts.append(_nodes(w, sector))
         return counts[-1]
 
-    monkeypatch.setattr(eigensolver, "_numerov_nodes", counted)
+    monkeypatch.setattr(shooting, "_numerov_nodes", counted)
     spec = uf.custom(lambda x: 0.005 * x * x, kappa=0.5,
                      d1=lambda x: 0.01 * x, d2=lambda x: 0.01 + 0.0 * x)
     e = uf.shooting_ground_energy(spec, 60.0, parity=parity)
@@ -195,9 +197,10 @@ def test_shooting_halves_a_multi_level_step(monkeypatch, parity, levels):
 
 
 def test_shooting_coulomb_needs_odd_sector():
-    with pytest.raises(uf.SingularPointError):
+    # the full line is refused before V is sampled, as the even sector is
+    with pytest.raises(uf.SingularPointError, match="shoot in the odd sector"):
         uf.shooting_ground_energy(uf.coulomb(1.0), 30.0)
-    with pytest.raises(uf.SingularPointError):
+    with pytest.raises(uf.SingularPointError, match="shoot in the odd sector"):
         uf.shooting_ground_energy(uf.coulomb(1.0), 30.0, parity=uf.Parity.EVEN)
 
 
@@ -224,7 +227,7 @@ def _recorded(f):
 def test_brent_iterates_match_scipy(f, a, b, xtol):
     ours, our_points = _recorded(f)
     theirs, their_points = _recorded(f)
-    root = eigensolver._brentq(ours, a, b, xtol)
+    root = shooting._brentq(ours, a, b, xtol)
     assert root == brentq(theirs, a, b, xtol=xtol)
     assert our_points == their_points
 
@@ -239,29 +242,29 @@ def test_brent_matches_scipy_on_the_shooting_mismatch(monkeypatch, spec,
                                                       half_width, parity):
     searches = []
 
-    def spy(f, a, b, xtol, _brent=eigensolver._brentq):
+    def spy(f, a, b, xtol, _brent=shooting._brentq):
         searches.append((f, a, b, xtol))
         return _brent(f, a, b, xtol)
 
-    monkeypatch.setattr(eigensolver, "_brentq", spy)
+    monkeypatch.setattr(shooting, "_brentq", spy)
     energy = uf.shooting_ground_energy(spec, half_width, parity=parity)
     (f, a, b, xtol), = searches
     theirs, their_points = _recorded(f)
     assert brentq(theirs, a, b, xtol=xtol) == energy
     ours, our_points = _recorded(f)
-    eigensolver._brentq(ours, a, b, xtol)
+    shooting._brentq(ours, a, b, xtol)
     assert our_points == their_points
 
 
 def test_brent_rejects_a_bracket_without_sign_change():
     with pytest.raises(uf.IterationLimitError, match="sign change"):
-        eigensolver._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+        shooting._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
 
 
 def test_brent_rejects_nan():
     with pytest.raises(uf.IterationLimitError, match="NaN"):
-        eigensolver._brentq(lambda x: math.nan if x > 0.0 else -1.0,
-                            -1.0, 1.0, 1e-12)
+        shooting._brentq(lambda x: math.nan if x > 0.0 else -1.0,
+                         -1.0, 1.0, 1e-12)
 
 
 def test_shooting_validation():
@@ -549,6 +552,21 @@ def test_non_finite_potential_is_a_domain_error():
                          kappa=0.5)
     with pytest.raises(uf.DomainError, match="not finite"):
         uf.ground_state(fine_nan, uf.Grid(12.0, 4001))
+
+
+def test_scalar_valued_shape_gives_one_value_per_node():
+    # V = 1 in a box of half-width 5: both oracles take the scalar shape as
+    # V on every node.  Shooting finds the box level 1 + (pi/10)^2; the
+    # 101-point grid's sector level is the discrete one, 1 + 4t sin^2(pi/200)
+    # with t = 1/h^2 = 100; and its ground state, flat against the walls
+    # where V is lowest, has no bound state
+    flat = uf.custom(lambda x: 1.0)
+    assert abs(uf.shooting_ground_energy(flat, 5.0) - (1.0 + (math.pi / 10.0) ** 2)) < 1e-9
+    grid = uf.Grid(5.0, 101)
+    level, _ = eigensolver._solve_sector(flat, grid, 0, None)
+    assert abs(level - (1.0 + 400.0 * math.sin(math.pi / 200.0) ** 2)) < 1e-13
+    with pytest.raises(uf.NoBoundStateError):
+        uf.ground_state(flat, grid)
 
 
 def test_level_beyond_the_sector_is_a_domain_error(dstebz_calls):
