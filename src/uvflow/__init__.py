@@ -8,8 +8,9 @@ level against two independent oracles: a finite-difference grid
 (``eigensolver``) and Numerov shooting (``shooting``).  The dressed
 driven-atom application lives in ``kh``; ``suite`` bundles the acceptance
 checks the CLI exposes as ``uvflow paper-suite``.  Of these, only
-``eigensolver`` and ``suite`` need scipy (``scipy.linalg``), so neither is
-imported until it is used.
+``eigensolver`` and ``suite`` need scipy, and of scipy only its LAPACK
+extension (``scipy.linalg._flapack``, loaded without the ``scipy.linalg``
+package), so neither is imported until it is used.
 """
 
 from .errors import (ConfigError, DegenerateExpansionError, DomainError,
@@ -49,8 +50,8 @@ __all__ = [
     "with_coupling_and_cutoff",
 ]
 
-# the grid oracle needs scipy.linalg, so its names load it on first use
-# and every other import stays on numpy alone
+# the grid oracle needs scipy's LAPACK extension, so its names load it on
+# first use and every other import stays on numpy alone
 _EIGENSOLVER_NAMES = ("Grid", "OracleResult", "eigenvalue_by_index", "ground_state")
 
 

@@ -194,7 +194,7 @@ def build_spec(model: str, params: dict) -> PotentialSpec:
 def _grid_sector(half_width: float, n: int, parity: Optional[str]):
     """The oracle's grid, and the sector ``parity`` spelled as --parity
     takes it.  Only grid commands get here, so only they load the
-    eigensolver, and with it scipy.linalg."""
+    eigensolver, and with it scipy's LAPACK extension."""
     from .eigensolver import Grid
 
     return Grid(half_width, n), None if parity in (None, "none") else Parity(parity)

@@ -4,7 +4,8 @@
 differences on a symmetric Dirichlet grid, solved as a symmetric
 tridiagonal eigenproblem with Richardson extrapolation from the
 (n, 2n-1) grid pair.  The Numerov shooting oracle, in ``shooting``,
-shares no code with this one; only this one needs scipy.linalg.
+shares no code with this one; only this one needs scipy, and of scipy
+only the LAPACK extension ``scipy.linalg._flapack`` (see ``_load_flapack``).
 
 Every grid level is found by one routine, ``_level``, on a fixed ladder
 of grids solved coarsest first: the base, the requested grid halved
@@ -47,12 +48,15 @@ x = -30 dwarfs a ground level of order one and costs eight digits.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+import scipy
 
 from .errors import (DomainError, DomainTooSmallError, IterationLimitError,
                      NoBoundStateError, SingularPointError)
@@ -68,6 +72,34 @@ _WINDOW = 5.0e-3
 _WINDOW_GROWTH = 8.0
 _PREDICTION_MARGIN = 8.0  # a predicted window's half-width is its correction over this
 _RQI_STEPS = 10          # Rayleigh-quotient steps before a refinement fails
+
+
+def _load_flapack():
+    """scipy's LAPACK extension, loaded from its file in scipy/linalg.
+
+    Importing it as ``scipy.linalg._flapack`` first runs the whole
+    ``scipy.linalg`` package init, 544 modules, about 0.27 s and 28 MB,
+    for one compiled extension.  ``import scipy`` stays: on Windows it
+    sets up the DLL path.  Where the file is not found, the standard
+    import reaches the same module.
+    """
+    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    from scipy.linalg import _flapack
+    return _flapack
+
+
+# loaded at import, not at the first solve, so that no solve pays for it;
+# _level reads these names at call time.  The d (float64) routines, since
+# _potential_on casts V to float
+_flapack = _load_flapack()
+_stebz, _gtsv = _flapack.dstebz, _flapack.dgtsv
 
 
 @dataclass(frozen=True)
@@ -216,13 +248,14 @@ def _level(d: np.ndarray, e: np.ndarray, k: int, window: Optional[Tuple[float, f
     relative or less; 1/|y| + |value - sigma| is then its residual, since
     |(T - sigma) u| = 1/|y|.  Not settling in _RQI_STEPS steps fails the
     refinement: a window takes the miss path, the index and miss paths
-    raise IterationLimitError.  So does a NaN level or residual, as from a
-    wall of 1e300 that overflows the solves: no count straddles a NaN seed,
-    so the next rung could never widen to its level.  Each solve overwrites
-    u, so that no second vector is held.  The last solve starts from u
-    rounded to four decimals, at the quotient rounded to ten
-    significant digits, and the level is the quotient of its vector: both
-    roundings hide the last bits in which the iterates of different
+    raise IterationLimitError.  So does a NaN level or residual: no count
+    straddles a NaN seed, so the next rung could never widen to its level.
+    A solve whose y overflows the float range, as on a wall of 1e300,
+    raises it at once, before that overflow can warn or turn u to NaN.
+    Each solve overwrites u, so that no second vector is held.  The last
+    solve starts from u rounded to four decimals, at the quotient rounded
+    to ten significant digits, and the level is the quotient of its vector:
+    both roundings hide the last bits in which the iterates of different
     windows and seeds differ, so that the level and vector depend on the
     matrix alone, and every printed digit with them.  A one-row matrix is
     its own level, with the unit vector.
@@ -230,13 +263,12 @@ def _level(d: np.ndarray, e: np.ndarray, k: int, window: Optional[Tuple[float, f
     if len(d) == 1:
         # the dstebz wrapper rejects an empty off-diagonal
         return float(d[0]), np.ones(1)
-    stebz, gtsv = get_lapack_funcs(("stebz", "gtsv"), (d, e))
     floor = np.min(d) - 2.0 * np.max(np.abs(e)) - 1.0
 
     def bisect(select, lo, hi, tol=_EIG_TOL):
         """Select 1 bisects the eigenvalues in (lo, hi], select 2 level k
         alone: their number, and the lowest."""
-        m, w, *_, info = stebz(d, e, select, lo, hi, k + 1, k + 1, tol, "B")
+        m, w, *_, info = _stebz(d, e, select, lo, hi, k + 1, k + 1, tol, "B")
         if info:
             raise IterationLimitError(f"tridiagonal eigensolve failed (dstebz info {info})")
         return m, w[0]
@@ -246,12 +278,18 @@ def _level(d: np.ndarray, e: np.ndarray, k: int, window: Optional[Tuple[float, f
 
     def solve(sigma, u):
         """Overwrite u with y solving (T - sigma) y = u, normalized (by a
-        numpy sum, as the quotient is), and return 1/|y|.  A zero pivot means that sigma is an eigenvalue to
-        working precision: the solve is repeated one float above it, from
-        the u that the failed solve left."""
-        while gtsv(e.copy(), d - sigma, e.copy(), u, 1, 1, 1, 1)[4]:
+        numpy sum, as the quotient is), and return 1/|y|; a |y|^2 past the
+        float range is an IterationLimitError.  A zero pivot means that
+        sigma is an eigenvalue to working precision: the solve is repeated
+        one float above it, from the u that the failed solve left."""
+        while _gtsv(e.copy(), d - sigma, e.copy(), u, 1, 1, 1, 1)[4]:
             sigma = np.nextafter(sigma, math.inf)
-        r = np.sum(u * u) ** -0.5
+        with np.errstate(over="ignore"):
+            norm2 = np.sum(u * u)
+        if not math.isfinite(norm2):
+            raise IterationLimitError(
+                f"the solve at the shift {float(sigma):.10g} overflows the float range")
+        r = norm2 ** -0.5
         u *= r
         return r
 

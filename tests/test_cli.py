@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -37,14 +38,14 @@ def run_cli(args, cwd, env_extra=None):
     return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
-def run_cli_process(args, cwd, timeout=None):
+def run_cli_process(args, cwd):
     """``python -m uvflow.cli <args>`` in a fresh interpreter."""
     env = dict(os.environ)
     env.pop("UVFLOW_OUTPUT_DIR", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     return subprocess.run(CLI + args, cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=timeout)
+                          capture_output=True, text=True)
 
 
 # the line an exit-2 run ends on: argparse's usage errors and the CLI's
@@ -619,15 +620,18 @@ def test_oracle_on_one_row_sectors_exits_1(tmp_path, args):
     ["oracle", "morse", "--A", "1e200"],
 ], ids=["quartic-g-1e170", "quartic-g-1e300", "morse-A-1e200"])
 def test_oracle_on_a_huge_potential_exits_1(tmp_path, args):
-    """A base level that refines to NaN fails the solve, naming the value,
-    rather than seeding the next rung's window with it: no Sturm count
-    straddles NaN, so that window widened forever.  In a fresh interpreter,
-    where numpy's overflow warnings stay warnings."""
-    res = run_cli_process(args, tmp_path, timeout=60)
+    """A solve whose vector overflows the float range fails, naming the
+    overflow, before numpy can warn of it or a NaN level can seed the next
+    rung's window: no Sturm count straddles NaN, so that window widened
+    forever."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run_cli(args, tmp_path)
     assert res.returncode == 1, res.stdout + res.stderr
     assert "IterationLimitError" in res.stderr
-    assert "level nan, residual nan" in res.stderr
+    assert "overflows the float range" in res.stderr
     assert "Traceback" not in res.stderr
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def run_python(code, args=(), cwd=None):
@@ -654,6 +658,27 @@ def test_cli_import_loads_no_scipy():
         f"import json, sys; import uvflow; first = {SCIPY_LOADED}; "
         f"import uvflow.cli; print(json.dumps([first, {SCIPY_LOADED}]))")
     assert loaded == [[], []]
+
+
+@pytest.mark.parametrize("prelude, linalg", [
+    ("", False),
+    ("importlib.machinery.EXTENSION_SUFFIXES[:] = []; ", True),
+], ids=["from-its-file", "file-not-found"])
+def test_both_lapack_routes_solve_to_the_same_bits(prelude, linalg):
+    """The grid oracle loads scipy's LAPACK extension from its file, and
+    the scipy.linalg package only where no file is found (as when no
+    extension suffix matches); either way a fresh interpreter solves to
+    the bits of this one, which has imported scipy.linalg."""
+    loaded, bits = run_python(
+        f"import importlib.machinery, json, sys; {prelude}"
+        "from uvflow import eigensolver, quartic; "
+        "r = eigensolver.ground_state(quartic(1.0), eigensolver.Grid(6.0, 4001)); "
+        f"print(json.dumps([{SCIPY_LOADED}, "
+        "[r.eigenvalue.hex(), r.refinement_estimate.hex()]]))")
+    here = uvflow.ground_state(uvflow.quartic(1.0), uvflow.Grid(6.0, 4001))
+    assert bits == [here.eigenvalue.hex(), here.refinement_estimate.hex()]
+    assert "scipy.linalg._flapack" in loaded
+    assert ("scipy.linalg" in loaded) == linalg
 
 
 def test_shooting_runs_without_scipy(tmp_path):
@@ -685,21 +710,23 @@ def test_public_surface_is_unchanged():
         uvflow.no_such_name
 
 
-@pytest.mark.parametrize("args, linalg", [
+@pytest.mark.parametrize("args, grid", [
     (["flow", "morse"], False),
     (["kh-scan"], False),
     (["analyze", "kh"], False),
     (["oracle", "quartic"], True),
 ], ids=["flow-morse", "kh-scan", "analyze-kh", "oracle-quartic"])
-def test_only_grid_commands_load_scipy(tmp_path, args, linalg):
+def test_only_grid_commands_load_scipy(tmp_path, args, grid):
     """A command that solves no grid runs on numpy alone; the grid oracle
-    loads scipy.linalg when it solves."""
+    solves with scipy's LAPACK extension, never loading the scipy.linalg
+    package."""
     code, loaded = run_python(
         "import json, sys; from uvflow import cli; code = cli.main(sys.argv[1:]); "
         f"print(json.dumps([code, {SCIPY_LOADED}]))", args, cwd=tmp_path)
     assert code == 0
-    assert ("scipy.linalg" in loaded) == linalg
-    assert bool(loaded) == linalg
+    assert "scipy.linalg" not in loaded
+    assert ("scipy.linalg._flapack" in loaded) == grid
+    assert bool(loaded) == grid
 
 
 def _long_options():

@@ -6,8 +6,7 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
+from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 
 import uvflow as uf
 from uvflow import eigensolver, shooting
@@ -204,69 +203,6 @@ def test_shooting_coulomb_needs_odd_sector():
         uf.shooting_ground_energy(uf.coulomb(1.0), 30.0, parity=uf.Parity.EVEN)
 
 
-# -- Brent's method against scipy's brentq -------------------------------------
-
-def _recorded(f):
-    """f, and the list of points it is evaluated at."""
-    points = []
-
-    def g(x):
-        points.append(x)
-        return f(x)
-    return g, points
-
-
-@pytest.mark.parametrize("f, a, b, xtol", [
-    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0, 1e-12),
-    (lambda x: math.cos(x) - x, 0.0, 1.0, 2e-12),
-    (lambda x: math.exp(x) - 10.0, -3.0, 7.0, 1e-14),
-    (lambda x: (x - 0.3) ** 5, -1.0, 2.0, 1e-12),
-    (lambda x: math.atan(50.0 * (x - 0.123)), -4.0, 5.0, 1e-13),
-    (lambda x: x - 0.25, 0.0, 0.25, 1e-12),
-], ids=["cubic", "cos", "exp", "fifth-power-root", "steep-atan", "root-at-end"])
-def test_brent_iterates_match_scipy(f, a, b, xtol):
-    ours, our_points = _recorded(f)
-    theirs, their_points = _recorded(f)
-    root = shooting._brentq(ours, a, b, xtol)
-    assert root == brentq(theirs, a, b, xtol=xtol)
-    assert our_points == their_points
-
-
-@pytest.mark.parametrize("spec, half_width, parity", [
-    (uf.quartic(1.0), 6.0, uf.Parity.EVEN),
-    (half_oscillator(), 12.0, uf.Parity.ODD),
-    (uf.quartic(1.0), 6.0, None),
-    (uf.morse(4.0), 30.0, None),
-], ids=["quartic-even", "oscillator-odd", "quartic-full-line", "morse"])
-def test_brent_matches_scipy_on_the_shooting_mismatch(monkeypatch, spec,
-                                                      half_width, parity):
-    searches = []
-
-    def spy(f, a, b, xtol, _brent=shooting._brentq):
-        searches.append((f, a, b, xtol))
-        return _brent(f, a, b, xtol)
-
-    monkeypatch.setattr(shooting, "_brentq", spy)
-    energy = uf.shooting_ground_energy(spec, half_width, parity=parity)
-    (f, a, b, xtol), = searches
-    theirs, their_points = _recorded(f)
-    assert brentq(theirs, a, b, xtol=xtol) == energy
-    ours, our_points = _recorded(f)
-    shooting._brentq(ours, a, b, xtol)
-    assert our_points == their_points
-
-
-def test_brent_rejects_a_bracket_without_sign_change():
-    with pytest.raises(uf.IterationLimitError, match="sign change"):
-        shooting._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
-
-
-def test_brent_rejects_nan():
-    with pytest.raises(uf.IterationLimitError, match="NaN"):
-        shooting._brentq(lambda x: math.nan if x > 0.0 else -1.0,
-                         -1.0, 1.0, 1e-12)
-
-
 def test_shooting_validation():
     for half_width in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(uf.DomainError):
@@ -356,14 +292,9 @@ MAX_SOLVES = 5
 def spy_lapack(monkeypatch, name, spied):
     """Route the grid route's calls of LAPACK routine ``name`` through
     ``spied(routine, *args)``; spies of different routines compose."""
-    get_lapack_funcs = eigensolver.get_lapack_funcs
-
-    def spied_funcs(names, arrays):
-        funcs = get_lapack_funcs(names, arrays)
-        return tuple(functools.partial(spied, f) if n == name else f
-                     for n, f in zip(names, funcs))
-
-    monkeypatch.setattr(eigensolver, "get_lapack_funcs", spied_funcs)
+    routine = "_" + name
+    monkeypatch.setattr(eigensolver, routine,
+                        functools.partial(spied, getattr(eigensolver, routine)))
 
 
 # one LAPACK dstebz call: "index" a bisection by index (range 'I') for the
@@ -480,8 +411,7 @@ def test_a_shift_on_a_level_is_solved_one_float_above():
     zero pivot; the solve is repeated one float above it, and the
     refinement still finds the level and its vector."""
     d, e = np.full(3, 2.0), np.full(2, -1.0)
-    gtsv = eigensolver.get_lapack_funcs("gtsv", (d, e))
-    assert gtsv(e.copy(), d - 2.0, e.copy(), np.ones(3))[4] == 3
+    assert eigensolver._gtsv(e.copy(), d - 2.0, e.copy(), np.ones(3))[4] == 3
 
     def quotient(u):
         return float(d @ (u * u) + 2.0 * (e @ (u[:-1] * u[1:])))
@@ -490,6 +420,23 @@ def test_a_shift_on_a_level_is_solved_one_float_above():
     w, v = eigensolver._level(d, e, 1, (2.0, 0.1), quotient)
     assert abs(w - 2.0) <= 4.0 * np.finfo(float).eps
     assert np.allclose(np.abs(v), [math.sqrt(0.5), 0.0, math.sqrt(0.5)], atol=1e-12)
+
+
+def test_both_lapack_routes_agree_in_one_process():
+    """With scipy.linalg imported, as it is here, the extension loaded from
+    its file and the routines scipy.linalg hands out give the same Sturm
+    count and the same dgtsv solve."""
+    d, e, _ = eigensolver._sector_matrix(uf.quartic(1.0), uf.Grid(6.0, 2001), None)
+    floor = np.min(d) - 2.0 * np.max(np.abs(e)) - 1.0
+    u = np.linspace(1.0, 2.0, len(d))
+    flapack = eigensolver._load_flapack()
+    counts, solves = [], []
+    for stebz, gtsv in [(flapack.dstebz, flapack.dgtsv),
+                        get_lapack_funcs(("stebz", "gtsv"), (d, e))]:
+        counts.append(stebz(d, e, 1, floor, 10.0, 1, 1, math.inf, "B")[0])
+        solves.append(gtsv(e.copy(), d - 1.06, e.copy(), u.copy())[3])
+    assert counts[0] == counts[1] == 3
+    assert np.array_equal(solves[0], solves[1])
 
 
 def test_only_base_size_grids_are_solved_by_index(dstebz_calls, gtsv_calls):
