@@ -393,16 +393,6 @@ def _add_params(p: argparse.ArgumentParser) -> None:
                        type=_real(0.0) if key in _POSITIVE else _real())
 
 
-def _model(name: str) -> str:
-    # analyze's models are checked here rather than by choices=, which
-    # argparse before 3.12 also applies to an empty nargs="*" list
-    if name not in _MODELS:
-        raise argparse.ArgumentTypeError(
-            f"invalid choice: {name!r} "
-            f"(choose from {', '.join(map(repr, _MODELS))})")
-    return name
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uvflow", fromfile_prefix_chars="@",
@@ -414,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="flow prediction vs oracle per model")
-    p.add_argument("models", nargs="*", type=_model, metavar="model",
+    p.add_argument("models", nargs="*", metavar="model",
                    help="models to compare (default: the four case studies)")
     _add_common(p)
     _add_params(p)
@@ -478,6 +468,14 @@ def main(argv=None) -> int:
     except (UnicodeDecodeError, RecursionError) as exc:
         # argparse turns only an OSError of an args file into a usage error
         parser.error(f"cannot read an args file: {exc}")
+    # analyze's models are checked after parsing, not by choices= (which
+    # argparse before 3.12 also applies to an empty nargs="*" list) or a
+    # type: the value of an unknown option may be read as a model, and the
+    # unknown option must be reported first
+    for name in getattr(args, "models", ()):
+        if name not in _MODELS:
+            parser.error(f"argument model: invalid choice: {name!r} "
+                         f"(choose from {', '.join(map(repr, _MODELS))})")
     try:
         return args.func(args)
     except ConfigError as exc:

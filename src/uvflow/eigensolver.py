@@ -13,34 +13,33 @@ of grids solved coarsest first: the base, the requested grid halved
 while the coarser odd sector still holds the level; with Richardson
 refinement the coarse companion, the grid halved once; the requested
 grid; and with refinement the fine 2n - 1 grid.  No other halving is
-solved.  A grid at or below the base size, or with no coarser rung, is
-bisected by index over the whole Gershgorin interval, and the bisected
-value refined as below.  Each larger grid
-is solved in a narrow energy window seeded from the rungs below it: the
-first from the base alone, at its level, ±0.5% relative; every later one
-from the two rungs below it, whose h^2 (Richardson) extrapolation
-predicts its level, with an eighth of that correction as the window's
-half-width.  Exact Sturm counts say whether the window holds level k
-alone: one at its high end for a ground state, whose window reaches down
-to the Gershgorin floor, one at each end otherwise.  The level is then
-found by Rayleigh-quotient iteration from the seed, each step a LAPACK
-dgtsv solve, and stands if its value, give or take its residual, lies in
-the window.  A window that misses level k, or whose level does not stand,
-widens by counts alone until it holds k; it is then bisected to 1e-13 if
-k is its one level, and level k is bisected by index otherwise, and the
-bisected value is refined in the same way.  So a seed never changes which
-level is found.  The quotient is t sum (u_{i+1} - u_i)^2 + sum V_i u_i^2
-for a unit vector u, t = kappa/h^2: it never forms the stored diagonal
-fl(2t + V), whose rounding of V moves the levels of a 32,001-row matrix
-by up to 1.4e-10 relative.  The last solve starts from the vector and
-the quotient rounded (to four decimals and ten significant digits), so
-that neither a level nor any printed digit depends on the window or seed
-that found it.  Index bisection starts from the Gershgorin interval,
-which the Morse wall at x = -30 stretches to 1e27: on a 2-core Xeon one
-31,999-row Morse ground level takes about 44 ms that way and about 6 ms
-in its predicted window.
+solved.  ``_level`` has two routes.  Each grid above the base size is
+seeded from the rungs below it: the first at the base's level, every
+later one at the h^2 (Richardson) extrapolation through the two rungs
+below it.  It takes the window route: exact Sturm counts say whether the
+window seed +- 0.5% (of max(1, |seed|)) holds level k alone, one count at
+its high end for a ground state, whose window reaches down to the
+Gershgorin floor, one at each end otherwise.  The level is then found by
+Rayleigh-quotient iteration from the seed, each step a LAPACK dgtsv
+solve, and stands if its value, give or take its residual, lies in the
+window.  Every other case takes the index route: the base, a grid with
+no coarser rung, a window that misses level k or also holds a neighbour,
+and a level that does not stand.  Level k is bisected by index over the
+whole Gershgorin interval, and the bisected value refined in the same
+way.  So a seed never changes which level is found; a level with a
+neighbour within 0.5% of it takes the index route on every rung.  The
+quotient is t sum (u_{i+1} - u_i)^2 + sum V_i u_i^2 for a unit vector u,
+t = kappa/h^2: it never forms the stored diagonal fl(2t + V), whose
+rounding of V moves the levels of a 32,001-row matrix by up to 1.4e-10
+relative.  The last solve starts from the vector and the quotient
+rounded (to four decimals and ten significant digits), so that neither a
+level nor any printed digit depends on the route or seed that found it.
+Index bisection starts from the Gershgorin interval, which the Morse
+wall at x = -30 stretches to 1e27: on a 2-core Xeon one 31,999-row Morse
+ground level takes about 44 ms that way and about 6 ms in its seeded
+window.
 
-Every bisection passes an explicit absolute tolerance to LAPACK.  The
+The index bisection passes an explicit absolute tolerance to LAPACK.  The
 default (norm-relative) tolerance is useless for potentials with
 enormous walls, e.g. the exponential wall of a Morse well sampled at
 x = -30 dwarfs a ground level of order one and costs eight digits.
@@ -65,12 +64,10 @@ from .potentials import Parity, PotentialSpec
 _BOUNDARY_LEAK = 1.0e-10
 _EIG_TOL = 1.0e-13
 _BASE_N = 1025           # grids this small are solved by index, unseeded
-# half-width of a window seeded by one rung, times max(1, |seed|): 2.5 times
+# half-width of every seeded window, times max(1, |seed|): 2.5 times
 # the largest distance measured from the 1001-point base level to a seeded
 # level, 2.0e-3 (odd Coulomb, from 16001 points to its 8001-point companion)
 _WINDOW = 5.0e-3
-_WINDOW_GROWTH = 8.0
-_PREDICTION_MARGIN = 8.0  # a predicted window's half-width is its correction over this
 _RQI_STEPS = 10          # Rayleigh-quotient steps before a refinement fails
 
 
@@ -216,7 +213,7 @@ def _sector_matrix(spec: PotentialSpec, grid: Grid, parity: Optional[Parity]
     return d, e, rayleigh
 
 
-def _level(d: np.ndarray, e: np.ndarray, k: int, window: Optional[Tuple[float, float]],
+def _level(d: np.ndarray, e: np.ndarray, k: int, seed: Optional[float],
            rayleigh: Callable) -> Tuple[float, np.ndarray]:
     """Eigenvalue k of the tridiagonal T = (d, e), and its unit eigenvector.
 
@@ -226,19 +223,20 @@ def _level(d: np.ndarray, e: np.ndarray, k: int, window: Optional[Tuple[float, f
     quotients taken by ``rayleigh``.  floor lies below the Gershgorin
     interval, so N(floor) = 0.
 
-    A ``(seed, half-width)`` window is the bracket (lo, hi]; a ground
+    A level has two routes.  The window route takes a seed and counts the
+    window (lo, hi] around it, seed +- _WINDOW max(1, |seed|); a ground
     state's reaches down to floor, so that one count, N(hi) = 1, certifies
     it, and any other level's takes N(lo) = k and N(hi) = k + 1 (a low end
-    already past k leaves hi uncounted: N(hi) >= N(lo)).  A certified level
-    is refined from the seed, and the refinement stands if its value, give
-    or take its residual, lies in the bracket.  Otherwise, the miss path,
-    the bracket widens geometrically by counts alone, one edge at a time,
-    until the counts straddle k; it is then bisected to _EIG_TOL if k is
-    its one level, and level k is bisected by index (dstebz range 'I') over
-    the whole Gershgorin interval otherwise, and the bisected value is
-    refined.  So a bad seed costs counts, never the bisection of far levels,
-    and never changes which level is found.  Without a window the bracket
-    is the whole spectrum, N = 0 to len(d), and takes the index bisection.
+    whose count is not k leaves hi uncounted).  A certified level is
+    refined from the seed, and the refinement stands if its value, give or
+    take its residual, lies in the window.  The index route takes every
+    other case: no seed, a window that does not hold level k alone, or a
+    refinement that does not stand.  It bisects level k by index (dstebz
+    range 'I') over the whole Gershgorin interval to _EIG_TOL and refines
+    the bisected value.  So a bad seed costs at most two counts and the
+    index solve, and never changes which level is found.  The window is
+    counted before the refinement runs, so that no count runs while V and
+    the vector are held.
     A count is dstebz over (floor, x] with an infinite tolerance: two Sturm
     sweeps at the ends and one midpoint sweep, no bisection.
 
@@ -247,34 +245,33 @@ def _level(d: np.ndarray, e: np.ndarray, k: int, window: Optional[Tuple[float, f
     and sigma to the quotient of u, until that moves sigma by _EIG_TOL
     relative or less; 1/|y| + |value - sigma| is then its residual, since
     |(T - sigma) u| = 1/|y|.  Not settling in _RQI_STEPS steps fails the
-    refinement: a window takes the miss path, the index and miss paths
-    raise IterationLimitError.  So does a NaN level or residual: no count
-    straddles a NaN seed, so the next rung could never widen to its level.
+    refinement: a window's falls back to the index route, the index route's
+    raises IterationLimitError.  So does a NaN level or residual.
     A solve whose y overflows the float range, as on a wall of 1e300,
     raises it at once, before that overflow can warn or turn u to NaN.
     Each solve overwrites u, so that no second vector is held.  The last
     solve starts from u rounded to four decimals, at the quotient rounded
     to ten significant digits, and the level is the quotient of its vector:
     both roundings hide the last bits in which the iterates of different
-    windows and seeds differ, so that the level and vector depend on the
-    matrix alone, and every printed digit with them.  A one-row matrix is
-    its own level, with the unit vector.
+    seeds differ, so that the level and vector depend on the matrix alone,
+    and every printed digit with them.  A one-row matrix is its own level,
+    with the unit vector.
     """
     if len(d) == 1:
         # the dstebz wrapper rejects an empty off-diagonal
         return float(d[0]), np.ones(1)
     floor = np.min(d) - 2.0 * np.max(np.abs(e)) - 1.0
 
-    def bisect(select, lo, hi, tol=_EIG_TOL):
-        """Select 1 bisects the eigenvalues in (lo, hi], select 2 level k
+    def stebz(select, x, tol):
+        """Select 1 finds the eigenvalues in (floor, x], select 2 level k
         alone: their number, and the lowest."""
-        m, w, *_, info = _stebz(d, e, select, lo, hi, k + 1, k + 1, tol, "B")
+        m, w, *_, info = _stebz(d, e, select, floor, x, k + 1, k + 1, tol, "B")
         if info:
             raise IterationLimitError(f"tridiagonal eigensolve failed (dstebz info {info})")
         return m, w[0]
 
     def count(x):
-        return bisect(1, floor, x, math.inf)[0] if x > floor else 0
+        return stebz(1, x, math.inf)[0] if x > floor else 0
 
     def solve(sigma, u):
         """Overwrite u with y solving (T - sigma) y = u, normalized (by a
@@ -309,67 +306,48 @@ def _level(d: np.ndarray, e: np.ndarray, k: int, window: Optional[Tuple[float, f
         return value, r + abs(value - sigma), u
 
     lo = hi = value = r = math.inf
-    n_lo, n_hi = 0, len(d)
-    if window:
-        seed, w = window
+    if seed is not None:
+        w = _WINDOW * max(1.0, abs(seed))
         lo, hi = seed - w if k else floor, seed + w
-        n_lo = count(lo)
-        n_hi = count(hi) if n_lo <= k else n_lo
-        if n_lo == k == n_hi - 1:
+        if count(lo) == k and count(hi) == k + 1:
             value, r, u = refine(seed)
     if not lo < value - r <= value + r <= hi:
-        while n_lo > k or n_hi <= k:
-            w *= _WINDOW_GROWTH
-            if n_lo > k:
-                lo, hi, n_hi = seed - w, lo, n_lo
-                n_lo = count(lo)
-            else:
-                lo, hi, n_lo = hi, seed + w, n_hi
-                n_hi = count(hi)
-        m, x = bisect(2, 0.0, 1.0) if n_hi - n_lo > 1 else bisect(1, lo, hi)
+        m, x = stebz(2, floor, _EIG_TOL)
         if m != 1:
-            raise IterationLimitError("the window solve disagrees with its Sturm counts")
+            raise IterationLimitError("the index solve found no level")
         value, r, u = refine(x)
     if not r < math.inf:
         raise IterationLimitError(f"no Rayleigh quotient settled: level {value!r}, residual {r!r}")
     return value, u
 
 
-def _seed_window(h: float, rungs: Tuple[Tuple[float, float], ...]
-                 ) -> Optional[Tuple[float, float]]:
-    """(seed, half-width) of the window for a level on spacing ``h``,
-    from the same level on the coarser rungs, ``(spacing, level)`` nearest
-    first; None, an index solve, without rungs.
+def _seed(h: float, rungs: Tuple[Tuple[float, float], ...]) -> Optional[float]:
+    """The seed of a level on spacing ``h``, from the same level on the
+    coarser rungs, ``(spacing, level)`` nearest first; None, an index
+    solve, without rungs.
 
     Two rungs give the h^2 extrapolation through them (L. F. Richardson,
     Phil. Trans. R. Soc. A 210, 307 (1911)), with the spacings of the
-    actual grids; the half-width is the size of its correction to the
-    nearer rung over _PREDICTION_MARGIN, and at least _EIG_TOL relative,
-    so that a prediction that happens to be exact still leaves a window.
-    One rung seeds at its level, with the half-width _WINDOW relative.
+    actual grids; one rung gives its level.
     """
     if not rungs:
         return None
     h1, e1 = rungs[0]
     if len(rungs) == 1:
-        return e1, _WINDOW * max(1.0, abs(e1))
+        return e1
     h2, e2 = rungs[1]
-    correction = (e1 - e2) * (h1 * h1 - h * h) / (h2 * h2 - h1 * h1)
-    seed = e1 + correction
-    return seed, max(abs(correction) / _PREDICTION_MARGIN,
-                     _EIG_TOL * max(1.0, abs(seed)))
+    return e1 + (e1 - e2) * (h1 * h1 - h * h) / (h2 * h2 - h1 * h1)
 
 
 def _solve_sector(spec: PotentialSpec, grid: Grid, k: int,
-                  parity: Optional[Parity],
-                  window: Optional[Tuple[float, float]] = None
+                  parity: Optional[Parity], seed: Optional[float] = None
                   ) -> Tuple[float, np.ndarray]:
-    """Eigenvalue k in the parity sector by ``_level``, in ``window`` or by
+    """Eigenvalue k in the parity sector by ``_level``, seeded or by
     index, and its unit eigenvector on the sector's nodes."""
     d, e, rayleigh = _sector_matrix(spec, grid, parity)
     if not np.all(np.isfinite(d)):
         raise DomainError("the potential is not finite on the grid")
-    return _level(d, e, k, window, rayleigh)
+    return _level(d, e, k, seed, rayleigh)
 
 
 def _classify_parity(psi: np.ndarray) -> Optional[Parity]:
@@ -416,8 +394,8 @@ def eigenvalue_by_index(spec: PotentialSpec, grid: Grid, k: int,
         base = _coarser(base)
     rungs = ()
     for g in sorted({base, _coarser(grid) if refine else base, grid}, key=lambda g: g.n):
-        window = _seed_window(g.spacing, rungs) if g.n > _BASE_N else None
-        raw, psi = _solve_sector(spec, g, k, parity, window)
+        seed = _seed(g.spacing, rungs) if g.n > _BASE_N else None
+        raw, psi = _solve_sector(spec, g, k, parity, seed)
         rungs = ((g.spacing, raw),) + rungs[:1]
     # on the full grid, the positive side mirrored with a sign for odd levels
     c = grid.n // 2
@@ -442,7 +420,7 @@ def eigenvalue_by_index(spec: PotentialSpec, grid: Grid, k: int,
     refined, ratio = raw, math.nan
     if refine:
         fine = Grid(grid.half_width, 2 * grid.n - 1)
-        e_f, _ = _solve_sector(spec, fine, k, parity, _seed_window(fine.spacing, rungs))
+        e_f, _ = _solve_sector(spec, fine, k, parity, _seed(fine.spacing, rungs))
         refined = (4.0 * e_f - raw) / 3.0
         denom = raw - e_f
         ratio = (rungs[1][1] - raw) / denom if denom != 0.0 else math.nan

@@ -142,28 +142,29 @@ def reference_reports(tmp_path):
 def test_reports_do_not_depend_on_how_levels_are_bracketed(tmp_path, monkeypatch):
     """Every reference report prints the same bytes whether each grid level
     is found in its predicted window, bisected by index, or found from a
-    deliberately bad seed: the predicted window moved by three half-widths,
-    alternately above and below, so that it holds its level off center or
-    misses it."""
+    deliberately bad seed: the predicted seed moved by three window
+    half-widths (3 x 0.5%), alternately above and below, so that its
+    window misses the level, or holds it far off center (a ground state's
+    window, which reaches down below the spectrum, seeded above it)."""
     from uvflow import eigensolver
 
-    predicted = eigensolver._seed_window
+    predicted = eigensolver._seed
     flips = itertools.count()
 
     def by_index(h, rungs):
         return None
 
     def bad_seed(h, rungs):
-        window = predicted(h, rungs)
-        if window is None:
+        seed = predicted(h, rungs)
+        if seed is None:
             return None
-        seed, width = window
-        return seed + (3.0 if next(flips) % 2 == 0 else -3.0) * width, width
+        width = eigensolver._WINDOW * max(1.0, abs(seed))
+        return seed + (3.0 if next(flips) % 2 == 0 else -3.0) * width
 
     reports = {}
     for route, seeding in (("predicted", predicted), ("index", by_index),
                            ("bad seed", bad_seed)):
-        monkeypatch.setattr(eigensolver, "_seed_window", seeding)
+        monkeypatch.setattr(eigensolver, "_seed", seeding)
         reports[route] = reference_reports(tmp_path)
     assert reports["index"] == reports["predicted"]
     assert reports["bad seed"] == reports["predicted"]
@@ -175,6 +176,7 @@ def test_reports_do_not_depend_on_how_levels_are_bracketed(tmp_path, monkeypatch
 def test_unknown_model_exits_2(tmp_path):
     res = run_cli(["analyze", "cubic"], tmp_path)
     assert res.returncode == 2
+    assert "invalid choice: 'cubic'" in res.stderr
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -407,8 +409,8 @@ def test_malformed_numbers_exit_2(tmp_path, args):
 # what rejects a bad setting, as its stderr says: argparse, for an option
 # outside its type or choices, or for an unknown or conflicting option; or
 # the command, for the rules that involve two settings or the file system.
-# An unknown option's value may be read as analyze's model, which argparse
-# then rejects first; whether it is depends on the Python version.
+# An unknown option is named even where its value is read as analyze's
+# model, which is checked after parsing.
 UNKNOWN = "unrecognized arguments"
 CONFIG = "config error"
 
@@ -422,8 +424,7 @@ HUGE = "1" + "0" * 30  # 10**30, past the largest array numpy can size
 
 @pytest.mark.parametrize("args, lines, expect", [
     (["oracle", "quartic", "--n", "4000"], None, _arg("--n")),
-    (["analyze", "--n", "4000"], None,
-     UNKNOWN + ": --n 4000|" + _arg("model") + "invalid choice: '4000'"),
+    (["analyze", "--n", "4000"], None, UNKNOWN + ": --n"),
     (["oracle", "quartic", "--half-width", "0"], None, _arg("--half-width")),
     (["analyze", "quartic", "--half-width", "-3"], None, UNKNOWN),
     (["oracle", "quartic", "--level", "-1"], None, _arg("--level")),
@@ -622,8 +623,7 @@ def test_oracle_on_one_row_sectors_exits_1(tmp_path, args):
 def test_oracle_on_a_huge_potential_exits_1(tmp_path, args):
     """A solve whose vector overflows the float range fails, naming the
     overflow, before numpy can warn of it or a NaN level can seed the next
-    rung's window: no Sturm count straddles NaN, so that window widened
-    forever."""
+    rung's window, which no Sturm count can certify."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         res = run_cli(args, tmp_path)

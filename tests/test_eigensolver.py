@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 
 import uvflow as uf
-from uvflow import eigensolver, shooting
+from uvflow import eigensolver
 
 MORSE_EXACT = -4.0 + math.sqrt(2.0) - 0.125  # A=4, a=1, m=1
 QUARTIC_GROUND = 1.0603620904
@@ -131,84 +131,6 @@ def test_negative_level_index_raises():
         uf.eigenvalue_by_index(half_oscillator(), uf.Grid(12.0, 4001), -1)
 
 
-# -- Numerov shooting (uvflow.shooting) -----------------------------------------
-
-def test_shooting_oscillator():
-    assert abs(uf.shooting_ground_energy(half_oscillator(), 12.0) - 0.5) < 1e-9
-    assert abs(uf.shooting_ground_energy(half_oscillator(), 12.0,
-                                         parity=uf.Parity.EVEN) - 0.5) < 1e-9
-
-
-def test_shooting_agrees_with_grid_on_quartic():
-    g = uf.ground_state(uf.quartic(1.0), uf.Grid(6.0, 4001)).refinement_estimate
-    s = uf.shooting_ground_energy(uf.quartic(1.0), 6.0, parity=uf.Parity.EVEN)
-    assert abs(g - s) < 1e-7
-
-
-def test_shooting_morse():
-    e = uf.shooting_ground_energy(uf.morse(4.0), 30.0)
-    assert abs(e - MORSE_EXACT) < 1e-9
-
-
-def test_shooting_coulomb_odd():
-    e = uf.shooting_ground_energy(uf.coulomb(1.0), 30.0, parity=uf.Parity.ODD)
-    assert abs(e + 0.5) < 1e-5
-
-
-@pytest.mark.parametrize("spec, half_width, kwargs, exact", [
-    (uf.quartic(1.0), 6.0, {"parity": uf.Parity.EVEN}, QUARTIC_HIOE_MONTROLL),
-    (half_oscillator(), 12.0, {"parity": uf.Parity.ODD}, 1.5),
-], ids=["quartic-even", "oscillator-odd"])
-def test_shooting_matches_closed_form(spec, half_width, kwargs, exact):
-    e = uf.shooting_ground_energy(spec, half_width, **kwargs)
-    assert abs(e - exact) < 1e-9
-
-
-def test_shooting_sweep_count(monkeypatch):
-    sweeps = []
-    for name in ("_numerov_nodes", "_numerov_mismatch"):
-        def counted(*args, _sweep=getattr(shooting, name)):
-            sweeps.append(_sweep)
-            return _sweep(*args)
-        monkeypatch.setattr(shooting, name, counted)
-    uf.shooting_ground_energy(uf.quartic(1.0), 6.0, parity=uf.Parity.EVEN)
-    assert 0 < len(sweeps) <= 16
-
-
-@pytest.mark.parametrize("parity, levels", [(None, 5), (uf.Parity.EVEN, 3)],
-                         ids=["full-line", "even-sector"])
-def test_shooting_halves_a_multi_level_step(monkeypatch, parity, levels):
-    # levels 0.1 (k + 1/2): the first growth step, [min V, min V + 1/2],
-    # holds five of them on the full line and three even ones, so the node
-    # count must isolate the lowest before Brent runs
-    counts = []
-
-    def counted(w, sector, _nodes=shooting._numerov_nodes):
-        counts.append(_nodes(w, sector))
-        return counts[-1]
-
-    monkeypatch.setattr(shooting, "_numerov_nodes", counted)
-    spec = uf.custom(lambda x: 0.005 * x * x, kappa=0.5,
-                     d1=lambda x: 0.01 * x, d2=lambda x: 0.01 + 0.0 * x)
-    e = uf.shooting_ground_energy(spec, 60.0, parity=parity)
-    assert counts[0] == levels
-    assert abs(e - 0.05) < 2e-14
-
-
-def test_shooting_coulomb_needs_odd_sector():
-    # the full line is refused before V is sampled, as the even sector is
-    with pytest.raises(uf.SingularPointError, match="shoot in the odd sector"):
-        uf.shooting_ground_energy(uf.coulomb(1.0), 30.0)
-    with pytest.raises(uf.SingularPointError, match="shoot in the odd sector"):
-        uf.shooting_ground_energy(uf.coulomb(1.0), 30.0, parity=uf.Parity.EVEN)
-
-
-def test_shooting_validation():
-    for half_width in (-1.0, 0.0, math.nan, math.inf):
-        with pytest.raises(uf.DomainError):
-            uf.shooting_ground_energy(half_oscillator(), half_width)
-
-
 # -- conformance with exact spectra -------------------------------------------
 
 def morse_level(k, A=4.0):
@@ -275,11 +197,10 @@ def index_route(spec, grid, parity, k):
     return eigensolver._solve_sector(spec, grid, k, parity)
 
 
-def assert_same_level(spec, grid, parity, k, window):
-    """The solve in ``window`` agrees with the index route to 1e-14 of the
-    level, and on the eigenvector up to its sign."""
-    ref_w, ref_v = index_route(spec, grid, parity, k)
-    w, v = eigensolver._solve_sector(spec, grid, k, parity, window)
+def assert_same_level(ref, found):
+    """The level and vector ``found`` agree with ``ref``, the index route's,
+    to 1e-14 of the level, and on the eigenvector up to its sign."""
+    (ref_w, ref_v), (w, v) = ref, found
     assert abs(w - ref_w) <= 1e-14 * max(1.0, abs(ref_w))
     assert min(np.max(np.abs(v - ref_v)), np.max(np.abs(v + ref_v))) < 1e-8
 
@@ -335,72 +256,80 @@ def gtsv_calls(monkeypatch):
     return calls
 
 
-def ladder_windows(spec, grid, parity, k, monkeypatch):
-    """The window of each grid that eigenvalue_by_index solves for level k,
+def ladder_seeds(spec, grid, parity, k, monkeypatch):
+    """The seed of each grid that eigenvalue_by_index solves for level k,
     refined, keyed by grid size; None for an index solve."""
-    windows = {}
+    seeds = {}
     solve = eigensolver._solve_sector
 
-    def spied(spec, g, k, parity, window=None):
-        windows[g.n] = window
-        return solve(spec, g, k, parity, window)
+    def spied(spec, g, k, parity, seed=None):
+        seeds[g.n] = seed
+        return solve(spec, g, k, parity, seed)
 
     monkeypatch.setattr(eigensolver, "_solve_sector", spied)
     # a level that the box does not confine is still solved first
     with contextlib.suppress(uf.DomainTooSmallError, uf.NoBoundStateError):
         uf.eigenvalue_by_index(spec, grid, k, parity=parity)
-    return windows
+    return seeds
 
 
 @pytest.mark.parametrize("k", range(4))
 @pytest.mark.parametrize("sector", sorted(WINDOW_SECTORS))
-def test_window_solve_matches_index_solve(sector, k, monkeypatch):
+def test_window_solve_matches_index_solve(sector, k, monkeypatch, dstebz_calls):
     spec, half_width, parity = WINDOW_SECTORS[sector]
     # the 1001-point base by index, the 2001-point companion seeded from the
     # base alone, 4001 points predicted from both; the fine 8001 points are
     # solved only for a level that the box confines
     grid = uf.Grid(half_width, 4001)
-    windows = ladder_windows(spec, grid, parity, k, monkeypatch)
-    assert sorted(windows)[:3] == [1001, 2001, 4001] and windows[1001] is None
-    seed, width = windows[2001]
-    assert width == eigensolver._WINDOW * max(1.0, abs(seed))
+    seeds = ladder_seeds(spec, grid, parity, k, monkeypatch)
+    assert sorted(seeds)[:3] == [1001, 2001, 4001] and seeds[1001] is None
     for n in (2001, 4001):
-        assert_same_level(spec, uf.Grid(half_width, n), parity, k, windows[n])
+        g, seed = uf.Grid(half_width, n), seeds[n]
+        ref = index_route(spec, g, parity, k)
+        dstebz_calls.clear()
+        assert_same_level(ref, eigensolver._solve_sector(spec, g, k, parity, seed))
+        # every seeded window is seed +- _WINDOW max(1, |seed|), counted
+        # from its low end; a ground state's low end is the floor, uncounted
+        width = eigensolver._WINDOW * max(1.0, abs(seed))
+        edges = [seed - width, seed + width] if k else [seed + width]
+        counted = [c.window[1] for c in dstebz_calls if c.kind == "count"]
+        assert counted and counted == edges[:len(counted)]
 
 
 @pytest.mark.parametrize("sector", sorted(WINDOW_SECTORS))
 def test_window_solve_ignores_a_bad_seed(sector, dstebz_calls):
     spec, half_width, parity = WINDOW_SECTORS[sector]
     grid = uf.Grid(half_width, 2001)
-    levels = [index_route(spec, grid, parity, k)[0] for k in range(4)]
+    refs = [index_route(spec, grid, parity, k) for k in range(4)]
+    levels = [w for w, _ in refs]
     for k in range(4):
-        # far above, far below, and on every other level, in a window as
-        # wide as one rung gives and in one as narrow as a prediction
+        # far above, far below, and on every other level
         for seed in [levels[k] + 1.0e3, levels[k] - 1.0e3] + levels[:k] + levels[k + 1:]:
-            for width in (eigensolver._WINDOW * max(1.0, abs(seed)), 1.0e-9):
-                assert_same_level(spec, grid, parity, k, (seed, width))
-    # a bad seed costs counts, not the bisection of the levels it skips: a
-    # window is bisected only when it holds level k alone
-    assert {c.levels for c in dstebz_calls if c.kind == "bisect"} <= {1}
+            dstebz_calls.clear()
+            assert_same_level(refs[k], eigensolver._solve_sector(spec, grid, k, parity, seed))
+            # a bad seed costs at most two counts and one index solve
+            kinds = [c.kind for c in dstebz_calls]
+            assert kinds.count("count") <= 2 and kinds.count("index") <= 1
+            assert len(kinds) == kinds.count("count") + kinds.count("index")
 
 
 @pytest.mark.parametrize("k", [0, 1])
-def test_widened_window_holding_a_cluster_takes_the_index_solve(k, dstebz_calls):
-    """Levels closer than one ulp of their size: once the window holds
-    both, level k is found by index instead."""
+def test_window_holding_a_cluster_takes_the_index_solve(k, dstebz_calls):
+    """Levels closer than one ulp of their size: a window that holds both
+    does not hold level k alone, so level k is found by index instead."""
     d, e = np.array([1000.0, 1000.0]), np.array([1.0e-14])
 
     def quotient(u):
         return float(d @ (u * u) + 2.0 * e[0] * u[0] * u[1])
 
-    # the ground state's window, (floor, 1001.5], holds both at once; level
-    # 1's, (1000.5, 1001.5], lies above both, widening once to (997, 1000.5]
-    # takes both in, and the count at 997, below the Gershgorin interval,
-    # needs no call
-    w, v = eigensolver._level(d, e, k, (1001.0, 0.5), quotient)
-    floor = dstebz_calls[0].window[0]
-    assert dstebz_calls == [Dstebz("count", 2, (floor, 1000.5 + (k == 0)), 2),
-                            Dstebz("index", 2, (k, k), 1)]
+    # seeded at 1001 the window is 1001 +- 5.005: the ground state's,
+    # (floor, 1006.005], holds both at once; level 1's low end, 995.995,
+    # lies below the Gershgorin interval, so its count of 0 needs no call
+    w, v = eigensolver._level(d, e, k, 1001.0, quotient)
+    floor = np.min(d) - 2.0 * np.max(np.abs(e)) - 1.0
+    hi = 1001.0 + eigensolver._WINDOW * 1001.0
+    assert dstebz_calls == [Dstebz("count", 2, (floor, hi), 2)] * (k == 0) + [
+        Dstebz("index", 2, (k, k), 1)]
     ref = eigh_tridiagonal(d, e, eigvals_only=True)[k]
     assert abs(w - ref) <= 2.0 * eigensolver._EIG_TOL * abs(ref)
     assert abs(np.linalg.norm(v) - 1.0) < 1e-12
@@ -417,7 +346,7 @@ def test_a_shift_on_a_level_is_solved_one_float_above():
         return float(d @ (u * u) + 2.0 * (e @ (u[:-1] * u[1:])))
 
     # levels 2 - sqrt(2), 2 and 2 + sqrt(2); level 1 seeded exactly on it
-    w, v = eigensolver._level(d, e, 1, (2.0, 0.1), quotient)
+    w, v = eigensolver._level(d, e, 1, 2.0, quotient)
     assert abs(w - 2.0) <= 4.0 * np.finfo(float).eps
     assert np.allclose(np.abs(v), [math.sqrt(0.5), 0.0, math.sqrt(0.5)], atol=1e-12)
 
@@ -474,7 +403,7 @@ def test_refined_ground_state_dstebz_calls(spec, half_width, parity, dstebz_call
     """The work of a refined 8001- or 16001-point ground state, as LAPACK
     calls: one index bisection on the 1001-point base grid, then one count
     per window (the coarse companion, the grid and the fine grid); every
-    window holds the level, so none is bisected or widened.  Each grid is
+    window holds the level, so none takes the index route.  Each grid is
     refined by MAX_SOLVES dgtsv solves or fewer, in ladder order."""
     for n in (8001, 16001):
         dstebz_calls.clear()
@@ -487,6 +416,23 @@ def test_refined_ground_state_dstebz_calls(spec, half_width, parity, dstebz_call
         assert [r for r, _ in itertools.groupby(gtsv_calls)] == rows
         assert max(gtsv_calls.count(r) for r in rows) <= MAX_SOLVES
 
+
+
+@pytest.mark.parametrize("spec, half_width, refined", [
+    (uf.soft_coulomb(1.0, 100.0), 30.0, -0.49929782213206836),
+    (uf.soft_coulomb(1.0, 50.0), 30.0, -0.49773507190936445),
+    (uf.soft_coulomb(2.0, 100.0), 15.0, -1.990940287637456),
+], ids=["alpha-1-lam-100", "alpha-1-lam-50", "alpha-2-lam-100"])
+def test_pre_asymptotic_soft_coulomb_windows_hold_their_level(spec, half_width, refined,
+                                                              dstebz_calls):
+    """The paper suite's soft-Coulomb ground states, odd sector, whose h^2
+    predictions on 4001 and 8001 points are off by more than their
+    corrections: each 0.5% window still holds the level at its one count,
+    and the refined level is the one the index route gives."""
+    res = uf.ground_state(spec, uf.Grid(half_width, 4001), parity=uf.Parity.ODD)
+    assert [(c.kind, c.rows) for c in dstebz_calls] == [
+        ("index", 499), ("count", 999), ("count", 1999), ("count", 3999)]
+    assert res.refinement_estimate == refined
 
 def test_non_finite_potential_is_a_domain_error():
     # infinite only on the center node, which the coarse rungs share

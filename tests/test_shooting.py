@@ -7,9 +7,91 @@ import uvflow as uf
 from uvflow import shooting
 
 
+MORSE_EXACT = -4.0 + math.sqrt(2.0) - 0.125  # A=4, a=1, m=1
+QUARTIC_HIOE_MONTROLL = 1.0603620904841829  # J. Math. Phys. 16, 1945 (1975)
+
+
 def half_oscillator():
     return uf.custom(lambda x: 0.5 * x * x, kappa=0.5,
                      d1=lambda x: x, d2=lambda x: 1.0 + 0.0 * x)
+
+
+# -- Numerov shooting ----------------------------------------------------------
+
+def test_shooting_oscillator():
+    assert abs(uf.shooting_ground_energy(half_oscillator(), 12.0) - 0.5) < 1e-9
+    assert abs(uf.shooting_ground_energy(half_oscillator(), 12.0,
+                                         parity=uf.Parity.EVEN) - 0.5) < 1e-9
+
+
+def test_shooting_agrees_with_grid_on_quartic():
+    g = uf.ground_state(uf.quartic(1.0), uf.Grid(6.0, 4001)).refinement_estimate
+    s = uf.shooting_ground_energy(uf.quartic(1.0), 6.0, parity=uf.Parity.EVEN)
+    assert abs(g - s) < 1e-7
+
+
+def test_shooting_morse():
+    e = uf.shooting_ground_energy(uf.morse(4.0), 30.0)
+    assert abs(e - MORSE_EXACT) < 1e-9
+
+
+def test_shooting_coulomb_odd():
+    e = uf.shooting_ground_energy(uf.coulomb(1.0), 30.0, parity=uf.Parity.ODD)
+    assert abs(e + 0.5) < 1e-5
+
+
+@pytest.mark.parametrize("spec, half_width, kwargs, exact", [
+    (uf.quartic(1.0), 6.0, {"parity": uf.Parity.EVEN}, QUARTIC_HIOE_MONTROLL),
+    (half_oscillator(), 12.0, {"parity": uf.Parity.ODD}, 1.5),
+], ids=["quartic-even", "oscillator-odd"])
+def test_shooting_matches_closed_form(spec, half_width, kwargs, exact):
+    e = uf.shooting_ground_energy(spec, half_width, **kwargs)
+    assert abs(e - exact) < 1e-9
+
+
+def test_shooting_sweep_count(monkeypatch):
+    sweeps = []
+    for name in ("_numerov_nodes", "_numerov_mismatch"):
+        def counted(*args, _sweep=getattr(shooting, name)):
+            sweeps.append(_sweep)
+            return _sweep(*args)
+        monkeypatch.setattr(shooting, name, counted)
+    uf.shooting_ground_energy(uf.quartic(1.0), 6.0, parity=uf.Parity.EVEN)
+    assert 0 < len(sweeps) <= 16
+
+
+@pytest.mark.parametrize("parity, levels", [(None, 5), (uf.Parity.EVEN, 3)],
+                         ids=["full-line", "even-sector"])
+def test_shooting_halves_a_multi_level_step(monkeypatch, parity, levels):
+    # levels 0.1 (k + 1/2): the first growth step, [min V, min V + 1/2],
+    # holds five of them on the full line and three even ones, so the node
+    # count must isolate the lowest before Brent runs
+    counts = []
+
+    def counted(w, sector, _nodes=shooting._numerov_nodes):
+        counts.append(_nodes(w, sector))
+        return counts[-1]
+
+    monkeypatch.setattr(shooting, "_numerov_nodes", counted)
+    spec = uf.custom(lambda x: 0.005 * x * x, kappa=0.5,
+                     d1=lambda x: 0.01 * x, d2=lambda x: 0.01 + 0.0 * x)
+    e = uf.shooting_ground_energy(spec, 60.0, parity=parity)
+    assert counts[0] == levels
+    assert abs(e - 0.05) < 2e-14
+
+
+def test_shooting_coulomb_needs_odd_sector():
+    # the full line is refused before V is sampled, as the even sector is
+    with pytest.raises(uf.SingularPointError, match="shoot in the odd sector"):
+        uf.shooting_ground_energy(uf.coulomb(1.0), 30.0)
+    with pytest.raises(uf.SingularPointError, match="shoot in the odd sector"):
+        uf.shooting_ground_energy(uf.coulomb(1.0), 30.0, parity=uf.Parity.EVEN)
+
+
+def test_shooting_validation():
+    for half_width in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(uf.DomainError):
+            uf.shooting_ground_energy(half_oscillator(), half_width)
 
 
 # -- Brent's method against scipy's brentq -------------------------------------
