@@ -3,11 +3,14 @@
 Each criterion is a standalone function returning a CriterionResult with
 the measured numbers in ``details``; the CLI prints one PASS/FAIL line per
 criterion and the test suite asserts on the same functions.  Tolerances
-are pinned here, not in the callers.
+are pinned here, not in the callers.  Criteria 1, 8 and 9 quote one shared
+grid solve, the refined quartic(1) level on Grid(6, 4001), which
+``_quartic_level`` makes once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,11 +38,21 @@ def _half_oscillator():
                   d1=lambda x: float(x), d2=lambda x: 1.0)
 
 
+@functools.cache
+def _quartic_level() -> float:
+    """Refined quartic(1) level on Grid(6, 4001), for criteria 1, 8 and 9.
+
+    ``ground_state`` is looked up when the level is first made, so a
+    tracer or spy swapped in for it sees the one solve.
+    """
+    return ground_state(quartic(1.0), Grid(6.0, 4001)).refinement_estimate
+
+
 def criterion_1() -> CriterionResult:
     """Quartic: flow limit exactly 1 against oracle ~1.06036 (5..7% off)."""
     spec = quartic(1.0)
     rg = uv_limit_energy(spec, solve_fixed_point(spec)).energy
-    oracle = ground_state(spec, Grid(6.0, 4001)).refinement_estimate
+    oracle = _quartic_level()
     rel = abs(rg - oracle) / abs(oracle)
     passed = (abs(rg - 1.0) <= 1.0e-12
               and abs(oracle - 1.06036) <= 1.0e-4
@@ -162,7 +175,7 @@ def criterion_7() -> CriterionResult:
 
 def criterion_8() -> CriterionResult:
     """Coupling-scaling laws hold in the oracle (cube root and square)."""
-    e1 = ground_state(quartic(1.0), Grid(6.0, 4001)).refinement_estimate
+    e1 = _quartic_level()
     e8 = ground_state(quartic(8.0), Grid(6.0, 4001)).refinement_estimate
     rel_q = abs(e8 - 2.0 * e1) / abs(e8)
     s1 = ground_state(soft_coulomb(1.0, 50.0), Grid(30.0, 4001),
@@ -180,9 +193,8 @@ def criterion_8() -> CriterionResult:
 def criterion_9() -> CriterionResult:
     """Oracle soundness: exact oscillator, h^2 convergence, dual routes agree."""
     res = ground_state(_half_oscillator(), Grid(12.0, 4001))
-    grid_q = ground_state(quartic(1.0), Grid(6.0, 4001))
     shoot_q = shooting_ground_energy(quartic(1.0), 6.0, parity=Parity.EVEN)
-    agree = abs(grid_q.refinement_estimate - shoot_q)
+    agree = abs(_quartic_level() - shoot_q)
     passed = (abs(res.refinement_estimate - 0.5) <= 1.0e-8
               and 3.5 <= res.convergence_ratio <= 4.5
               and agree <= 1.0e-7)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.optimize import brentq
 
@@ -92,6 +93,68 @@ def test_shooting_validation():
     for half_width in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(uf.DomainError):
             uf.shooting_ground_energy(half_oscillator(), half_width)
+
+
+# -- the renormalized Numerov sweep against its indexed form -------------------
+
+def _indexed_ratio_sweep(w, rho, start, stop, step):
+    """The sweep as first written, over range() with two subscripts a point."""
+    sign, nodes = 1, 0
+    for i in range(start, stop, step):
+        if rho <= -1.0:
+            sign = -sign
+            if w[i - step] > -12.0 and w[i] > -12.0:
+                nodes += 1
+            if rho == -1.0:
+                rho = shooting._BELOW_ZERO
+        rho = w[i] + rho / (1.0 + rho)
+    return rho, sign, nodes
+
+
+def _seeded_w(seed, walls):
+    rng = np.random.default_rng(seed)
+    w = rng.normal(-0.5, 1.0, 301)
+    if walls:
+        w[rng.integers(0, w.size, 25)] = rng.uniform(-30.0, -12.0, 25)
+    return w
+
+
+# (start, stop, step, starting rho from w)
+_SWEEPS = {
+    "outward-even": (1, 301, 1, lambda w: 0.5 * w[0]),
+    "outward-odd": (2, 301, 1, lambda w: 1.0 + w[1]),
+    "inward": (298, 40, -1, lambda w: 1.0 + w[-2]),
+    "inward-to-origin": (298, 0, -1, lambda w: 1.0 + w[-2]),
+    "outward-empty": (7, 7, 1, lambda w: 0.25),
+    "inward-empty": (7, 7, -1, lambda w: 0.25),
+    "outward-from-a-zero": (1, 301, 1, lambda w: -1.0),
+    "inward-from-a-zero": (298, 40, -1, lambda w: -1.0),
+}
+
+
+@pytest.mark.parametrize("sweep", list(_SWEEPS))
+@pytest.mark.parametrize("walls", [False, True], ids=["no-walls", "walls"])
+@pytest.mark.parametrize("seed", [3, 11])
+def test_ratio_sweep_matches_the_indexed_loop(seed, walls, sweep):
+    w = _seeded_w(seed, walls)
+    start, stop, step, rho_of = _SWEEPS[sweep]
+    rho = float(rho_of(w))
+    ours = shooting._ratio_sweep(memoryview(w), rho, start, stop, step)
+    theirs = _indexed_ratio_sweep(memoryview(w), rho, start, stop, step)
+    assert ours[0].hex() == theirs[0].hex()
+    assert ours[1:] == theirs[1:]
+
+
+def test_ratio_sweep_cases_reach_every_branch():
+    # a zero at the start is moved just below -1, and its sign change next
+    # to a wall (w < -12) is not a node
+    w = memoryview(np.array([0.0, -20.0, 0.5]))
+    assert shooting._ratio_sweep(w, -1.0, 1, 3, 1)[1:] == (-1, 0)
+    assert _indexed_ratio_sweep(w, -1.0, 1, 3, 1)[1:] == (-1, 0)
+    # the seeded sweeps change sign many times, walls or not
+    for walls in (False, True):
+        w = memoryview(_seeded_w(3, walls))
+        assert _indexed_ratio_sweep(w, 0.5 * w[0], 1, 301, 1)[2] > 10
 
 
 # -- Brent's method against scipy's brentq -------------------------------------
