@@ -22,27 +22,32 @@ its high end for a ground state, whose window reaches down to the
 Gershgorin floor, one at each end otherwise.  The level is then found by
 Rayleigh-quotient iteration from the seed, each step a LAPACK dgtsv
 solve, and stands if its value, give or take its residual, lies in the
-window.  Every other case takes the index route: the base, a grid with
+window.  Every other case takes the bracket route: the base, a grid with
 no coarser rung, a window that misses level k or also holds a neighbour,
-and a level that does not stand.  Level k is bisected by index over the
-whole Gershgorin interval, and the bisected value refined in the same
-way.  So a seed never changes which level is found; a level with a
-neighbour within 0.5% of it takes the index route on every rung.  The
+and a level that does not stand.  Sturm counts bracket level k, starting
+from what the window's counts already say: up from the floor, or from a
+window below the level, by doubling steps, then halving.  Level k is
+bisected inside that bracket and refined in the same way.  So a seed
+never changes which level is found; a level with a neighbour within 0.5%
+of it takes the bracket route on every rung, inside its window.  The
 quotient is t sum (u_{i+1} - u_i)^2 + sum V_i u_i^2 for a unit vector u,
 t = kappa/h^2: it never forms the stored diagonal fl(2t + V), whose
 rounding of V moves the levels of a 32,001-row matrix by up to 1.4e-10
 relative.  The last solve starts from the vector and the quotient
 rounded (to four decimals and ten significant digits), so that neither a
 level nor any printed digit depends on the route or seed that found it.
-Index bisection starts from the Gershgorin interval, which the Morse
-wall at x = -30 stretches to 1e27: on a 2-core Xeon one 31,999-row Morse
-ground level takes about 44 ms that way and about 6 ms in its seeded
-window.
+The counts step up from the floor, not across the Gershgorin interval,
+which the Morse wall at x = -30 stretches to 1e27, about 130 halvings
+wide: on a 2-core Xeon one 31,999-row Morse ground level takes about
+15 ms by its bracket and about 5 ms in its seeded window.
 
-The index bisection passes an explicit absolute tolerance to LAPACK.  The
+The bracket bisection passes an explicit absolute tolerance to LAPACK.  The
 default (norm-relative) tolerance is useless for potentials with
 enormous walls, e.g. the exponential wall of a Morse well sampled at
 x = -30 dwarfs a ground level of order one and costs eight digits.
+
+A refined level whose Richardson correction exceeds 5% of max(1, |level|)
+is a DomainTooSmallError: the grid does not resolve it (``_RESOLVED``).
 """
 
 from __future__ import annotations
@@ -63,12 +68,17 @@ from .potentials import Parity, PotentialSpec
 
 _BOUNDARY_LEAK = 1.0e-10
 _EIG_TOL = 1.0e-13
-_BASE_N = 1025           # grids this small are solved by index, unseeded
+_BASE_N = 1025           # grids this small are bracketed from the floor, unseeded
 # half-width of every seeded window, times max(1, |seed|): 2.5 times
 # the largest distance measured from the 1001-point base level to a seeded
 # level, 2.0e-3 (odd Coulomb, from 16001 points to its 8001-point companion)
 _WINDOW = 5.0e-3
 _RQI_STEPS = 10          # Rayleigh-quotient steps before a refinement fails
+# the largest Richardson correction |refined - raw|, times max(1, |refined|),
+# of a resolved level: quartic levels on Grid(6, 4001) read 1.0e-2 at
+# g = 1e12, where the level is right to 4.7e-6, and 0.137 at g = 1e16,
+# where it is 2.3% off
+_RESOLVED = 0.05
 
 
 def _load_flapack():
@@ -227,26 +237,35 @@ def _level(d: np.ndarray, e: np.ndarray, k: int, seed: Optional[float],
     window (lo, hi] around it, seed +- _WINDOW max(1, |seed|); a ground
     state's reaches down to floor, so that one count, N(hi) = 1, certifies
     it, and any other level's takes N(lo) = k and N(hi) = k + 1 (a low end
-    whose count is not k leaves hi uncounted).  A certified level is
+    whose count exceeds k leaves hi uncounted).  A certified level is
     refined from the seed, and the refinement stands if its value, give or
-    take its residual, lies in the window.  The index route takes every
+    take its residual, lies in the window.  The bracket route takes every
     other case: no seed, a window that does not hold level k alone, or a
-    refinement that does not stand.  It bisects level k by index (dstebz
-    range 'I') over the whole Gershgorin interval to _EIG_TOL and refines
-    the bisected value.  So a bad seed costs at most two counts and the
-    index solve, and never changes which level is found.  The window is
-    counted before the refinement runs, so that no count runs while V and
-    the vector are held.
+    refinement that does not stand.  It works on one bracket (a, b] with
+    N(a) <= k < N(b), which every count narrows, the window's included: a
+    count above k moves b down to it, any other moves a up.  While no b is
+    known (no seed, or a window below the level), a steps up from floor or
+    hi by 1, 2, 4, ..., capped at top, past the Gershgorin interval, where
+    N(top) is the number of rows.  The bracket is then halved while it
+    holds more than one level and is wider than _EIG_TOL max(1, |a|, |b|),
+    bisected (dstebz range 'V') to _EIG_TOL, and its entry k - N(a), level
+    k, refined.  A pair closer than the counts can split, such as the two
+    wall states of an inverted quartic, is bisected together.  So a bad
+    seed costs its window counts and one bracket, never a count on the far
+    side of the window, and never changes which level is found.  The window
+    is counted before the refinement runs, so that no count runs while V
+    and the vector are held.
     A count is dstebz over (floor, x] with an infinite tolerance: two Sturm
-    sweeps at the ends and one midpoint sweep, no bisection.
+    sweeps at the ends and one midpoint sweep, no bisection; below floor
+    and from top up it needs no call.
 
     A refinement from the shift sigma solves (T - sigma) y = u with dgtsv,
     from u = linspace(1, 2), which is neither even nor odd, sets u to y/|y|
     and sigma to the quotient of u, until that moves sigma by _EIG_TOL
     relative or less; 1/|y| + |value - sigma| is then its residual, since
     |(T - sigma) u| = 1/|y|.  Not settling in _RQI_STEPS steps fails the
-    refinement: a window's falls back to the index route, the index route's
-    raises IterationLimitError.  So does a NaN level or residual.
+    refinement: a window's falls back to the bracket route, the bracket
+    route's raises IterationLimitError.  So does a NaN level or residual.
     A solve whose y overflows the float range, as on a wall of 1e300,
     raises it at once, before that overflow can warn or turn u to NaN.
     Each solve overwrites u, so that no second vector is held.  The last
@@ -261,17 +280,26 @@ def _level(d: np.ndarray, e: np.ndarray, k: int, seed: Optional[float],
         # the dstebz wrapper rejects an empty off-diagonal
         return float(d[0]), np.ones(1)
     floor = np.min(d) - 2.0 * np.max(np.abs(e)) - 1.0
+    top = np.max(d) + 2.0 * np.max(np.abs(e)) + 1.0
 
-    def stebz(select, x, tol):
-        """Select 1 finds the eigenvalues in (floor, x], select 2 level k
-        alone: their number, and the lowest."""
-        m, w, *_, info = _stebz(d, e, select, floor, x, k + 1, k + 1, tol, "B")
+    def stebz(lo, hi, tol):
+        """The number of eigenvalues in (lo, hi], and the eigenvalues,
+        ascending, bisected to tol."""
+        m, w, *_, info = _stebz(d, e, 1, lo, hi, 1, 1, tol, "E")
         if info:
             raise IterationLimitError(f"tridiagonal eigensolve failed (dstebz info {info})")
-        return m, w[0]
+        return m, w
 
-    def count(x):
-        return stebz(1, x, math.inf)[0] if x > floor else 0
+    # ends[False] is (a, N(a)) with N(a) <= k, ends[True] (b, N(b)) with
+    # N(b) > k; b = inf until a count finds one
+    ends = [(floor, 0), (math.inf, len(d))]
+
+    def split(x):
+        """N(x), counted inside (floor, top); x becomes the end of the
+        bracket on its side."""
+        n = 0 if x <= floor else len(d) if x >= top else stebz(floor, x, math.inf)[0]
+        ends[n > k] = x, n
+        return n
 
     def solve(sigma, u):
         """Overwrite u with y solving (T - sigma) y = u, normalized (by a
@@ -309,13 +337,23 @@ def _level(d: np.ndarray, e: np.ndarray, k: int, seed: Optional[float],
     if seed is not None:
         w = _WINDOW * max(1.0, abs(seed))
         lo, hi = seed - w if k else floor, seed + w
-        if count(lo) == k and count(hi) == k + 1:
+        n_lo = split(lo)
+        n_hi = split(hi) if n_lo <= k else None
+        if (n_lo, n_hi) == (k, k + 1):
             value, r, u = refine(seed)
     if not lo < value - r <= value + r <= hi:
-        m, x = stebz(2, floor, _EIG_TOL)
-        if m != 1:
+        step = max(1.0, np.spacing(abs(ends[False][0])))
+        while ends[True][0] == math.inf:
+            split(min(ends[False][0] + step, top))
+            step *= 2.0
+        (a, n_a), (b, n_b) = ends
+        while n_b - n_a > 1 and b - a > _EIG_TOL * max(1.0, abs(a), abs(b)):
+            split(0.5 * a + 0.5 * b)
+            (a, n_a), (b, n_b) = ends
+        m, levels = stebz(a, b, _EIG_TOL)
+        if k - n_a >= m:
             raise IterationLimitError("the index solve found no level")
-        value, r, u = refine(x)
+        value, r, u = refine(levels[k - n_a])
     if not r < math.inf:
         raise IterationLimitError(f"no Rayleigh quotient settled: level {value!r}, residual {r!r}")
     return value, u
@@ -323,8 +361,8 @@ def _level(d: np.ndarray, e: np.ndarray, k: int, seed: Optional[float],
 
 def _seed(h: float, rungs: Tuple[Tuple[float, float], ...]) -> Optional[float]:
     """The seed of a level on spacing ``h``, from the same level on the
-    coarser rungs, ``(spacing, level)`` nearest first; None, an index
-    solve, without rungs.
+    coarser rungs, ``(spacing, level)`` nearest first; None, a bracket
+    from the floor, without rungs.
 
     Two rungs give the h^2 extrapolation through them (L. F. Richardson,
     Phil. Trans. R. Soc. A 210, 307 (1911)), with the spacings of the
@@ -342,8 +380,8 @@ def _seed(h: float, rungs: Tuple[Tuple[float, float], ...]) -> Optional[float]:
 def _solve_sector(spec: PotentialSpec, grid: Grid, k: int,
                   parity: Optional[Parity], seed: Optional[float] = None
                   ) -> Tuple[float, np.ndarray]:
-    """Eigenvalue k in the parity sector by ``_level``, seeded or by
-    index, and its unit eigenvector on the sector's nodes."""
+    """Eigenvalue k in the parity sector by ``_level``, seeded or from
+    the floor, and its unit eigenvector on the sector's nodes."""
     d, e, rayleigh = _sector_matrix(spec, grid, parity)
     if not np.all(np.isfinite(d)):
         raise DomainError("the potential is not finite on the grid")
@@ -375,7 +413,9 @@ def eigenvalue_by_index(spec: PotentialSpec, grid: Grid, k: int,
     k must be below ``_level_count``: the size of the sector, and when
     refining also of the coarse companion's.  A level that has not decayed
     at the box edge is a DomainTooSmallError, or a NoBoundStateError when V
-    is lowest at the wall, where no larger box would confine it.
+    is lowest at the wall, where no larger box would confine it.  So is a
+    refined level that the grid does not resolve: one whose Richardson
+    correction exceeds _RESOLVED max(1, |refined|).
     """
     if k < 0:
         raise DomainError("level index must be nonnegative")
@@ -422,6 +462,10 @@ def eigenvalue_by_index(spec: PotentialSpec, grid: Grid, k: int,
         fine = Grid(grid.half_width, 2 * grid.n - 1)
         e_f, _ = _solve_sector(spec, fine, k, parity, _seed(fine.spacing, rungs))
         refined = (4.0 * e_f - raw) / 3.0
+        moved = abs(refined - raw) / max(1.0, abs(refined))
+        if moved > _RESOLVED:
+            raise DomainTooSmallError(f"level {k} is not resolved on {grid.n} points: "
+                                      f"refining moves it by {moved:.3g} of its size; enlarge n")
         denom = raw - e_f
         ratio = (rungs[1][1] - raw) / denom if denom != 0.0 else math.nan
     return OracleResult(raw, psi, found_parity, refined, ratio)

@@ -634,6 +634,19 @@ def test_oracle_on_a_huge_potential_exits_1(tmp_path, args):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("g", ["1e16", "1e18", "1e20", "1e30"])
+def test_oracle_refuses_a_level_the_grid_does_not_resolve(tmp_path, g):
+    """A quartic level narrower than a few grid spacings, whose Richardson
+    correction is 14% to 80% of it, exits 1 naming the grid size, with no
+    traceback and no report."""
+    res = run_cli(["oracle", "quartic", "--g", g], tmp_path)
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert "DomainTooSmallError: level 0 is not resolved on 4001 points" in res.stderr
+    assert "enlarge n" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def run_python(code, args=(), cwd=None):
     """``python -c <code> <args>`` in a fresh interpreter; returns the JSON
     object the code prints on its last stdout line."""

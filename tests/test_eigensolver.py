@@ -192,9 +192,23 @@ WINDOW_SECTORS = {
 
 
 def index_route(spec, grid, parity, k):
-    """Level k and its unit sector vector by the index route: bisected by
-    index over the whole spectrum, then refined."""
+    """Level k and its unit sector vector unseeded: bracketed by Sturm
+    counts up from the floor, bisected inside the bracket, then refined."""
     return eigensolver._solve_sector(spec, grid, k, parity)
+
+
+def gershgorin(d, e):
+    """floor and top of ``_level``: below and above the Gershgorin interval
+    of T = (d, e), where N is 0 and the number of rows."""
+    return (np.min(d) - 2.0 * np.max(np.abs(e)) - 1.0,
+            np.max(d) + 2.0 * np.max(np.abs(e)) + 1.0)
+
+
+def window_ends(seed, k, floor):
+    """The window (lo, hi] that ``_level`` counts for level k seeded at
+    ``seed``; a ground state's reaches down to the floor."""
+    width = eigensolver._WINDOW * max(1.0, abs(seed))
+    return seed - width if k else floor, seed + width
 
 
 def assert_same_level(ref, found):
@@ -218,25 +232,23 @@ def spy_lapack(monkeypatch, name, spied):
                         functools.partial(spied, getattr(eigensolver, routine)))
 
 
-# one LAPACK dstebz call: "index" a bisection by index (range 'I') for the
-# levels ``window``, counted from 0, "count" a Sturm count (infinite
-# tolerance) over ``window``, "bisect" a bisection of the ``levels``
-# eigenvalues in ``window`` to _EIG_TOL
+# one LAPACK dstebz call over the interval ``window``: "count" a Sturm
+# count (infinite tolerance), "bisect" a bisection of the ``levels``
+# eigenvalues in it to _EIG_TOL
 Dstebz = namedtuple("Dstebz", "kind rows window levels")
 
 
 @pytest.fixture
 def dstebz_calls(monkeypatch):
-    """Every dstebz call of the grid route, in order, as ``Dstebz``."""
+    """Every dstebz call of the grid route, in order, as ``Dstebz``; each
+    selects its eigenvalues by interval (range 'V'), none by index."""
     calls = []
 
     def spied(stebz, d, e, rng, vl, vu, il, iu, tol, order):
+        assert rng == 1
         found = stebz(d, e, rng, vl, vu, il, iu, tol, order)
-        if rng == 2:
-            calls.append(Dstebz("index", len(d), (il - 1, iu - 1), int(found[0])))
-        else:
-            calls.append(Dstebz("count" if tol == math.inf else "bisect",
-                                len(d), (vl, vu), int(found[0])))
+        calls.append(Dstebz("count" if tol == math.inf else "bisect",
+                            len(d), (vl, vu), int(found[0])))
         return found
 
     spy_lapack(monkeypatch, "stebz", spied)
@@ -302,21 +314,51 @@ def test_window_solve_ignores_a_bad_seed(sector, dstebz_calls):
     grid = uf.Grid(half_width, 2001)
     refs = [index_route(spec, grid, parity, k) for k in range(4)]
     levels = [w for w, _ in refs]
+    d, e, _ = eigensolver._sector_matrix(spec, grid, parity)
+    spectrum = eigh_tridiagonal(d, e, eigvals_only=True)
+    floor, top = gershgorin(d, e)
+
+    def below(x):
+        return int(np.sum(spectrum <= x))
+
     for k in range(4):
         # far above, far below, and on every other level
         for seed in [levels[k] + 1.0e3, levels[k] - 1.0e3] + levels[:k] + levels[k + 1:]:
             dstebz_calls.clear()
             assert_same_level(refs[k], eigensolver._solve_sector(spec, grid, k, parity, seed))
-            # a bad seed costs at most two counts and one index solve
-            kinds = [c.kind for c in dstebz_calls]
-            assert kinds.count("count") <= 2 and kinds.count("index") <= 1
-            assert len(kinds) == kinds.count("count") + kinds.count("index")
+            # a bad seed costs its window counts, lo (not for a ground
+            # state) and then hi unless N(lo) > k, each a call if it lies
+            # inside (floor, top), and one bracket: counts on the level's
+            # side of the window, then one bisection
+            lo, hi = window_ends(seed, k, floor)
+            window = [x for x in ([lo] if k else []) + ([hi] if below(lo) <= k else [])
+                      if floor < x < top]
+            assert [c.window[1] for c in dstebz_calls[:len(window)]] == window
+            assert {c.kind for c in dstebz_calls[:len(window)]} <= {"count"}
+            bracket = dstebz_calls[len(window):]
+            if not bracket:
+                assert (below(lo), below(hi)) == (k, k + 1)
+                continue
+            *counts, bisect = bracket
+            assert bisect.kind == "bisect" and {c.kind for c in counts} <= {"count"}
+            a, b = bisect.window
+            assert below(a) <= k < below(b)
+            for c in counts:
+                x = c.window[1]
+                if below(lo) > k:
+                    assert x < lo
+                elif below(hi) <= k:
+                    assert x > hi
+                else:
+                    assert lo < x < hi
 
 
 @pytest.mark.parametrize("k", [0, 1])
-def test_window_holding_a_cluster_takes_the_index_solve(k, dstebz_calls):
+def test_window_holding_a_cluster_is_bisected_inside_it(k, dstebz_calls):
     """Levels closer than one ulp of their size: a window that holds both
-    does not hold level k alone, so level k is found by index instead."""
+    does not hold level k alone, so it becomes the bracket, halved by
+    counts inside it until it is _EIG_TOL wide and bisected with both
+    levels in it."""
     d, e = np.array([1000.0, 1000.0]), np.array([1.0e-14])
 
     def quotient(u):
@@ -324,12 +366,16 @@ def test_window_holding_a_cluster_takes_the_index_solve(k, dstebz_calls):
 
     # seeded at 1001 the window is 1001 +- 5.005: the ground state's,
     # (floor, 1006.005], holds both at once; level 1's low end, 995.995,
-    # lies below the Gershgorin interval, so its count of 0 needs no call
+    # lies below the Gershgorin interval and its high end above it, so
+    # neither end's count needs a call
     w, v = eigensolver._level(d, e, k, 1001.0, quotient)
-    floor = np.min(d) - 2.0 * np.max(np.abs(e)) - 1.0
-    hi = 1001.0 + eigensolver._WINDOW * 1001.0
-    assert dstebz_calls == [Dstebz("count", 2, (floor, hi), 2)] * (k == 0) + [
-        Dstebz("index", 2, (k, k), 1)]
+    floor, top = gershgorin(d, e)
+    lo, hi = window_ends(1001.0, k, floor)
+    *counts, bisect = dstebz_calls
+    assert counts and all(c.kind == "count" and lo < c.window[1] < top for c in counts)
+    a, b = bisect.window
+    assert (bisect.kind, bisect.levels) == ("bisect", 2) and lo <= a < b <= hi
+    assert b - a <= eigensolver._EIG_TOL * max(abs(a), abs(b))
     ref = eigh_tridiagonal(d, e, eigvals_only=True)[k]
     assert abs(w - ref) <= 2.0 * eigensolver._EIG_TOL * abs(ref)
     assert abs(np.linalg.norm(v) - 1.0) < 1e-12
@@ -368,18 +414,21 @@ def test_both_lapack_routes_agree_in_one_process():
     assert np.array_equal(solves[0], solves[1])
 
 
-def test_only_base_size_grids_are_solved_by_index(dstebz_calls, gtsv_calls):
-    # refined: 1001 (index) -> 4001 (the coarse companion) -> 8001 -> 16001
-    # (fine); raw: 1001 (index) -> 8001; no other halving is solved, and
-    # each window holds the level, so it is counted and refined, never
-    # bisected
+def test_only_base_size_grids_start_from_the_floor(dstebz_calls, gtsv_calls):
+    # refined: 1001 (from the floor) -> 4001 (the coarse companion) -> 8001
+    # -> 16001 (fine); raw: 1001 (from the floor) -> 8001; no other halving
+    # is solved, and each window holds the level, so it is counted once
+    # and refined, never bisected
     for refine, counted in ((True, [3999, 7999, 15999]), (False, [7999])):
         dstebz_calls.clear()
         gtsv_calls.clear()
         uf.ground_state(uf.morse(4.0), uf.Grid(30.0, 8001), refine=refine)
-        assert [c.rows for c in dstebz_calls if c.kind == "index"] == [999]
-        assert sorted({c.rows for c in dstebz_calls if c.kind == "count"}) == counted
-        assert [c for c in dstebz_calls if c.kind == "bisect"] == []
+        base = [c for c in dstebz_calls if c.rows == 999]
+        floor = base[0].window[0]
+        assert base[0] == Dstebz("count", 999, (floor, floor + 1.0), 0)
+        assert [c.kind for c in base] == ["count"] * (len(base) - 1) + ["bisect"]
+        assert sorted(c.rows for c in dstebz_calls if c.rows != 999) == counted
+        assert {c.kind for c in dstebz_calls if c.rows != 999} == {"count"}
         assert sorted(set(gtsv_calls)) == [999] + counted
 
 
@@ -401,18 +450,21 @@ def test_coarse_companion_is_made_odd(dstebz_calls):
 def test_refined_ground_state_dstebz_calls(spec, half_width, parity, dstebz_calls,
                                            gtsv_calls):
     """The work of a refined 8001- or 16001-point ground state, as LAPACK
-    calls: one index bisection on the 1001-point base grid, then one count
-    per window (the coarse companion, the grid and the fine grid); every
-    window holds the level, so none takes the index route.  Each grid is
-    refined by MAX_SOLVES dgtsv solves or fewer, in ladder order."""
+    calls: on the 1001-point base grid, counts up from the floor and one
+    bisection of the bracket they isolate the level in, then one count per
+    window (the coarse companion, the grid and the fine grid); every window
+    holds the level, so none takes the bracket route.  Each grid is refined
+    by MAX_SOLVES dgtsv solves or fewer, in ladder order."""
     for n in (8001, 16001):
         dstebz_calls.clear()
         gtsv_calls.clear()
         uf.ground_state(spec, uf.Grid(half_width, n), parity=parity)
         rows = [uf.Grid(half_width, m).sector(parity)[1]
                 for m in (1001, (n + 1) // 2, n, 2 * n - 1)]
-        assert [(c.kind, c.rows) for c in dstebz_calls] == [("index", rows[0])] + [
-            ("count", r) for r in rows[1:]]
+        base = [c for c in dstebz_calls if c.rows == rows[0]]
+        assert len(base) >= 2 and base[-1].levels == 1
+        assert [(c.kind, c.rows) for c in dstebz_calls] == [("count", rows[0])] * (
+            len(base) - 1) + [("bisect", rows[0])] + [("count", r) for r in rows[1:]]
         assert [r for r, _ in itertools.groupby(gtsv_calls)] == rows
         assert max(gtsv_calls.count(r) for r in rows) <= MAX_SOLVES
 
@@ -428,11 +480,104 @@ def test_pre_asymptotic_soft_coulomb_windows_hold_their_level(spec, half_width, 
     """The paper suite's soft-Coulomb ground states, odd sector, whose h^2
     predictions on 4001 and 8001 points are off by more than their
     corrections: each 0.5% window still holds the level at its one count,
-    and the refined level is the one the index route gives."""
+    after the 1001-point base's counts and bisection, and the refined level
+    is the one the bracket route gives."""
     res = uf.ground_state(spec, uf.Grid(half_width, 4001), parity=uf.Parity.ODD)
-    assert [(c.kind, c.rows) for c in dstebz_calls] == [
-        ("index", 499), ("count", 999), ("count", 1999), ("count", 3999)]
+    base = sum(c.rows == 499 for c in dstebz_calls)
+    assert base >= 2
+    assert [(c.kind, c.rows) for c in dstebz_calls] == [("count", 499)] * (base - 1) + [
+        ("bisect", 499), ("count", 999), ("count", 1999), ("count", 3999)]
     assert res.refinement_estimate == refined
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_a_pair_no_count_splits_is_bisected_together(k, dstebz_calls):
+    """The inverted quartic's two wall states, one at each end of the box,
+    lie closer than any count can split: the bracket is halved to _EIG_TOL
+    width with both in it, bisected, and its entry k - N(a) is level k."""
+    d, e, rayleigh = eigensolver._sector_matrix(uf.quartic(-1.0), uf.Grid(6.0, 401), None)
+    w, _ = eigensolver._level(d, e, k, None, rayleigh)
+    bisect = dstebz_calls[-1]
+    assert (bisect.kind, bisect.levels) == ("bisect", 2)
+    ref = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(k, k))[0]
+    assert abs(w - ref) <= eigensolver._EIG_TOL * max(1.0, abs(ref))
+
+
+def test_a_cluster_window_makes_no_count_below_it(monkeypatch, dstebz_calls):
+    """Harmonic level 300 on 8001 points of half-width 50: its neighbours
+    lie within 0.5% of it, so a seeded window holds them too and becomes
+    the bracket, halved inside it; a window below the level steps up from
+    its high end.  Either way no count lies below the window's low end,
+    and every bit of the refined level is pinned."""
+    spec, grid, k = half_oscillator(), uf.Grid(50.0, 8001), 300
+    seeds = ladder_seeds(spec, grid, None, k, monkeypatch)
+    clusters = 0
+    for n, seed in seeds.items():
+        if seed is None:
+            continue
+        rows = uf.Grid(50.0, n).sector(None)[1]
+        calls = [c for c in dstebz_calls if c.rows == rows]
+        lo, hi = window_ends(seed, k, None)
+        assert calls[0].window[1] == lo
+        assert all(c.window[1] >= lo for c in calls if c.kind == "count")
+        n_lo, n_hi = calls[0].levels, calls[1].levels
+        if n_lo <= k and n_hi > k + 1:
+            clusters += 1
+            assert all(lo <= c.window[1] <= hi for c in calls if c.kind == "count")
+    assert sorted(seeds) == [1001, 4001, 8001, 16001] and clusters >= 2
+    res = uf.eigenvalue_by_index(spec, grid, k)
+    assert res.refinement_estimate.hex() == "0x1.2c802acabe5f3p+8"
+
+
+def test_the_highest_level_caps_the_steps_at_the_gershgorin_top(dstebz_calls):
+    """The last level of a 5-row sector: the steps up from the floor pass
+    the spectrum, the step that would pass top stops at it, where N is the
+    number of rows and no count is needed, and the bracket from the last
+    step to top holds the level alone.  (On the full line the last two
+    levels, one at each wall, would be bisected together.)"""
+    d, e, rayleigh = eigensolver._sector_matrix(uf.quartic(1.0), uf.Grid(6.0, 11),
+                                                uf.Parity.EVEN)
+    k = len(d) - 1
+    w, _ = eigensolver._level(d, e, k, None, rayleigh)
+    floor, top = gershgorin(d, e)
+    *counts, bisect = dstebz_calls
+    steps = [c.window[1] for c in counts]
+    assert steps == [floor + 2.0 ** i - 1.0 for i in range(1, len(steps) + 1)]
+    assert all(c.kind == "count" and c.levels <= k for c in counts)
+    assert steps[-1] + 2.0 ** len(steps) > top
+    assert bisect == Dstebz("bisect", k + 1, (steps[-1], top), 1)
+    ref = eigh_tridiagonal(d, e, eigvals_only=True)[-1]
+    assert abs(w - ref) <= eigensolver._EIG_TOL * max(1.0, abs(ref))
+
+
+def test_an_unseeded_ladder_keeps_its_bits():
+    """``oracle quartic --n 401``: the grid and its 201-point companion
+    are at most the base size, so each is bracketed from the floor, and
+    the fine 801 points are seeded from them; every bit of the levels is
+    pinned."""
+    res = uf.eigenvalue_by_index(uf.quartic(1.0), uf.Grid(6.0, 401), 0)
+    assert [res.eigenvalue.hex(), res.refinement_estimate.hex(),
+            res.convergence_ratio.hex()] == [
+        "0x1.0f6ceb3752d73p+0", "0x1.0f73e3d6943d1p+0", "0x1.0004608049c4dp+2"]
+
+
+def test_a_level_the_grid_does_not_resolve_is_refused():
+    """The quartic level grows as g^(1/3) and narrows as g^(-1/6): at
+    g = 1e12 on 4001 points it is right to 4.7e-6 with a Richardson
+    correction of 1.0e-2 of its size, under _RESOLVED; at g = 1e16 the
+    correction is 0.137 and the level 2.3% off, so it is refused, naming
+    the grid size."""
+    grid = uf.Grid(6.0, 4001)
+    res = uf.ground_state(uf.quartic(1.0e12), grid)
+    assert abs(res.refinement_estimate / (1.0e4 * QUARTIC_HIOE_MONTROLL) - 1.0) < 1e-5
+    correction = abs(res.refinement_estimate - res.eigenvalue) / res.refinement_estimate
+    assert 0.009 < correction < eigensolver._RESOLVED
+    with pytest.raises(uf.DomainTooSmallError,
+                       match=r"^level 0 is not resolved on 4001 points: refining moves it "
+                             r"by 0\.137 of its size; enlarge n$"):
+        uf.ground_state(uf.quartic(1.0e16), grid)
+    # the raw level has no Richardson pair to check
+    assert uf.ground_state(uf.quartic(1.0e16), grid, refine=False).eigenvalue > 0.0
+
 
 def test_non_finite_potential_is_a_domain_error():
     # infinite only on the center node, which the coarse rungs share
@@ -472,13 +617,18 @@ def test_level_beyond_the_sector_is_a_domain_error(dstebz_calls):
             uf.eigenvalue_by_index(uf.coulomb(1.0), grid, size,
                                    parity=uf.Parity.ODD, refine=refine)
     assert dstebz_calls == []
-    # a level the coarse sector lacks is solved by index, unseeded
+    # a level the coarse sector lacks is solved unseeded: counts up from the
+    # floor, then one bisection of their bracket
     with pytest.raises(uf.DomainTooSmallError):
         uf.eigenvalue_by_index(uf.coulomb(1.0), grid, 1500,
                                parity=uf.Parity.ODD, refine=False)
-    assert dstebz_calls == [Dstebz("index", 1999, (1500, 1500), 1)]
-    # and refined to the stored matrix's level 1500, bisected by LAPACK
     d, e, _ = eigensolver._sector_matrix(uf.coulomb(1.0), grid, uf.Parity.ODD)
+    floor, _ = gershgorin(d, e)
+    *counts, bisect = dstebz_calls
+    assert counts[0] == Dstebz("count", 1999, (floor, floor + 1.0), 0)
+    assert {(c.kind, c.rows) for c in counts} == {("count", 1999)}
+    assert (bisect.kind, bisect.rows) == ("bisect", 1999)
+    # and refined to the stored matrix's level 1500, bisected by LAPACK
     ref = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
                            select_range=(1500, 1500), tol=eigensolver._EIG_TOL)[0]
     w, _ = index_route(uf.coulomb(1.0), grid, uf.Parity.ODD, 1500)
