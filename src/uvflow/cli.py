@@ -32,7 +32,7 @@ import json
 import math
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -45,18 +45,6 @@ from .potentials import (Parity, PotentialSpec, coulomb, kramers_henneberger,
                          morse, quartic, soft_coulomb)
 
 CASE_STUDIES = ("morse", "quartic", "coulomb", "kh")
-
-# model name -> (constructor, its parameters with their defaults,
-#                oracle defaults (half_width, n, parity as --parity spells it))
-_MODELS = {
-    "morse": (morse, {"A": 4.0, "a": 1.0, "m": 1.0}, (30.0, 4001, None)),
-    "quartic": (quartic, {"g": 1.0}, (6.0, 4001, None)),
-    "coulomb": (coulomb, {"alpha": 1.0}, (30.0, 4001, "odd")),
-    "soft-coulomb": (soft_coulomb, {"alpha": 1.0, "lam": 1000.0},
-                     (30.0, 4001, "odd")),
-    "kh": (kramers_henneberger, {"alpha": 1.0, "eps_exp": 1.0, "lam": 1.0e4},
-           (12.0, 4001, None)),
-}
 
 # model parameters of analyze, flow and oracle: name -> flag help
 _PARAMS = {"A": "Morse well depth", "a": "Morse range parameter",
@@ -156,26 +144,133 @@ def _count(minimum: int, odd: bool = False):
     return count
 
 
-# the settings of flow beyond the model parameters; kh's log flow
-# g = K**2/ln(lam) reads none of them
+# the settings of flow beyond the model parameters
 _FLOW_SETTINGS = ("g0", "beta", "start_on_fixed_point")
+
+
+class _Model(NamedTuple):
+    """One CLI model: ``make`` and its parameter ``defaults``, the grid
+    ``oracle`` defaults (half_width, n, parity as --parity spells it), the
+    coupling ``law`` that analyze follows, and the ``note`` format of the
+    oracle's gap to its limit."""
+
+    make: Callable
+    defaults: dict
+    oracle: tuple
+    law: Callable = solve_fixed_point
+    note: str = ""
+
+    @property
+    def flow_reads(self):
+        """What analyze and flow read; oracle reads the ``defaults``."""
+        return (*self.defaults, *_FLOW_SETTINGS)
+
+    def spec(self, params):
+        return self.make(**{k: params.get(k, v) for k, v in self.defaults.items()})
+
+    def solve(self, spec, level=0, half_width=None, n=None, parity=None):
+        """The grid settings, a None one read from ``oracle``, and the
+        OracleResult of ``level``.  Only grid commands load the eigensolver,
+        and with it scipy's LAPACK extension."""
+        from .eigensolver import Grid, _level_count, eigenvalue_by_index
+
+        half_width, n, parity = settings = [
+            d if g is None else g for d, g in zip(self.oracle, (half_width, n, parity))]
+        grid = Grid(half_width, n)
+        sector = None if parity in (None, "none") else Parity(parity)
+        count = _level_count(grid, sector, refine=True)
+        if level >= count:
+            raise ConfigError(f"--level {level} is past the last level: --n {n} "
+                              f"with --parity {parity or 'none'} refines {count} levels")
+        return settings, eigenvalue_by_index(spec, grid, level, parity=sector)
+
+    def analyze(self, params):
+        """The analyze row but its model cell."""
+        spec = self.spec(params)
+        flow = self.law(spec)
+        est = uv_limit_energy(spec, flow)
+        oracle = self.solve(spec)[1].refinement_estimate
+        return {"rg_energy": est.energy, "oracle_energy": oracle,
+                "rel_error": abs(est.energy - oracle) / abs(oracle),
+                "sign_branch": "positive" if est.branches is None else "ambiguous",
+                "flow_law": f"g(lam) = {flow.coefficient:.12g} lam^{flow.exponent:g}",
+                "notes": self.note.format(oracle - est.energy)}
+
+    def trajectory(self, args, params, errors):
+        """flow's (cutoffs, couplings, beta of a row, energy of a row): the
+        flow integrated from g0 at lam0; an abort keeps the rows reached
+        and goes to ``errors``."""
+        spec = self.spec(params)
+        if args.start_on_fixed_point:
+            g0 = solve_fixed_point(spec)(args.lam0)
+        elif args.g0 is not None:
+            g0 = args.g0
+        else:
+            # the model's coupling, on the side of the family's canonical
+            # fixed point, where its beta is defined (g < 0 for the Coulomb
+            # shapes); a family without one, Morse, keeps its sign
+            fixed_point = spec.family.fixed_point
+            side = 1.0 if fixed_point is None else fixed_point(spec.kappa)[0]
+            g0 = math.copysign(spec.coupling, side)
+        beta = beta_numeric if args.beta == "numeric" else beta_closed_form
+        row_beta = lambda g, lam: beta(spec, g, lam)
+        try:
+            lams, gs = integrate_flow(spec, g0, args.lam0, args.lam1,
+                                      n_points=args.points, beta=row_beta)
+        except IntegrationAbortError as exc:
+            lams, gs = exc.partial if exc.partial is not None else ([], [])
+            errors.append(exc)
+        return lams, gs, row_beta, lambda g, lam: pipeline_ground_energy(spec, g, lam)
+
+
+class _LogModel(_Model):
+    """A model that analyze and flow follow along g = K**2/ln(lam),
+    which reads K and eps_exp alone."""
+
+    flow_reads = ("K", "eps_exp")
+
+    def analyze(self, params):
+        """The scaled level along the flow; no grid level to compare."""
+        K = params.get("K", 1.0)
+        return {"rg_energy": kh.scaled_energy_from_K(K, params.get("eps_exp", 1.0)),
+                "sign_branch": "ambiguous", "flow_law": f"g(lam) = {K * K:.12g} / ln(lam)",
+                "notes": "root sign absorbed into K**2; printed form has no "
+                         "direct eigensolve target, see kh-scan"}
+
+    def trajectory(self, args, params, errors):
+        """Sampled lazily, so that each row is evaluated inside flow's loop."""
+        flow, eps = LogFlow(params.get("K", 1.0)), params.get("eps_exp", 1.0)
+        lams = np.geomspace(args.lam0, args.lam1, args.points)
+        return (lams, map(flow, lams), lambda g, lam: flow.derivative_wrt_log(lam),
+                lambda g, lam: kh.scaled_ground_energy(g, lam, eps))
+
+
+# model name -> its record
+_MODELS = {
+    # the depth does not run at leading order; the flow is a constant
+    "morse": _Model(morse, {"A": 4.0, "a": 1.0, "m": 1.0}, (30.0, 4001, None),
+                    lambda spec: PowerLawFlow(spec.coupling, 0.0),
+                    "oracle minus flow limit = {:.12g}"),
+    "quartic": _Model(quartic, {"g": 1.0}, (6.0, 4001, None)),
+    "coulomb": _Model(coulomb, {"alpha": 1.0}, (30.0, 4001, "odd")),
+    "soft-coulomb": _Model(soft_coulomb, {"alpha": 1.0, "lam": 1000.0},
+                           (30.0, 4001, "odd")),
+    "kh": _LogModel(kramers_henneberger,
+                    {"alpha": 1.0, "eps_exp": 1.0, "lam": 1.0e4}, (12.0, 4001, None)),
+}
 
 
 def _params(args, models: Sequence[str]) -> dict:
     """The model parameters that are set.
 
     A parameter or flow setting is set when it is not None, which is
-    why none of them has a parser default.  A model reads its
-    constructor's parameters (and flow's settings); analyze and flow
-    follow kh along its log flow instead, which reads only K and eps_exp.
-    A setting that none of the models reads is a config error.
+    why none of them has a parser default.  oracle reads a model's
+    constructor parameters, analyze and flow its ``flow_reads``.  A
+    setting that none of the models reads is a config error.
     """
     read = set()
-    for model in models:
-        if model == "kh" and args.command != "oracle":
-            read.update(("K", "eps_exp"))
-        else:
-            read.update(_MODELS[model][1], _FLOW_SETTINGS)
+    for entry in map(_MODELS.get, models):
+        read.update(entry.defaults if args.command == "oracle" else entry.flow_reads)
     unread = [key for key in (*_PARAMS, *_FLOW_SETTINGS)
               if getattr(args, key, None) is not None and key not in read]
     if unread:
@@ -187,50 +282,10 @@ def _params(args, models: Sequence[str]) -> dict:
 
 
 def build_spec(model: str, params: dict) -> PotentialSpec:
-    make, defaults, _ = _MODELS[model]
-    return make(**{k: params.get(k, v) for k, v in defaults.items()})
-
-
-def _grid_sector(half_width: float, n: int, parity: Optional[str]):
-    """The oracle's grid, and the sector ``parity`` spelled as --parity
-    takes it.  Only grid commands get here, so only they load the
-    eigensolver, and with it scipy's LAPACK extension."""
-    from .eigensolver import Grid
-
-    return Grid(half_width, n), None if parity in (None, "none") else Parity(parity)
+    return _MODELS[model].spec(params)
 
 
 # -- analyze -----------------------------------------------------------------
-
-def _analyze_row(model: str, params: dict) -> dict:
-    if model == "kh":
-        K = params.get("K", 1.0)
-        eps = params.get("eps_exp", 1.0)
-        rg = kh.scaled_energy_from_K(K, eps)
-        return {"model": model, "rg_energy": rg, "sign_branch": "ambiguous",
-                "flow_law": f"g(lam) = {K * K:.12g} / ln(lam)",
-                "notes": "root sign absorbed into K**2; printed form has no "
-                         "direct eigensolve target, see kh-scan"}
-    spec = build_spec(model, params)
-    if model == "morse":
-        # the depth does not run at leading order; the flow is a constant
-        flow = PowerLawFlow(spec.coupling, 0.0)
-    else:
-        flow = solve_fixed_point(spec)
-    est = uv_limit_energy(spec, flow)
-    from .eigensolver import eigenvalue_by_index
-
-    grid, sector = _grid_sector(*_MODELS[model][2])
-    oracle = eigenvalue_by_index(spec, grid, 0, parity=sector).refinement_estimate
-    rel = abs(est.energy - oracle) / abs(oracle)
-    notes = (f"oracle minus flow limit = {oracle - est.energy:.12g}"
-             if model == "morse" else "")
-    return {"model": model, "rg_energy": est.energy, "oracle_energy": oracle,
-            "rel_error": rel,
-            "sign_branch": "positive" if est.branches is None else "ambiguous",
-            "flow_law": f"g(lam) = {flow.coefficient:.12g} lam^{flow.exponent:g}",
-            "notes": notes}
-
 
 def cmd_analyze(args) -> int:
     models = args.models or CASE_STUDIES
@@ -238,7 +293,7 @@ def cmd_analyze(args) -> int:
     rows, failed = [], False
     for model in models:
         try:
-            rows.append(_analyze_row(model, params))
+            rows.append({"model": model, **_MODELS[model].analyze(params)})
         except UVFlowError as exc:
             failed = True
             rows.append({"model": model, "sign_branch": "", "flow_law": "",
@@ -259,36 +314,8 @@ def cmd_flow(args) -> int:
     params = _params(args, [model])
     if args.lam0 == args.lam1:
         raise ConfigError(f"lam0 and lam1 must differ, both are {args.lam0!r}")
-    beta = beta_numeric if args.beta == "numeric" else beta_closed_form
     errors = []
-    if model == "kh":
-        eps = params.get("eps_exp", 1.0)
-        flow = LogFlow(params.get("K", 1.0))
-        lams = np.geomspace(args.lam0, args.lam1, args.points)
-        gs = map(flow, lams)  # sampled row by row, inside the loop's try
-        row_beta = lambda g, lam: flow.derivative_wrt_log(lam)
-        row_energy = lambda g, lam: kh.scaled_ground_energy(g, lam, eps)
-    else:
-        spec = build_spec(model, params)
-        if args.start_on_fixed_point:
-            g0 = solve_fixed_point(spec)(args.lam0)
-        elif args.g0 is not None:
-            g0 = args.g0
-        else:
-            # the model's coupling, on the side of the family's canonical
-            # fixed point, where its beta is defined (g < 0 for the Coulomb
-            # shapes); a family without one, Morse, keeps its sign
-            fixed_point = spec.family.fixed_point
-            side = 1.0 if fixed_point is None else fixed_point(spec.kappa)[0]
-            g0 = math.copysign(spec.coupling, side)
-        row_beta = lambda g, lam: beta(spec, g, lam)
-        row_energy = lambda g, lam: pipeline_ground_energy(spec, g, lam)
-        try:
-            lams, gs = integrate_flow(spec, g0, args.lam0, args.lam1,
-                                      n_points=args.points, beta=row_beta)
-        except IntegrationAbortError as exc:
-            lams, gs = exc.partial if exc.partial is not None else ([], [])
-            errors.append(exc)
+    lams, gs, row_beta, row_energy = _MODELS[model].trajectory(args, params, errors)
     rows = []
     try:  # a failing row keeps the rows before it, as an abort does
         for lam, g in zip(lams, gs):
@@ -341,19 +368,9 @@ def cmd_kh_scan(args) -> int:
 def cmd_oracle(args) -> int:
     model = args.model
     params = _params(args, [model])
-    dl, dn, dparity = _MODELS[model][2]
-    half_width = dl if args.half_width is None else args.half_width
-    n = dn if args.n is None else args.n
-    parity = dparity if args.parity is None else args.parity
-    from .eigensolver import _level_count, eigenvalue_by_index
-
-    grid, sector = _grid_sector(half_width, n, parity)
-    count = _level_count(grid, sector, refine=True)
-    if args.level >= count:
-        raise ConfigError(f"--level {args.level} is past the last level: --n {n} "
-                          f"with --parity {parity or 'none'} refines {count} levels")
-    spec = build_spec(model, params)
-    res = eigenvalue_by_index(spec, grid, args.level, parity=sector)
+    entry = _MODELS[model]
+    (half_width, n, _), res = entry.solve(entry.spec(params), args.level,
+                                          args.half_width, args.n, args.parity)
     row = {"model": model, "half_width": half_width, "n": n,
            "parity": res.parity.value if res.parity else "none",
            "level": args.level, "eigenvalue": res.eigenvalue,

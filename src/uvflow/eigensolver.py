@@ -231,7 +231,9 @@ def _level(d: np.ndarray, e: np.ndarray, k: int, seed: Optional[float],
     which eigenvalue is level k; Rayleigh-quotient iteration (B. N. Parlett,
     The Symmetric Eigenvalue Problem (SIAM, 1998), ch. 4) then finds it, its
     quotients taken by ``rayleigh``.  floor lies below the Gershgorin
-    interval, so N(floor) = 0.
+    interval, so N(floor) = 0: its margin, max(1, 1e-12 |min d|), scales
+    with the diagonal, since a unit margin rounds away once |min d| passes
+    about 1e16, and a level 0 at floor is then never counted.
 
     A level has two routes.  The window route takes a seed and counts the
     window (lo, hi] around it, seed +- _WINDOW max(1, |seed|); a ground
@@ -279,7 +281,8 @@ def _level(d: np.ndarray, e: np.ndarray, k: int, seed: Optional[float],
     if len(d) == 1:
         # the dstebz wrapper rejects an empty off-diagonal
         return float(d[0]), np.ones(1)
-    floor = np.min(d) - 2.0 * np.max(np.abs(e)) - 1.0
+    lowest = np.min(d)
+    floor = lowest - 2.0 * np.max(np.abs(e)) - max(1.0, 1.0e-12 * abs(lowest))
     top = np.max(d) + 2.0 * np.max(np.abs(e)) + 1.0
 
     def stebz(lo, hi, tol):

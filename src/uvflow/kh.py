@@ -41,10 +41,11 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, FitDegenerateError
+from .errors import DomainError, FitDegenerateError, IterationLimitError
 from .flow import _check_lam
 
 _AGM_TOL = 2.0 ** -26    # one step past this relative gap leaves rounding only
+_AGM_STEPS = 32          # the AGM at the largest cutoff, 1.7e308, takes 13 steps
 _FAR = 1.0e9             # beyond |z| = _FAR, I = pi/|z| to double precision
 
 
@@ -76,13 +77,17 @@ def _closed_form(z: np.ndarray, lam: float):
     # a point's a stops one step past its own gap test and g is not read
     # after that, so an array gives every point its scalar result bit for bit
     live = np.ones(z.shape, dtype=bool)
-    while live.any():
+    for _ in range(_AGM_STEPS):
         last = np.abs(a[0] - g[0]) <= _AGM_TOL * a[0]
         mean = 0.5 * (a + g)
         g = np.stack(_sqrt_derivatives(a[0] * g[0], a[1] * g[0] + a[0] * g[1],
                                        a[2] * g[0] + 2.0 * a[1] * g[1] + a[0] * g[2]))
         a = np.where(live, mean, a)
         live &= ~last
+        if not live.any():
+            break
+    else:
+        raise IterationLimitError(f"the AGM did not settle in {_AGM_STEPS} steps")
     value = math.pi / a[0]
     m1, m2 = a[1] / a[0], a[2] / a[0]
     near = (value, -value * m1, value * (2.0 * m1 * m1 - m2))
@@ -93,14 +98,22 @@ def dressed_integral_derivatives(z, lam: float):
     """(I, dI/dz, d2I/dz2) at z.
 
     z is a scalar, giving floats, or an array, giving arrays of its shape;
-    a NaN in z raises DomainError, and z = +-inf gives zeros.
+    a NaN in z raises DomainError, and z = +-inf gives zeros.  A cutoff at
+    which the closed form leaves the float range at some z also raises
+    DomainError, before numpy can warn: below about 1e-154, where 1/lam^2
+    overflows (about 1e-150 at |z| near 1e9), and above about 2e123 at
+    z = +-1, where I'' does.
     """
     if not 0.0 < lam < math.inf:
         raise DomainError("the kernel needs a positive finite cutoff")
     zs = np.asarray(z, dtype=float)
     if np.isnan(zs).any():
         raise DomainError("the kernel needs a number for z, got NaN")
-    parts = _closed_form(zs, lam)
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            parts = _closed_form(zs, lam)
+    except FloatingPointError:
+        raise DomainError(f"the kernel leaves the float range at cutoff {lam!r}") from None
     return tuple(float(p) for p in parts) if zs.ndim == 0 else parts
 
 

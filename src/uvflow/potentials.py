@@ -61,8 +61,9 @@ class FamilyDef:
     of the power law g(Lambda) that holds the reduced stiffness there.
     None for any of the three means no closed form: the law is the exact
     reduction, there is no closed-form beta, and the fixed point is the
-    pointwise stiffness match, evaluated at each cutoff.  An ``attractive`` family quotes the lower branch of an
-    ambiguous frequency root, the others the upper one.  A shape that is
+    pointwise stiffness match, evaluated at each cutoff.  An
+    ``attractive`` family quotes the lower branch of an ambiguous
+    frequency root, the others the upper one.  A shape that is
     ``singular_at_origin`` has no value at x = 0, so the oracles solve only
     its odd sector.
     """
@@ -184,10 +185,11 @@ def _coulomb_beta(s, g, lam):
 
 
 def _softening(s):
-    """The squared softening distance 1/lam^2."""
+    """The squared softening distance 1/lam^2; a lam^2 that overflows, or
+    underflows to 0 (lam below about 1.5e-162), is a DomainError."""
     try:
         return 1.0 / s["lam"] ** 2
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         raise DomainError(f"lam^2 leaves the float range at lam = {s['lam']!r}") from None
 
 

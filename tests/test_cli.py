@@ -543,6 +543,8 @@ def test_bad_settings_exit_2(tmp_path, args, lines, expect):
     ["flow", "quartic", "--g0", "1e155"],
     ["oracle", "quartic", "--g", "-1"],
     ["oracle", "soft-coulomb", "--lam", "1e300"],
+    ["oracle", "soft-coulomb", "--lam", "1e-300"],
+    ["oracle", "kh", "--lam", "1e-300"],
     ["flow", "kh", "--K", "1e200"],
     ["flow", "kh", "--K", "1e150", "--eps-exp", "1e-10"],
     ["flow", "coulomb", "--lam0", "1e200", "--lam1", "1e201"],
@@ -551,6 +553,7 @@ def test_bad_settings_exit_2(tmp_path, args, lines, expect):
         "oracle-tiny-half-width", "oracle-huge-half-width", "flow-huge-g0",
         "flow-overflowing-offset", "flow-offset-overflows-mid-trajectory",
         "oracle-inverted-quartic", "oracle-soft-coulomb-huge-lam",
+        "oracle-soft-coulomb-tiny-lam", "oracle-kh-tiny-lam",
         "flow-kh-huge-K", "flow-kh-overflowing-level",
         "flow-coulomb-huge-cutoffs", "flow-soft-coulomb-huge-cutoffs"])
 def test_extreme_numbers_exit_1(tmp_path, args):
@@ -569,8 +572,9 @@ def test_extreme_numbers_exit_1(tmp_path, args):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("args", [
     ["analyze", "soft-coulomb", "--lam", "1e300"],
+    ["analyze", "soft-coulomb", "--lam", "1e-170"],
     ["analyze", "kh", "--K", "1e200"],
-], ids=["soft-coulomb-huge-lam", "kh-huge-K"])
+], ids=["soft-coulomb-huge-lam", "soft-coulomb-tiny-lam", "kh-huge-K"])
 def test_analyze_row_out_of_float_range_fails(tmp_path, args):
     """analyze reports a row's error in its notes and exits 1; the row
     holds no number that is not finite."""
@@ -586,14 +590,68 @@ def test_analyze_row_out_of_float_range_fails(tmp_path, args):
 @pytest.mark.parametrize("args", [
     ["oracle", "quartic", "--g", "-1"],
     ["oracle", "kh"],
-], ids=["inverted-quartic", "kh-defaults"])
+    ["oracle", "morse", "--A=-1"],
+    ["oracle", "quartic", "--g=-1e20"],
+    ["oracle", "coulomb", "--alpha=-1e25"],
+], ids=["inverted-quartic", "kh-defaults", "inverted-morse", "deep-inverted-quartic",
+        "deep-repulsive-coulomb"])
 def test_oracle_without_bound_state_says_so(tmp_path, args):
     """A level pressed against a wall where V is lowest is no bound state,
-    and no larger box would help."""
+    and no larger box would help.  The last three walls are so deep that a
+    unit margin below the Gershgorin interval would round away, and the
+    level next to the lowest would be reported, with exit 0."""
     res = run_cli(args, tmp_path)
     assert res.returncode == 1, res.stdout + res.stderr
     assert "NoBoundStateError" in res.stderr
     assert "enlarge half_width" not in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not list(tmp_path.glob("*.csv"))
+
+
+# the settings each command reads for each model, as the CLI's rules stand:
+# oracle reads the constructor's parameters, analyze and flow the parameters
+# of the flow they follow (flow also its own settings), which for kh's log
+# flow are K and eps_exp alone
+READS = {
+    "analyze": {"morse": "A a m", "quartic": "g", "coulomb": "alpha",
+                "soft-coulomb": "alpha lam", "kh": "K eps_exp"},
+    "flow": {"morse": "A a m g0 beta start_on_fixed_point",
+             "quartic": "g g0 beta start_on_fixed_point",
+             "coulomb": "alpha g0 beta start_on_fixed_point",
+             "soft-coulomb": "alpha lam g0 beta start_on_fixed_point",
+             "kh": "K eps_exp"},
+    "oracle": {"morse": "A a m", "quartic": "g", "coulomb": "alpha",
+               "soft-coulomb": "alpha lam", "kh": "alpha eps_exp lam"},
+}
+# one valid flag per setting; the flow settings are options of flow alone
+SETTING_FLAGS = {"A": "--A=4", "a": "--a=1", "m": "--m=1", "g": "--g=1",
+                 "alpha": "--alpha=1", "lam": "--lam=1000", "eps_exp": "--eps-exp=1",
+                 "K": "--K=1", "g0": "--g0=1", "beta": "--beta=numeric",
+                 "start_on_fixed_point": "--start-on-fixed-point"}
+FLOW_SETTINGS = ("g0", "beta", "start_on_fixed_point")
+
+
+@pytest.mark.parametrize("command, model",
+                         [(command, model) for command in READS for model in READS[command]])
+def test_each_command_reads_its_settings_and_no_other(tmp_path, command, model):
+    """Every model parameter, and for flow every flow setting, is accepted
+    exactly when the command reads it for the model; one it does not read
+    exits 2 with a config error naming it, before any report.  An accepted
+    setting is checked at the parameter stage alone, so that no solve
+    runs."""
+    for key, flag in SETTING_FLAGS.items():
+        if key in FLOW_SETTINGS and command != "flow":
+            continue
+        argv = [command, model, flag]
+        if key in READS[command][model].split():
+            params = cli._params(cli.build_parser().parse_args(argv), [model])
+            assert key in params or key in FLOW_SETTINGS, (argv, params)
+        else:
+            res = run_cli(argv, tmp_path)
+            assert res.returncode == 2, (argv, res.stdout + res.stderr)
+            assert (f"uvflow {command}: config error: {command} does not read "
+                    f"--{key.replace('_', '-')} for {model}") in res.stderr, argv
+            assert not list(tmp_path.iterdir()), argv
 
 
 @pytest.mark.parametrize("args", [

@@ -200,7 +200,7 @@ def index_route(spec, grid, parity, k):
 def gershgorin(d, e):
     """floor and top of ``_level``: below and above the Gershgorin interval
     of T = (d, e), where N is 0 and the number of rows."""
-    return (np.min(d) - 2.0 * np.max(np.abs(e)) - 1.0,
+    return (np.min(d) - 2.0 * np.max(np.abs(e)) - max(1.0, 1.0e-12 * abs(np.min(d))),
             np.max(d) + 2.0 * np.max(np.abs(e)) + 1.0)
 
 
@@ -500,6 +500,22 @@ def test_a_pair_no_count_splits_is_bisected_together(k, dstebz_calls):
     assert (bisect.kind, bisect.levels) == ("bisect", 2)
     ref = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(k, k))[0]
     assert abs(w - ref) <= eigensolver._EIG_TOL * max(1.0, abs(ref))
+
+
+def test_a_deep_wall_keeps_level_zero_above_the_floor(dstebz_calls):
+    """The inverted Morse well on its 1001-point base: the wall at x = -30
+    puts min d near -1.0e26, where one ulp is about 1.7e10, so a unit
+    margin below the Gershgorin interval rounds back to min d, and level
+    0, at min d, would never be counted.  The floor's margin scales with
+    |min d|, so the counts find level 0, not level 1 (-8.98e25)."""
+    d, e, rayleigh = eigensolver._sector_matrix(uf.morse(-1.0), uf.Grid(30.0, 1001), None)
+    floor, _ = gershgorin(d, e)
+    assert np.min(d) - 2.0 * np.max(np.abs(e)) - 1.0 == np.min(d) > floor
+    w, _ = eigensolver._level(d, e, 0, None, rayleigh)
+    assert all(c.window[0] == floor for c in dstebz_calls if c.kind == "count")
+    ref = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, 1))
+    assert ref[0] < 1.1 * ref[1] < 0.0
+    assert abs(w - ref[0]) <= eigensolver._EIG_TOL * abs(ref[0])
 
 
 def test_a_cluster_window_makes_no_count_below_it(monkeypatch, dstebz_calls):

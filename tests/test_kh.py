@@ -136,6 +136,27 @@ def test_kernel_validation():
             kh.dressed_potential_integral(0.3, lam)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lam", [1.0e-154, 1.0e-155, 1.0e-300])
+def test_a_cutoff_out_of_the_float_range_is_a_domain_error(lam):
+    """At these cutoffs 1/lam^2 overflows: the kernel raises DomainError
+    before numpy can warn, where it returned NaN slopes (1e-154) or never
+    left the AGM loop (1e-155 and below), whose gap test reads NaN."""
+    for z in (0.3, np.linspace(-3.0, 3.0, 7)):
+        with pytest.raises(uf.DomainError, match="leaves the float range"):
+            kh.dressed_integral_derivatives(z, lam)
+
+
+def test_the_agm_loop_is_bounded(monkeypatch):
+    """An AGM that has not settled in _AGM_STEPS steps is an
+    IterationLimitError, not an endless loop: at lam = 1e4 it takes 7."""
+    monkeypatch.setattr(kh, "_AGM_STEPS", 6)
+    with pytest.raises(uf.IterationLimitError, match="6 steps"):
+        kh.dressed_integral_derivatives(0.3, 1.0e4)
+    monkeypatch.setattr(kh, "_AGM_STEPS", 7)
+    assert kh.dressed_integral_derivatives(0.3, 1.0e4)[0] > 0.0
+
+
 def test_quadrature_outside_the_source_interval():
     for z in (1.0, 1.5, -2.0):
         val = kh.dressed_potential_integral(z, 1.0e3)
